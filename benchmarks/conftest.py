@@ -2,10 +2,12 @@
 
 Every paper artifact gets one benchmark that (a) regenerates its table via
 the experiment harness, (b) asserts the qualitative *shape* the paper
-claims, and (c) prints the table — and appends it to
+claims, and (c) prints the table — and writes it into
 ``benchmark_tables.txt`` in the repository root, so a plain
 ``pytest benchmarks/ --benchmark-only`` run leaves the full reproduction
-report on disk even without ``-s``.
+report on disk even without ``-s``. A table replaces the section with the
+same title line; sections a run does not regenerate (a ``-k`` or one-file
+run) are kept as they were.
 """
 
 from __future__ import annotations
@@ -17,12 +19,22 @@ import pytest
 _RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "benchmark_tables.txt")
 
 
+#: Title line -> table text, in file order.
+_sections: dict[str, str] = {}
+
+
 @pytest.fixture(scope="session", autouse=True)
-def _fresh_results_file():
+def _load_results_file():
+    _sections.clear()
     try:
-        os.remove(_RESULTS_PATH)
+        with open(_RESULTS_PATH, encoding="utf-8") as handle:
+            text = handle.read()
     except FileNotFoundError:
-        pass
+        text = ""
+    for block in text.split("\n\n"):
+        block = block.strip("\n")
+        if block:
+            _sections[block.split("\n", 1)[0]] = block
     yield
 
 
@@ -35,5 +47,6 @@ def show(table) -> None:
     text = table.format()
     print()
     print(text)
-    with open(_RESULTS_PATH, "a", encoding="utf-8") as handle:
-        handle.write(text + "\n\n")
+    _sections[table.title] = text
+    with open(_RESULTS_PATH, "w", encoding="utf-8") as handle:
+        handle.write("".join(block + "\n\n" for block in _sections.values()))

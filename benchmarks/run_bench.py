@@ -12,7 +12,9 @@ percentiles at the cost of a multi-megabyte file)::
     python benchmarks/run_bench.py --benchmark-save-data
     python benchmarks/run_bench.py -o my.json -- -k broadcast
 
-Arguments after ``--`` are forwarded to pytest verbatim.
+Arguments after ``--`` are forwarded to pytest verbatim. pytest writes into
+``<output>.partial``, which replaces the output only when the run succeeds:
+a failed run leaves an existing BENCH file untouched.
 """
 
 from __future__ import annotations
@@ -163,17 +165,18 @@ def main(argv: list[str] | None = None) -> int:
     if passthrough and passthrough[0] == "--":
         passthrough = passthrough[1:]
 
-    output = args.output or os.path.join(
-        REPO_ROOT, f"BENCH_{datetime.date.today().isoformat()}.json"
+    output = os.path.abspath(
+        args.output or os.path.join(REPO_ROOT, f"BENCH_{datetime.date.today().isoformat()}.json")
     )
     target = "benchmarks" if args.all else "benchmarks/test_bench_micro.py"
+    partial = output + ".partial"
     command = [
         sys.executable,
         "-m",
         "pytest",
         target,
         "--benchmark-only",
-        f"--benchmark-json={output}",
+        f"--benchmark-json={partial}",
         "-q",
         *passthrough,
     ]
@@ -185,15 +188,22 @@ def main(argv: list[str] | None = None) -> int:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     print("+", " ".join(command))
-    result = subprocess.run(command, cwd=REPO_ROOT, env=env)
-    if result.returncode == 0:
-        print_percentile_table(output)
+    try:
+        result = subprocess.run(command, cwd=REPO_ROOT, env=env)
+        if result.returncode != 0:
+            print(f"pytest failed; {output} left untouched")
+            return result.returncode
+        print_percentile_table(partial)
         if not args.save_data:
-            strip_round_data(output)
-        embed_metrics_summary(output)
-        size_kb = os.path.getsize(output) / 1024.0
-        print(f"benchmark JSON written to {output} ({size_kb:.0f} KB)")
-    return result.returncode
+            strip_round_data(partial)
+        embed_metrics_summary(partial)
+        os.replace(partial, output)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+    size_kb = os.path.getsize(output) / 1024.0
+    print(f"benchmark JSON written to {output} ({size_kb:.0f} KB)")
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 The benchmark parameters stay below the ``--full`` artifact (5 000 nodes
 takes ~4 minutes of wall clock; ``python -m repro.experiments --full C1``
 is the headline run) but are large enough that the wall-clock timing
-pytest-benchmark records here tracks the event kernel's scaling, which is
+pytest-benchmark records here tracks the event loop's scaling, which is
 the point: per DET001 the experiment code never reads the host clock, so
 this file is where the city's throughput trend lives.
 """

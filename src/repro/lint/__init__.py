@@ -28,8 +28,6 @@ CACHE002  writes to ``Node._position`` that bypass the epoch-notifying setter
 SIM001    ``==``/``!=`` on simulation-time expressions (float clock values)
 FAULT001  wall-clock or ``random.*`` (even seeded) under ``faults/``
 OVR001    unbounded queues in ``netsim/`` and ``core/`` hot paths
-PERF001   direct ``heapq`` use outside ``repro/netsim/kernel.py`` (event
-          ordering must go through the pluggable kernel)
 ========  ====================================================================
 
 Findings are suppressed per line with ``# lint: disable=RULEID`` (comma

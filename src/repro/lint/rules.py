@@ -1,7 +1,7 @@
 """The project rule set.
 
 Per-file rules: DET001–DET003, CACHE001–CACHE002, SIM001, FAULT001,
-OBS001, OVR001, PERF001. Whole-program rules: the SHARD family (shard-safety for
+OBS001, OVR001. Whole-program rules: the SHARD family (shard-safety for
 region-sharded logical processes) and the cross-call DET002 sweep. Every
 rule guards an invariant the simulator's determinism, PR 1's caching
 layer or the sharding roadmap item depends on; DESIGN.md §5c/§5h document
@@ -674,61 +674,6 @@ class UnboundedQueueRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# PERF001 — direct heapq use outside the event-kernel module
-# ---------------------------------------------------------------------------
-
-
-class _HeapqUseVisitor(RuleVisitor):
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "heapq" or alias.name.startswith("heapq."):
-                self.report(
-                    node,
-                    "direct 'import heapq': event ordering must go through "
-                    "the kernel abstraction (Simulator.schedule* / "
-                    "repro.netsim.kernel), not a private heap",
-                )
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "heapq":
-            self.report(
-                node,
-                "direct 'from heapq import ...': event ordering must go "
-                "through the kernel abstraction (Simulator.schedule* / "
-                "repro.netsim.kernel), not a private heap",
-            )
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        name = self.ctx.resolve_dotted(node.func)
-        if name is not None and name.startswith("heapq."):
-            self.report(
-                node,
-                f"direct {name}(): event ordering must go through the "
-                "kernel abstraction, not a private heap",
-            )
-        self.generic_visit(node)
-
-
-class HeapqUseRule(Rule):
-    id = "PERF001"
-    title = "no direct heapq use outside repro/netsim/kernel.py"
-    rationale = (
-        "The pluggable event kernel (calendar queue vs. reference heap) is "
-        "the single owner of pending-event ordering; a side heap of timers "
-        "bypasses cancellation accounting, parity gates and the O(1) "
-        "diagnostics (pending_events/queue_size), and its pop order is "
-        "invisible to the cross-kernel determinism contract."
-    )
-    visitor_class = _HeapqUseVisitor
-
-    def applies_to(self, path: Path) -> bool:
-        parts = path.parts
-        return not (len(parts) >= 2 and parts[-2:] == ("netsim", "kernel.py"))
-
-
-# ---------------------------------------------------------------------------
 # SHARD family — whole-program shard-safety for region-split logical
 # processes. These run over the ProjectGraph, not per file.
 # ---------------------------------------------------------------------------
@@ -972,7 +917,6 @@ ALL_RULES: tuple[Rule, ...] = (
     FaultScheduleRule(),
     MetricsPurityRule(),
     UnboundedQueueRule(),
-    HeapqUseRule(),
     ShardGlobalStateRule(),
     ShardClosureEscapeRule(),
     ShardRngShareRule(),

@@ -186,7 +186,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         return (
             scenario.stats.summary(),
             scenario.sim.events_processed,
-            scenario.sim._kernel.seq,
+            scenario.sim.seq,
         )
 
     stats_on, events_on, seq_on = run_once(True)

@@ -6,21 +6,20 @@ exactly this file. The profiler never touches simulation time, never
 draws randomness, and never changes the event schedule: it wraps each
 scheduled callback in a timing shim at *schedule* time, so events keep
 their original ``(time, seq)`` and fire in the same order; only the
-callable object differs, which nothing in the kernel compares.
+callable object differs, which the event loop never compares.
 
-Zero overhead when off: :class:`~repro.netsim.simulator.Simulator` binds
-its scheduling entry points straight to the kernel, and the profiler
-works by shadowing those instance attributes (``sim.schedule`` etc.) with
-wrappers plus shadowing ``sim.run`` to measure total wall-time per
-advance. ``uninstall()`` restores the kernel bindings. Kernels themselves
-have ``__slots__`` and are never monkeypatched.
+Zero overhead when off: the profiler works by shadowing the simulator's
+scheduling methods (``sim.schedule``, ``sim.schedule_at``,
+``sim.schedule_batch``) with instance-attribute wrappers, plus shadowing
+``sim.run`` to measure total wall-time per advance. ``uninstall()`` puts
+the saved bindings back; the class itself is never monkeypatched.
 
 Install the profiler *before* building the scenario: events scheduled
 earlier are not wrapped, and their callback time lands in the kernel
 residual. Attribution maps a callback's defining module onto a subsystem
 (kernel, medium, routing, sip, slp, gateway, rtp, trace, faults,
 harness); the gap between measured total wall-time and the sum of
-callback self-times — heap/ring machinery, pops, clock advances — is
+callback self-times — heap pushes and pops, clock advances — is
 attributed to ``kernel`` as the ``<event-loop>`` handler.
 
 Output: a ranked per-handler table (:meth:`ProfileReport.render`) and
@@ -122,7 +121,6 @@ class KernelProfiler:
         if sim.profiler is not None:
             raise MetricsError("simulator already has a profiler installed")
         self._sim = sim
-        kernel = sim._kernel
         orig_schedule = sim.schedule
         orig_schedule_at = sim.schedule_at
         orig_schedule_batch = sim.schedule_batch
@@ -145,12 +143,12 @@ class KernelProfiler:
 
         def run(until):
             start = perf()
-            before = kernel.processed
+            before = sim.events_processed
             try:
                 Simulator.run(sim, until)
             finally:
                 self._total_wall += perf() - start
-                self._events += kernel.processed - before
+                self._events += sim.events_processed - before
                 self._runs += 1
 
         sim.schedule = schedule

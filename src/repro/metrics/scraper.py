@@ -2,13 +2,12 @@
 
 The scraper snapshots a :class:`~repro.metrics.registry.MetricsRegistry`
 every ``interval`` simulation seconds **without scheduling any events**.
-Instead, :meth:`repro.netsim.simulator.Simulator.run` hands each clock
-advance to :meth:`repro.netsim.kernel._KernelBase.run_scraped`, which
-chops the advance at scrape boundaries and calls :meth:`MetricsScraper.
-scrape` between chunks. Because chunked ``kernel.run`` calls pop exactly
-the same ``(time, seq)`` sequence as one big call, the event schedule —
-and therefore every kernel-parity and byte-identity gate — is unchanged
-whether metrics are on or off. That is the whole determinism contract:
+Instead, :meth:`repro.netsim.simulator.Simulator.run` chops each clock
+advance at scrape boundaries and calls :meth:`MetricsScraper.scrape`
+between chunks. Because the chunks pop exactly the same ``(time, seq)``
+sequence as one uncut advance, the event schedule — and therefore every
+byte-identity gate — is unchanged whether metrics are on or off. That is
+the whole determinism contract:
 
 * no scrape events in the queue (schedule identical with metrics off),
 * scrape times are ``tick * interval`` with an integer tick counter

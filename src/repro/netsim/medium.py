@@ -7,14 +7,13 @@ per-receiver jitter (standing in for 802.11 backoff, and preventing
 degenerate simultaneity in flooding protocols). Unicast frames get link-layer
 retransmissions, broadcast frames do not — as in real 802.11.
 
-Neighbor lookup is the inner loop of every transmitted frame. By default the
-medium maintains a uniform-grid spatial index (cell size = ``tx_range``) plus
-a per-node neighbor cache invalidated by a position epoch counter, making
+Neighbor lookup is the inner loop of every transmitted frame. The medium
+maintains a uniform-grid spatial index (cell size = ``tx_range``) plus a
+per-node neighbor cache invalidated by a position epoch counter, making
 :meth:`neighbors` O(degree) instead of O(N). Node position setters notify the
-medium, so mobility models need no special wiring. The brute-force O(N) scan
-is kept behind ``use_spatial_index=False`` as a parity reference: both paths
-visit in-range nodes in identical (insertion) order and use the same range
-predicate, so a seeded simulation produces bit-identical results either way.
+medium, so mobility models need no special wiring. Neighbors come back in
+membership (insertion) order, which fixes the order of per-receiver RNG
+draws and deliveries.
 """
 
 from __future__ import annotations
@@ -64,9 +63,7 @@ class WirelessMedium:
         loss_rate: float = 0.0,
         mac_retries: int = 3,
         energy: EnergyModel | None = None,
-        use_spatial_index: bool = True,
         channel: ChannelModel | None = None,
-        batch_delivery: bool = True,
     ) -> None:
         self.sim = sim
         self.stats = stats or Stats()
@@ -78,8 +75,6 @@ class WirelessMedium:
         self.loss_rate = loss_rate
         self.channel = channel
         self.mac_retries = mac_retries
-        self.use_spatial_index = use_spatial_index
-        self.batch_delivery = batch_delivery
         self._nodes: list["Node"] = []
         self._by_ip: dict[str, "Node"] = {}
         self._sniffers: list[SnifferFn] = []
@@ -88,7 +83,7 @@ class WirelessMedium:
         self._cell_size = tx_range if tx_range > 0 else 1.0
         self._cells: dict[_Cell, list["Node"]] = {}
         self._node_cell: dict[int, _Cell] = {}
-        self._order: dict[int, int] = {}  # membership order, = brute-force scan order
+        self._order: dict[int, int] = {}  # membership order of each node
         self._order_seq = 0
         self._position_epoch = 0
         self._neighbor_cache: dict[int, tuple[int, list["Node"]]] = {}
@@ -146,11 +141,8 @@ class WirelessMedium:
     def neighbors(self, node: "Node") -> list["Node"]:
         """All nodes within ``tx_range`` of ``node``, in membership order.
 
-        On the spatial-index path the returned list is a cached internal
-        object — treat it as read-only.
+        The returned list is a cached internal object — treat it as read-only.
         """
-        if not self.use_spatial_index:
-            return self._brute_force_neighbors(node)
         self._ensure_grid()
         key = id(node)
         cached = self._neighbor_cache.get(key)
@@ -160,13 +152,6 @@ class WirelessMedium:
         if key in self._order:  # only cache member nodes (stable identity)
             self._neighbor_cache[key] = (self._position_epoch, result)
         return result
-
-    def _brute_force_neighbors(self, node: "Node") -> list["Node"]:
-        return [
-            other
-            for other in self._nodes
-            if other is not node and self.in_range(node, other)
-        ]
 
     # -- spatial index ------------------------------------------------------
     def _cell_of(self, position: tuple[float, float]) -> _Cell:
@@ -220,8 +205,7 @@ class WirelessMedium:
                 for other in bucket:
                     if other is not node and in_range(node, other):
                         result.append(other)
-        # Membership order keeps delivery (and thus RNG draw) order identical
-        # to the brute-force scan — determinism is bit-for-bit across modes.
+        # Membership order fixes the delivery (and thus RNG draw) order.
         order = self._order
         result.sort(key=lambda n: order[id(n)])
         return result
@@ -288,15 +272,12 @@ class WirelessMedium:
 
         Each in-range neighbor independently receives (or loses) the frame.
 
-        Draw-order contract (identical on both delivery paths): neighbors are
-        visited in membership order; for each non-partitioned neighbor one
-        loss draw is made, and for each surviving neighbor one jitter draw —
-        all from the simulator RNG, interleaved exactly as written here. With
-        ``batch_delivery`` the surviving receptions are then scheduled as one
-        kernel train via :meth:`Simulator.schedule_batch`, which reserves
-        sequence numbers in collection order — the same numbers a per-neighbor
-        ``schedule`` loop would assign — so traces, Stats, and every
-        downstream RNG draw are bit-identical between the two paths.
+        Draw order: neighbors are visited in membership order; for each
+        non-partitioned neighbor one loss draw is made, and for each
+        surviving neighbor one jitter draw — all from the simulator RNG,
+        interleaved exactly as written here. The surviving receptions are
+        then scheduled with one :meth:`Simulator.schedule_batch` call, which
+        assigns sequence numbers in collection order.
         """
         self.stats.record_transmission(packet.dport, packet.size)
         sender_ip = sender.ip
@@ -316,7 +297,7 @@ class WirelessMedium:
             energy.on_send(sender, packet)
         tx_time = self._tx_time(packet)
         # One pass draws loss + jitter for every neighbor; receptions are
-        # collected and handed to the kernel in a single batched call.
+        # collected and handed to the simulator in a single batched call.
         deliveries: list[tuple[float, Callable[..., None], tuple]] = []
         append = deliveries.append
         partitions = self._partitions
@@ -355,21 +336,15 @@ class WirelessMedium:
             if energy is not None:
                 energy.on_receive_broadcast(neighbor, packet)
             append((tx_time + rng_uniform(0, jitter), neighbor.receive_wireless, cb_args))
-        delivered_any = bool(deliveries)
         if deliveries:
-            if self.batch_delivery:
-                self.sim.schedule_batch(deliveries)
-            else:
-                schedule = self.sim.schedule
-                for delay, receive, args in deliveries:
-                    schedule(delay, receive, *args)
+            self.sim.schedule_batch(deliveries)
         self._notify_sniffers(
             CapturedFrame(
                 time=self.sim.now,
                 sender_ip=sender.ip,
                 receiver_ip="*",
                 packet=packet,
-                delivered=delivered_any,
+                delivered=bool(deliveries),
             )
         )
 
@@ -422,8 +397,7 @@ class WirelessMedium:
                     break
         if self.energy is not None:
             self.energy.on_send(sender, packet, attempts=attempts)
-            # One neighbor-list lookup covers receiver and bystanders alike
-            # (cached on the spatial-index path, not a second full scan).
+            # One cached neighbor-list lookup covers receiver and bystanders.
             for neighbor in self.neighbors(sender):
                 if neighbor is receiver:
                     if delivered:

@@ -62,9 +62,6 @@ class ManetConfig:
     area: tuple[float, float] = (600.0, 600.0)  # random placement area
     loss_rate: float = 0.0
     mac_retries: int = 3  # 802.11-style link-layer retransmissions
-    spatial_index: bool = True  # False = brute-force O(N) neighbor scans (parity mode)
-    kernel: str = "calendar"  # event kernel: calendar (fast path) | heap (parity ref)
-    batch_delivery: bool = True  # False = per-neighbor schedule calls (parity mode)
     mobility: bool = False
     mobility_speed: tuple[float, float] = (0.5, 2.0)
     mobility_pause: float = 5.0
@@ -105,7 +102,7 @@ class ManetScenario:
                 raise ConfigError(f"unknown scenario parameter {key!r}")
             setattr(base, key, value)
         self.config = base
-        self.sim = Simulator(seed=base.seed, kernel=base.kernel)
+        self.sim = Simulator(seed=base.seed)
         self.stats = Stats()
         # Tracing attaches before any stack is built so construction-time
         # events (gateway.up, slp.advertise, ...) are captured too. The
@@ -124,8 +121,6 @@ class ManetScenario:
             tx_range=base.tx_range,
             loss_rate=base.loss_rate,
             mac_retries=base.mac_retries,
-            use_spatial_index=base.spatial_index,
-            batch_delivery=base.batch_delivery,
         )
         if base.faults is not None and base.faults.channel is not None:
             self.medium.channel = base.faults.channel

@@ -46,8 +46,6 @@ EXPECTED = {
     "netsim/ovr001_bad.py": ["OVR001"] * 5,
     "netsim/ovr001_ok.py": [],
     "ovr001_unscoped.py": [],
-    "perf001_bad.py": ["PERF001"] * 4,
-    "netsim/kernel.py": [],
     "suppressed.py": ["DET001"],
     "det002_indirect_bad.py": ["DET002"] * 2,
     "det002_indirect_ok.py": [],

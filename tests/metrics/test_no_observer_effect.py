@@ -39,7 +39,7 @@ class TestNoObserverEffect:
         assert off.metrics is None
         assert on.stats.summary() == off.stats.summary()
         assert on.sim.events_processed == off.sim.events_processed
-        assert on.sim._kernel.seq == off.sim._kernel.seq
+        assert on.sim.seq == off.sim.seq
         assert on.sim.now == off.sim.now
 
     def test_same_seed_exports_are_byte_identical(self):

@@ -11,8 +11,9 @@ from repro.metrics.profiler import (
     attribute,
     subsystem_for_module,
 )
-from repro.netsim import Simulator
+from repro.netsim import Node, Simulator, manet_ip, place_random
 from repro.netsim.medium import WirelessMedium
+from repro.routing import Aodv
 
 
 def handler_a():
@@ -26,7 +27,7 @@ def handler_b(arg):
 class TestAttribution:
     def test_module_prefix_map(self):
         assert subsystem_for_module("repro.netsim.medium") == "medium"
-        assert subsystem_for_module("repro.netsim.kernel") == "kernel"
+        assert subsystem_for_module("repro.netsim.simulator") == "kernel"
         assert subsystem_for_module("repro.routing.aodv") == "routing"
         assert subsystem_for_module("repro.core.manet_slp") == "slp"
         assert subsystem_for_module("repro.core.softphone") == "sip"
@@ -100,9 +101,34 @@ class TestInstallUninstall:
             for delay in (0.2, 0.4, 0.6):
                 sim.schedule(delay, handler_a)
             sim.run(1.0)
-            return sim.events_processed, sim._kernel.seq, sim.now
+            return sim.events_processed, sim.seq, sim.now
 
         assert run_count(True) == run_count(False)
+
+
+class TestBroadcastAccounting:
+    def test_every_fired_event_is_wrapped_exactly_once(self):
+        # An AODV flood on a 16-node random graph: medium deliveries arrive
+        # through schedule_batch. If it ever routed through the shadowed
+        # sim.schedule, each delivery would be wrapped twice and the
+        # per-handler counts would exceed the events fired.
+        sim = Simulator(seed=4)
+        profiler = KernelProfiler().install(sim)
+        medium = WirelessMedium(sim, tx_range=250.0)
+        nodes = [Node(sim, index, manet_ip(index)) for index in range(16)]
+        for node in nodes:
+            node.join_medium(medium)
+            Aodv(node).start()
+        place_random(nodes, sim, 600.0, 600.0)
+        for node in nodes[1:]:
+            nodes[0].send_udp(node.ip, 9000, 9000, b"probe")
+        nodes[0].send_udp("192.168.0.200", 9000, 9000, b"void")  # retried flood
+        sim.run(10.0)
+        report = profiler.report()
+        rows = {(row.subsystem, row.handler): row.count for row in report.rows}
+        assert rows.pop(("kernel", "<event-loop>")) == 0
+        assert sum(rows.values()) == report.events == sim.events_processed
+        assert rows[("medium", "node.Node.receive_wireless")] > 200
 
 
 class TestReport:

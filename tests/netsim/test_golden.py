@@ -8,7 +8,8 @@ trace export. ``golden.json`` holds the committed digests. A mismatch means
 the simulation's behaviour changed: if the change is intended, the new
 digest printed by the failure replaces the old one in the same commit.
 
-Run one scenario by hand with ``python tests/netsim/test_golden.py <name>``.
+Run one scenario by hand with
+``PYTHONPATH=src python tests/netsim/test_golden.py <name>``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.faults.channel import GilbertElliottChannel, TimedGilbertElliottChannel
+from repro.faults.plan import FaultPlan
+from repro.scenarios import ManetConfig, ManetScenario
+
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parents[1] / "src"
 GOLDEN = json.loads((HERE / "golden.json").read_text(encoding="utf-8"))
@@ -29,10 +34,6 @@ GOLDEN = json.loads((HERE / "golden.json").read_text(encoding="utf-8"))
 
 def _fault_mobile_aodv():
     """25-node mobile AODV: bursty channel, crash/partition/heal/restart, bounded TX queues."""
-    from repro.faults.channel import GilbertElliottChannel
-    from repro.faults.plan import FaultPlan
-    from repro.scenarios import ManetConfig, ManetScenario
-
     plan = (
         FaultPlan()
         .crash(at=14.0, node=7)
@@ -68,8 +69,6 @@ def _fault_mobile_aodv():
 
 def _lossy_mobile_aodv():
     """16-node mobile AODV with 5 % uniform loss and one call."""
-    from repro.scenarios import ManetConfig, ManetScenario
-
     scenario = ManetScenario(
         ManetConfig(
             n_nodes=16,
@@ -95,8 +94,6 @@ def _lossy_mobile_aodv():
 
 def _olsr_grid_call():
     """3x3 OLSR grid: periodic HELLO/TC carrying SLP piggybacks, one corner-to-corner call."""
-    from repro.scenarios import ManetConfig, ManetScenario
-
     scenario = ManetScenario(
         ManetConfig(
             n_nodes=9,
@@ -119,10 +116,6 @@ def _olsr_grid_call():
 
 def _fading_media_call():
     """2-hop AODV chain, adaptive playout + RFC 2198 depth 2 over a timed Gilbert–Elliott fade."""
-    from repro.faults.channel import TimedGilbertElliottChannel
-    from repro.faults.plan import FaultPlan
-    from repro.scenarios import ManetConfig, ManetScenario
-
     scenario = ManetScenario(
         ManetConfig(
             n_nodes=3,

@@ -1,12 +1,10 @@
-"""Spatial-index neighbor cache: parity with brute force, cache invalidation.
+"""Spatial-index neighbor cache: parity with a linear scan, cache invalidation.
 
-The grid index must be observationally identical to the brute-force O(N)
-scan — same neighbor sets, same (membership) ordering — under node churn,
-mobility and reconfiguration, because delivery order drives RNG draw order
-and therefore bit-for-bit determinism.
+The grid index must return exactly what an O(N) scan over the members
+returns — same neighbor sets, same (membership) ordering — under node
+churn, mobility and reconfiguration, because delivery order drives RNG
+draw order and therefore bit-for-bit determinism.
 """
-
-import pytest
 
 from repro.netsim import (
     Node,
@@ -17,65 +15,53 @@ from repro.netsim import (
 from repro.netsim.mobility import RandomWaypointMobility, place_random
 
 
-def build_pair(seed=42, n=30, tx_range=150.0, area=600.0):
-    """Two identical topologies, one indexed and one brute-force."""
-    mediums, all_nodes = [], []
-    for indexed in (True, False):
-        sim = Simulator(seed=seed)
-        medium = WirelessMedium(sim, tx_range=tx_range, use_spatial_index=indexed)
-        nodes = []
-        for i in range(n):
-            node = Node(sim, i, manet_ip(i))
-            node.join_medium(medium)
-            nodes.append(node)
-        place_random(nodes, sim, area, area)
-        mediums.append(medium)
-        all_nodes.append(nodes)
-    return mediums[0], all_nodes[0], mediums[1], all_nodes[1]
+def build(seed=42, n=30, tx_range=150.0, area=600.0):
+    sim = Simulator(seed=seed)
+    medium = WirelessMedium(sim, tx_range=tx_range)
+    nodes = []
+    for i in range(n):
+        node = Node(sim, i, manet_ip(i))
+        node.join_medium(medium)
+        nodes.append(node)
+    place_random(nodes, sim, area, area)
+    return medium, nodes
 
 
-def assert_parity(fast_medium, fast_nodes, slow_medium, slow_nodes):
-    for fast_node, slow_node in zip(fast_nodes, slow_nodes):
-        fast = [n.node_id for n in fast_medium.neighbors(fast_node)]
-        slow = [n.node_id for n in slow_medium.neighbors(slow_node)]
-        assert fast == slow, f"neighbor mismatch for node {fast_node.node_id}"
+def assert_parity(medium, nodes):
+    for n in nodes:
+        indexed = [o.node_id for o in medium.neighbors(n)]
+        scanned = [o.node_id for o in medium.nodes if o is not n and medium.in_range(n, o)]
+        assert indexed == scanned, f"neighbor mismatch for node {n.node_id}"
 
 
 class TestParity:
     def test_random_topology_parity(self):
-        assert_parity(*build_pair())
+        assert_parity(*build())
 
     def test_parity_after_add_node(self):
-        fast_medium, fast_nodes, slow_medium, slow_nodes = build_pair(n=20)
-        for medium, nodes in ((fast_medium, fast_nodes), (slow_medium, slow_nodes)):
-            extra = Node(medium.sim, 99, manet_ip(99), position=(123.0, 45.0))
-            extra.join_medium(medium)
-            nodes.append(extra)
-        assert_parity(fast_medium, fast_nodes, slow_medium, slow_nodes)
+        medium, nodes = build(n=20)
+        extra = Node(medium.sim, 99, manet_ip(99), position=(123.0, 45.0))
+        extra.join_medium(medium)
+        nodes.append(extra)
+        assert_parity(medium, nodes)
 
     def test_parity_after_remove_node(self):
-        fast_medium, fast_nodes, slow_medium, slow_nodes = build_pair(n=20)
-        for medium, nodes in ((fast_medium, fast_nodes), (slow_medium, slow_nodes)):
-            medium.remove_node(nodes.pop(7))
-            medium.remove_node(nodes.pop(0))
-        assert_parity(fast_medium, fast_nodes, slow_medium, slow_nodes)
+        medium, nodes = build(n=20)
+        medium.remove_node(nodes.pop(7))
+        medium.remove_node(nodes.pop(0))
+        assert_parity(medium, nodes)
 
     def test_parity_under_mobility_steps(self):
-        fast_medium, fast_nodes, slow_medium, slow_nodes = build_pair(n=25)
-        for medium, nodes in ((fast_medium, fast_nodes), (slow_medium, slow_nodes)):
-            RandomWaypointMobility(
-                medium.sim, nodes, width=600.0, height=600.0, max_speed=20.0
-            ).start()
+        medium, nodes = build(n=25)
+        RandomWaypointMobility(medium.sim, nodes, width=600.0, height=600.0, max_speed=20.0).start()
         for t in (1.0, 5.0, 20.0):
-            fast_medium.sim.run(t)
-            slow_medium.sim.run(t)
-            assert_parity(fast_medium, fast_nodes, slow_medium, slow_nodes)
+            medium.sim.run(t)
+            assert_parity(medium, nodes)
 
     def test_parity_after_tx_range_change(self):
-        fast_medium, fast_nodes, slow_medium, slow_nodes = build_pair()
-        fast_medium.tx_range = 80.0
-        slow_medium.tx_range = 80.0
-        assert_parity(fast_medium, fast_nodes, slow_medium, slow_nodes)
+        medium, nodes = build()
+        medium.tx_range = 80.0
+        assert_parity(medium, nodes)
 
     def test_neighbors_cross_cell_boundaries(self, sim):
         # Nodes just inside range but in different grid cells must be found.
@@ -153,29 +139,3 @@ class TestCacheInvalidation:
         ghost = Node(sim, 99, None, position=(10.0, 0.0))
         assert medium.neighbors(ghost) == [a]
         assert medium.neighbors(ghost) == [a]
-
-
-class TestBroadcastDeterminism:
-    def test_broadcast_rng_stream_identical_across_modes(self):
-        """Same seed + same frames => identical RNG state in both modes."""
-        states = []
-        for indexed in (True, False):
-            sim = Simulator(seed=7)
-            medium = WirelessMedium(
-                sim, tx_range=150.0, loss_rate=0.3, use_spatial_index=indexed
-            )
-            nodes = []
-            for i in range(20):
-                node = Node(sim, i, manet_ip(i))
-                node.join_medium(medium)
-                nodes.append(node)
-            place_random(nodes, sim, 400.0, 400.0)
-            from repro.netsim import Datagram, Packet, BROADCAST
-
-            for node in nodes:
-                medium.broadcast(
-                    node, Packet(node.ip, BROADCAST, Datagram(5060, 5060, b"x" * 40))
-                )
-            sim.run(1.0)
-            states.append((sim.rng.getstate(), sim.events_processed))
-        assert states[0] == states[1]

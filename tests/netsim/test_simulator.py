@@ -112,42 +112,31 @@ class TestQueueHygiene:
         assert sim.queue_size == 0
 
     def test_heap_compaction_bounds_tombstones(self):
-        sim = Simulator(kernel="heap")
+        sim = Simulator()
         for _ in range(50_000):
             sim.schedule(1.0, lambda: None).cancel()
         # Without compaction the heap would hold 50k tombstones.
-        assert sim.queue_size < Simulator.COMPACT_MIN_QUEUE
+        assert sim.queue_size < Simulator.COMPACT_MIN
         assert sim.pending_events == 0
         assert sim.compactions > 0
 
-    def test_calendar_tail_pop_leaves_no_tombstones(self):
-        # Schedule-then-cancel churn cancels the newest entry in its bucket:
-        # the calendar kernel pops it O(1) — no tombstone, no compaction.
-        sim = Simulator(kernel="calendar")
-        for _ in range(50_000):
-            sim.schedule(1.0, lambda: None).cancel()
-        assert sim.queue_size == 0
-        assert sim.pending_events == 0
-        assert sim.compactions == 0
-
-    def test_calendar_compaction_bounds_interleaved_tombstones(self):
-        # Cancel out of LIFO order so the first cancellation is never the
-        # bucket tail — forcing the tombstone path — then verify the sweep
-        # keeps the structure bounded without disturbing live events.
-        sim = Simulator(kernel="calendar")
+    def test_compaction_bounds_interleaved_tombstones(self):
+        # Churn around one long-lived event: the sweep keeps the heap
+        # bounded without disturbing the live event.
+        sim = Simulator()
         keep = sim.schedule(2.0, lambda: None)
         for _ in range(25_000):
             first = sim.schedule(1.0, lambda: None)
             second = sim.schedule(1.0, lambda: None)
-            first.cancel()  # non-tail: tombstone
-            second.cancel()  # tail: O(1) pop
-        assert sim.queue_size < 4 * Simulator.COMPACT_MIN_QUEUE
+            first.cancel()
+            second.cancel()
+        assert sim.queue_size < 4 * Simulator.COMPACT_MIN
         assert sim.pending_events == 1
         assert sim.compactions > 0
         assert not keep.done
 
     def test_compaction_preserves_live_events_and_order(self):
-        sim = Simulator(kernel="heap")
+        sim = Simulator()
         fired = []
         sim.schedule(0.5, fired.append, "b")
         sim.schedule(0.2, fired.append, "a")
@@ -159,13 +148,32 @@ class TestQueueHygiene:
         sim.run(1.0)
         assert fired == ["a", "b", "c"]
 
+    def test_compaction_during_run_keeps_the_loop_on_the_live_heap(self):
+        # A callback that cancels enough timers to trigger a sweep must not
+        # leave the running loop on a stale list: later events still fire
+        # exactly once, in order.
+        sim = Simulator()
+        fired = []
+        timers = [sim.schedule(5.0, lambda: None) for _ in range(500)]
+
+        def cancel_all():
+            for timer in timers:
+                timer.cancel()
+
+        sim.schedule(1.0, cancel_all)
+        sim.schedule(2.0, fired.append, "a")
+        sim.schedule(3.0, lambda: sim.schedule(0.5, fired.append, "b"))
+        sim.run(10.0)
+        assert sim.compactions > 0
+        assert fired == ["a", "b"]
+        assert sim.queue_size == 0
+
     def test_periodic_stop_churn_stays_bounded(self):
-        for kernel in ("heap", "calendar"):
-            sim = Simulator(kernel=kernel)
-            for _ in range(5_000):
-                sim.schedule_periodic(1.0, lambda: None).stop()
-            assert sim.queue_size < Simulator.COMPACT_MIN_QUEUE
-            assert sim.pending_events == 0
+        sim = Simulator()
+        for _ in range(5_000):
+            sim.schedule_periodic(1.0, lambda: None).stop()
+        assert sim.queue_size < Simulator.COMPACT_MIN
+        assert sim.pending_events == 0
 
     def test_compaction_invisible_to_event_stream(self):
         """Same seed + same schedule => same firing trace with/without churn."""

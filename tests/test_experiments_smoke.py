@@ -150,6 +150,5 @@ class TestCityExperiment:
         )
         assert result["calls"] == 3
         assert result["established"] >= 2
-        assert result["kernel"] == "calendar"
         assert result["events"] > 10_000
         assert result["packets"] > 1_000

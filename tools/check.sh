@@ -39,14 +39,6 @@ python -m repro.rtp smoke
 echo "== repro.handover smoke (mid-call survival + byte-identical reruns) =="
 python -m repro.handover smoke
 
-echo "== kernel parity smoke (calendar vs heap, byte-identical traces) =="
-parity_dir=$(mktemp -d)
-trap 'rm -rf "$parity_dir"' EXIT
-python -m repro.netsim kernel-trace --kernel heap --out "$parity_dir/heap.jsonl"
-python -m repro.netsim kernel-trace --kernel calendar --out "$parity_dir/calendar.jsonl"
-cmp "$parity_dir/heap.jsonl" "$parity_dir/calendar.jsonl"
-echo "kernel parity ok: $(wc -l < "$parity_dir/heap.jsonl") trace lines byte-identical"
-
 echo "== ruff check =="
 if command -v ruff >/dev/null 2>&1; then
     ruff check src/
