@@ -1,16 +1,33 @@
 """Seeded determinism regression: optimized vs. brute-force fast paths.
 
-The spatial neighbor index, event-queue compaction and serialization caches
+The spatial neighbor index, its neighbor cache and event-queue compaction
 are pure performance work — a seeded scenario must produce *bit-identical*
-measurements with them on or off. This runs a mid-size (25-node) mobile
+measurements with them bypassed. This runs a mid-size (25-node) mobile
 scenario with SIP call traffic both ways and compares the complete Stats
 output: per-protocol packet counts, byte totals, counters and samples.
+
+The brute-force path is built from outside: the medium's ``neighbors`` is
+shadowed on the instance by a linear scan over every member in membership
+order, and the simulator's compaction floor is raised so tombstones are
+never swept.
 """
 
 from repro.scenarios import ManetConfig, ManetScenario
 
 
-def run_scenario(spatial_index: bool) -> tuple[dict, int, int]:
+def use_brute_force_paths(scenario: ManetScenario) -> None:
+    medium = scenario.medium
+
+    def scan_neighbors(node):
+        return [
+            other for other in medium.nodes if other is not node and medium.in_range(node, other)
+        ]
+
+    medium.neighbors = scan_neighbors
+    scenario.sim.COMPACT_MIN = 1 << 62
+
+
+def run_scenario(brute_force: bool = False) -> tuple[dict, int, int]:
     scenario = ManetScenario(
         ManetConfig(
             n_nodes=25,
@@ -20,9 +37,10 @@ def run_scenario(spatial_index: bool) -> tuple[dict, int, int]:
             tx_range=250.0,
             area=(700.0, 700.0),
             mobility=True,
-            spatial_index=spatial_index,
         )
     )
+    if brute_force:
+        use_brute_force_paths(scenario)
     scenario.start()
     scenario.add_phone(0, "alice")
     scenario.add_phone(24, "bob")
@@ -30,6 +48,8 @@ def run_scenario(spatial_index: bool) -> tuple[dict, int, int]:
     scenario.phones["alice"].place_call("sip:bob@voicehoc.ch", duration=5.0)
     scenario.sim.run(scenario.sim.now + 15.0)
     scenario.stop()
+    if brute_force:
+        assert scenario.sim.compactions == 0
     return (
         scenario.stats.summary(),
         scenario.sim.events_processed,
@@ -38,8 +58,8 @@ def run_scenario(spatial_index: bool) -> tuple[dict, int, int]:
 
 
 def test_optimized_and_brute_force_paths_are_bit_identical():
-    fast_summary, fast_events, fast_pending = run_scenario(spatial_index=True)
-    slow_summary, slow_events, slow_pending = run_scenario(spatial_index=False)
+    fast_summary, fast_events, fast_pending = run_scenario(brute_force=False)
+    slow_summary, slow_events, slow_pending = run_scenario(brute_force=True)
     assert fast_events == slow_events
     assert fast_pending == slow_pending
     assert fast_summary["traffic"] == slow_summary["traffic"]
@@ -52,6 +72,6 @@ def test_optimized_and_brute_force_paths_are_bit_identical():
 
 
 def test_same_seed_same_stats_with_index_enabled():
-    first = run_scenario(spatial_index=True)
-    second = run_scenario(spatial_index=True)
+    first = run_scenario()
+    second = run_scenario()
     assert first == second

@@ -1,17 +1,23 @@
-"""Cross-kernel same-seed parity: calendar queue vs. reference heap.
+"""Same-seed parity of the event loop's equivalent ways to run a scenario.
 
-The calendar-queue kernel and batched medium delivery are pure performance
-work — a seeded scenario must produce *bit-identical* results under either
-kernel and either delivery path. This mirrors ``test_determinism.py`` but
-turns the screws harder: the scenario runs with tracing, a bursty-loss
-channel model, a timed fault schedule (crash/restart + partition/heal) and
-bounded TX queues all enabled, then compares complete Stats summaries,
-event/pending counts AND the byte-for-byte trace export.
+The scenario runs with tracing, a bursty-loss channel model, a timed fault
+schedule (crash/restart + partition/heal) and bounded TX queues all
+enabled; each check compares complete Stats summaries, event/pending counts
+AND the byte-for-byte trace export.
+
+Two equivalences are pinned here:
+
+- ``run()`` composes. Walking the timeline in fixed-width "calendar days"
+  (one ``run()`` per day, the way a calendar queue walks its buckets) pops
+  the same ``(time, seq)`` sequence as one uncut heap advance. The metrics
+  scraper relies on this to cut runs without changing them.
+- ``Simulator.schedule_batch`` is one ``schedule`` call per entry. The
+  per-neighbour path is built from outside by shadowing ``schedule_batch``
+  on the instance with exactly that loop.
 
 Identifier counters (call-ids, branches, packet uids, ...) are process-
 global, so in-process reruns reset them via the global-state registry's
-``reset_all`` — the subprocess variant of this gate (``tools/check.sh``)
-needs no reset.
+``reset_all``.
 """
 
 import pytest
@@ -21,7 +27,10 @@ from repro.faults.plan import FaultPlan
 from repro.globalstate import registry
 from repro.scenarios import ManetConfig, ManetScenario
 
+#: How the final 15 s of the scenario are advanced: "heap" in one run()
+#: call, "calendar" in one run() call per CALENDAR_DAY.
 KERNELS = ("heap", "calendar")
+CALENDAR_DAY = 0.25
 
 
 def build_plan() -> FaultPlan:
@@ -33,6 +42,17 @@ def build_plan() -> FaultPlan:
         .restart(at=22.0, node=7)
         .with_channel(GilbertElliottChannel(p_gb=0.05, p_bg=0.3, loss_bad=0.8))
     )
+
+
+def schedule_per_neighbor(sim):
+    def schedule_batch(entries):
+        count = 0
+        for delay, callback, args in entries:
+            sim.schedule(delay, callback, *args)
+            count += 1
+        return count
+
+    return schedule_batch
 
 
 def run_scenario(kernel: str, batch_delivery: bool = True) -> tuple[dict, int, int, str]:
@@ -50,22 +70,28 @@ def run_scenario(kernel: str, batch_delivery: bool = True) -> tuple[dict, int, i
             faults=build_plan(),
             tx_queue_capacity=16,
             tx_queue_policy="tail-drop",
-            kernel=kernel,
-            batch_delivery=batch_delivery,
         )
     )
+    sim = scenario.sim
+    if not batch_delivery:
+        sim.schedule_batch = schedule_per_neighbor(sim)
     scenario.start()
     scenario.add_phone(0, "alice")
     scenario.add_phone(24, "bob")
     scenario.converge()
     scenario.phones["alice"].place_call("sip:bob@voicehoc.ch", duration=5.0)
-    scenario.sim.run(scenario.sim.now + 15.0)
+    until = sim.now + 15.0
+    if kernel == "heap":
+        sim.run(until)
+    else:
+        while sim.now < until:
+            sim.run(min(sim.now + CALENDAR_DAY, until))
     scenario.stop()
     assert scenario.trace is not None
     return (
         scenario.stats.summary(),
-        scenario.sim.events_processed,
-        scenario.sim.pending_events,
+        sim.events_processed,
+        sim.pending_events,
         scenario.trace.export_jsonl(),
     )
 
@@ -86,8 +112,8 @@ class TestKernelParity:
         assert heap[0]["traffic"]["total"]["packets"] > 100
 
     def test_batched_delivery_matches_per_neighbor_schedule(self):
-        batched = run_scenario("calendar", batch_delivery=True)
-        unbatched = run_scenario("calendar", batch_delivery=False)
+        batched = run_scenario("heap", batch_delivery=True)
+        unbatched = run_scenario("heap", batch_delivery=False)
         assert batched == unbatched
 
     @pytest.mark.parametrize("kernel", KERNELS)
