@@ -36,25 +36,31 @@ def test_sip_serialize_throughput(benchmark):
     assert wire.startswith(b"INVITE")
 
 
+_RREQ_WIRE = encode_aodv(Rreq(rreq_id=1, dest_ip="192.168.0.9", dest_seq=1,
+                              orig_ip="192.168.0.1", orig_seq=2))
+_SRVREG = SrvReg(xid=1, entry=UrlEntry(
+    url="service:siphoc-sip://192.168.0.5:5060", lifetime=120,
+    attributes="(user=sip:bob@voicehoc.ch)"))
+
+# The datagram decoders are memoized; the codec benchmarks time the parse
+# itself through the undecorated function, the cache-hit one the lookup.
+
+
 def test_aodv_codec_throughput(benchmark):
-    rreq = Rreq(rreq_id=1, dest_ip="192.168.0.9", dest_seq=1,
-                orig_ip="192.168.0.1", orig_seq=2)
-    wire = encode_aodv(rreq)
-
-    def round_trip():
-        return decode_aodv(wire)
-
-    message, _ = benchmark(round_trip)
+    message, _ = benchmark(decode_aodv.__wrapped__, _RREQ_WIRE)
     assert message.dest_ip == "192.168.0.9"
 
 
 def test_slp_codec_throughput(benchmark):
-    reg = SrvReg(xid=1, entry=UrlEntry(
-        url="service:siphoc-sip://192.168.0.5:5060", lifetime=120,
-        attributes="(user=sip:bob@voicehoc.ch)"))
-    wire = encode_slp(reg)
-    decoded = benchmark(decode_slp, wire)
-    assert decoded == reg
+    decoded = benchmark(decode_slp.__wrapped__, encode_slp(_SRVREG))
+    assert decoded == _SRVREG
+
+
+def test_aodv_decode_cache_hit_throughput(benchmark):
+    """A neighbour decoding bytes another receiver already decoded."""
+    copy = bytes(bytearray(_RREQ_WIRE))
+    expected = decode_aodv(_RREQ_WIRE)
+    assert benchmark(decode_aodv, copy) is expected
 
 
 def test_rtp_codec_throughput(benchmark):

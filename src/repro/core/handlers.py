@@ -94,15 +94,18 @@ class RoutingHandler(abc.ABC):
         """Queue a service announcement for piggybacking."""
         redundancy = self.slp.config.advert_redundancy if self.slp else 2
         message = SrvReg(
-            xid=next(self._xid),
+            xid=self._next_xid(),
             entry=UrlEntry.from_service_entry(entry, entry.lifetime),
         )
         self._pending[entry.key()] = (message, redundancy)
 
     def withdraw(self, entry: ServiceEntry) -> None:
         redundancy = self.slp.config.advert_redundancy if self.slp else 2
-        message = SrvDeReg(xid=next(self._xid), url=entry.key())
+        message = SrvDeReg(xid=self._next_xid(), url=entry.key())
         self._pending[entry.key()] = (message, redundancy)
+
+    def _next_xid(self) -> int:
+        return next(self._xid) & 0xFFFF  # the SLP XID wire field is 16 bits
 
     @abc.abstractmethod
     def query(self, request: SrvRqst) -> None:
@@ -174,10 +177,10 @@ class RoutingHandler(abc.ABC):
             return
         response = SrvRply(
             xid=request.xid,
-            entries=[
+            entries=tuple(
                 UrlEntry.from_service_entry(entry, entry.expires_at - now)
                 for entry in matches
-            ],
+            ),
         )
         # Defer slightly so the routing daemon processes the carrier packet
         # (e.g. installs the reverse route) before the answer is sent.
@@ -224,7 +227,7 @@ class AodvHandler(RoutingHandler):
         fresh = self.take_pending(budget, exclude=already)
         if not fresh:
             return (Verdict.ACCEPT, packet)
-        new_extensions = list(extensions) + [advert_extension(m) for m in fresh]
+        new_extensions = extensions + tuple(advert_extension(m) for m in fresh)
         self.node.stats.increment("manetslp.adverts_piggybacked", len(fresh))
         return (Verdict.ACCEPT, packet.with_data(encode_aodv(message, new_extensions)))
 
@@ -328,7 +331,7 @@ class OlsrHandler(RoutingHandler):
         if not fresh:
             return (Verdict.ACCEPT, packet)
         vtime = self.slp.config.advert_lifetime if self.slp else 60.0
-        messages = messages + [self._make_message(m, vtime=vtime) for m in fresh]
+        messages = messages + tuple(self._make_message(m, vtime=vtime) for m in fresh)
         self.node.stats.increment("manetslp.adverts_piggybacked", len(fresh))
         return (
             Verdict.ACCEPT,
@@ -371,7 +374,7 @@ class OlsrHandler(RoutingHandler):
         self.routing.send_packet([self._make_message(response, vtime=60.0)])
 
 
-def _advertised_urls(extensions: list[Extension]) -> set[str]:
+def _advertised_urls(extensions: tuple[Extension, ...]) -> set[str]:
     """Service URLs already announced in a packet's extension list."""
     urls: set[str] = set()
     for extension in extensions:

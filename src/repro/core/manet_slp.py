@@ -168,7 +168,7 @@ class ManetSlp:
         miss the routing handler launches an in-band network query.
         Returns the lookup transaction id.
         """
-        xid = next(self._xid)
+        xid = next(self._xid) & 0xFFFF  # the SLP XID wire field is 16 bits
         cb = callback or (lambda entries: None)
         tracer = self.sim.tracer
         hits = self.lookup_cached(service_type, predicate)

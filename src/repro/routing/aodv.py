@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import CodecError
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.routing.base import Route, RoutingProtocol
@@ -206,7 +207,11 @@ class Aodv(RoutingProtocol):
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
         if not self.started:
             return
-        message, extensions = decode_aodv(data)
+        try:
+            message, extensions = decode_aodv(data)
+        except CodecError:
+            self.node.stats.increment("aodv.malformed")
+            return
         if isinstance(message, Rreq):
             self._handle_rreq(message, src_ip, extensions)
         elif isinstance(message, Rrep):
@@ -214,7 +219,9 @@ class Aodv(RoutingProtocol):
         elif isinstance(message, Rerr):
             self._handle_rerr(message, src_ip)
 
-    def _handle_rreq(self, rreq: Rreq, src_ip: str, extensions: list[Extension]) -> None:
+    def _handle_rreq(
+        self, rreq: Rreq, src_ip: str, extensions: tuple[Extension, ...]
+    ) -> None:
         self._update_neighbor(src_ip)
         if rreq.orig_ip == self.node.ip:
             return
@@ -285,7 +292,9 @@ class Aodv(RoutingProtocol):
             )
         self.send_control(reverse.next_hop, encode_aodv(rrep), ttl=self.NET_DIAMETER)
 
-    def _handle_rrep(self, rrep: Rrep, src_ip: str, extensions: list[Extension]) -> None:
+    def _handle_rrep(
+        self, rrep: Rrep, src_ip: str, extensions: tuple[Extension, ...]
+    ) -> None:
         if rrep.is_hello():
             self._update_neighbor(
                 src_ip,
@@ -357,7 +366,9 @@ class Aodv(RoutingProtocol):
                     "aodv.rerr", self.node.ip, origin=False,
                     unreachable=sorted(dest for dest, _ in propagate),
                 )
-            self.send_control(BROADCAST, encode_aodv(Rerr(unreachable=propagate)), ttl=1)
+            self.send_control(
+                BROADCAST, encode_aodv(Rerr(unreachable=tuple(propagate))), ttl=1
+            )
 
     # -- link failure ---------------------------------------------------------------
     def _on_link_failure(self, next_hop: str, packet: Packet) -> None:
@@ -378,7 +389,9 @@ class Aodv(RoutingProtocol):
                     "aodv.rerr", self.node.ip, origin=True, failed_hop=next_hop,
                     unreachable=sorted(dest for dest, _ in unreachable),
                 )
-            self.send_control(BROADCAST, encode_aodv(Rerr(unreachable=unreachable)), ttl=1)
+            self.send_control(
+                BROADCAST, encode_aodv(Rerr(unreachable=tuple(unreachable))), ttl=1
+            )
         if packet.dport == self.port:
             return  # do not re-discover for lost control traffic
         if packet.uid in self._retried_uids:

@@ -8,14 +8,21 @@ piggyback SLP payloads onto routing traffic:
 * OLSR packets are containers of messages; piggybacked payloads travel as
   additional messages with a type >= 128, which compliant daemons flood via
   the default forwarding algorithm without understanding them.
+
+``decode_aodv`` and ``decode_olsr_packet`` are memoized on the datagram
+bytes: the SLP INPUT hook, the daemon behind it and every neighbour of one
+broadcast share a single decode. What they return is immutable (frozen
+messages, tuple sequences); a caller that wants to change a message builds
+a new one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.errors import CodecError
-from repro.routing.wire import Reader, Writer
+from repro.routing.wire import DECODE_CACHE_SIZE, Reader, Writer
 
 # -- shared extension container ------------------------------------------------
 
@@ -39,13 +46,13 @@ def encode_extensions(extensions: tuple[Extension, ...] | list[Extension]) -> by
     return writer.getvalue()
 
 
-def decode_extensions(reader: Reader) -> list[Extension]:
+def decode_extensions(reader: Reader) -> tuple[Extension, ...]:
     extensions = []
     while reader.remaining > 0:
         ext_type = reader.u8()
         length = reader.u16()
         extensions.append(Extension(ext_type, reader.raw(length)))
-    return extensions
+    return tuple(extensions)
 
 
 # -- AODV ------------------------------------------------------------------------
@@ -58,7 +65,7 @@ RREQ_FLAG_DEST_ONLY = 0x01
 RREQ_FLAG_UNKNOWN_SEQ = 0x02
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rreq:
     """Route Request: flooded to discover a route to ``dest_ip``."""
 
@@ -79,7 +86,7 @@ class Rreq:
         return bool(self.flags & RREQ_FLAG_UNKNOWN_SEQ)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rrep:
     """Route Reply: unicast back along the reverse route to ``orig_ip``."""
 
@@ -94,11 +101,11 @@ class Rrep:
         return self.dest_ip == self.orig_ip and self.hop_count == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rerr:
     """Route Error: lists destinations that became unreachable."""
 
-    unreachable: list[tuple[str, int]] = field(default_factory=list)
+    unreachable: tuple[tuple[str, int], ...] = ()
 
 
 AodvMessage = Rreq | Rrep | Rerr
@@ -130,8 +137,12 @@ def encode_aodv(
     return writer.getvalue()
 
 
-def decode_aodv(data: bytes) -> tuple[AodvMessage, list[Extension]]:
-    """Parse an AODV datagram into its base message and extensions."""
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def decode_aodv(data: bytes) -> tuple[AodvMessage, tuple[Extension, ...]]:
+    """Parse an AODV datagram into its base message and extensions.
+
+    Memoized: equal datagrams return the same (immutable) result object.
+    """
     reader = Reader(data)
     msg_type = reader.u8()
     message: AodvMessage
@@ -168,8 +179,7 @@ def decode_aodv(data: bytes) -> tuple[AodvMessage, list[Extension]]:
         reader.u8()  # flags
         reader.u8()  # reserved
         count = reader.u8()
-        unreachable = [(reader.ip(), reader.u32()) for _ in range(count)]
-        message = Rerr(unreachable=unreachable)
+        message = Rerr(unreachable=tuple((reader.ip(), reader.u32()) for _ in range(count)))
     else:
         raise CodecError(f"unknown AODV message type {msg_type}")
     return message, decode_extensions(reader)
@@ -188,7 +198,7 @@ LINK_MPR = 3
 _OLSR_MSG_HEADER = 12
 
 
-@dataclass
+@dataclass(frozen=True)
 class OlsrMessage:
     """Generic OLSR message envelope; ``body`` stays opaque at this layer."""
 
@@ -274,7 +284,9 @@ def decode_tc_body(data: bytes) -> TcBody:
     return TcBody(ansn=ansn, neighbors=neighbors)
 
 
-def encode_olsr_packet(packet_seq: int, messages: list[OlsrMessage]) -> bytes:
+def encode_olsr_packet(
+    packet_seq: int, messages: tuple[OlsrMessage, ...] | list[OlsrMessage]
+) -> bytes:
     """Serialize an OLSR packet (header + concatenated messages)."""
     writer = Writer()
     body = Writer()
@@ -289,8 +301,12 @@ def encode_olsr_packet(packet_seq: int, messages: list[OlsrMessage]) -> bytes:
     return writer.getvalue()
 
 
-def decode_olsr_packet(data: bytes) -> tuple[int, list[OlsrMessage]]:
-    """Parse an OLSR packet into its sequence number and messages."""
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def decode_olsr_packet(data: bytes) -> tuple[int, tuple[OlsrMessage, ...]]:
+    """Parse an OLSR packet into its sequence number and messages.
+
+    Memoized: equal packets return the same (immutable) result object.
+    """
     reader = Reader(data)
     length = reader.u16()
     if length != len(data):
@@ -320,4 +336,4 @@ def decode_olsr_packet(data: bytes) -> tuple[int, list[OlsrMessage]]:
                 hops=hops,
             )
         )
-    return packet_seq, messages
+    return packet_seq, tuple(messages)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from repro.errors import CodecError
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.routing.base import Route, RoutingProtocol
@@ -164,7 +165,7 @@ class Olsr(RoutingProtocol):
     def next_message_seq(self) -> int:
         return next(self._msg_seq) & 0xFFFF
 
-    def send_packet(self, messages: list[OlsrMessage]) -> None:
+    def send_packet(self, messages: tuple[OlsrMessage, ...] | list[OlsrMessage]) -> None:
         data = encode_olsr_packet(next(self._pkt_seq) & 0xFFFF, messages)
         self.send_control(BROADCAST, data, ttl=1)
 
@@ -222,7 +223,11 @@ class Olsr(RoutingProtocol):
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
         if not self.started:
             return
-        _, messages = decode_olsr_packet(data)
+        try:
+            _, messages = decode_olsr_packet(data)
+        except CodecError:
+            self.node.stats.increment("olsr.malformed")
+            return
         forwarded: list[OlsrMessage] = []
         for message in messages:
             if message.orig_ip == self.node.ip:
@@ -271,8 +276,12 @@ class Olsr(RoutingProtocol):
         # forwarding above floods them onward.
 
     def _process_hello(self, message: OlsrMessage, src_ip: str) -> None:
+        try:
+            hello = decode_hello_body(message.body)
+        except CodecError:
+            self.node.stats.increment("olsr.malformed")
+            return
         now = self.sim.now
-        hello = decode_hello_body(message.body)
         link = self._links.setdefault(src_ip, _LinkInfo())
         link.asym_until = now + self.NEIGHB_HOLD_TIME
         mentioned = hello.all_neighbors()
@@ -293,7 +302,11 @@ class Olsr(RoutingProtocol):
         self._dirty = True
 
     def _process_tc(self, message: OlsrMessage) -> None:
-        tc = decode_tc_body(message.body)
+        try:
+            tc = decode_tc_body(message.body)
+        except CodecError:
+            self.node.stats.increment("olsr.malformed")
+            return
         entry = self._topology.get(message.orig_ip)
         if entry is not None and _seq_newer(entry.ansn, tc.ansn):
             return  # stale ANSN

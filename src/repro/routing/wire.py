@@ -10,6 +10,11 @@ import struct
 
 from repro.errors import CodecError
 
+#: Entries kept by each memoized datagram decoder (``decode_aodv``,
+#: ``decode_olsr_packet``, ``decode_slp``). Every neighbour of a broadcast
+#: decodes the same bytes, so a small cache catches nearly all repeats.
+DECODE_CACHE_SIZE = 1024
+
 
 def encode_ip(ip: str) -> bytes:
     try:
@@ -66,22 +71,35 @@ class Reader:
         return self._take(self.remaining)
 
 
+def _out_of_range(field: str, value: object) -> CodecError:
+    return CodecError(f"{value!r} does not fit a {field} wire field")
+
+
 class Writer:
-    """Sequential binary writer."""
+    """Sequential binary writer; a field value out of range raises CodecError."""
 
     def __init__(self) -> None:
         self._parts: list[bytes] = []
 
     def u8(self, value: int) -> "Writer":
-        self._parts.append(struct.pack("!B", value))
+        try:
+            self._parts.append(struct.pack("!B", value))
+        except struct.error as exc:
+            raise _out_of_range("u8", value) from exc
         return self
 
     def u16(self, value: int) -> "Writer":
-        self._parts.append(struct.pack("!H", value))
+        try:
+            self._parts.append(struct.pack("!H", value))
+        except struct.error as exc:
+            raise _out_of_range("u16", value) from exc
         return self
 
     def u32(self, value: int) -> "Writer":
-        self._parts.append(struct.pack("!I", value))
+        try:
+            self._parts.append(struct.pack("!I", value))
+        except struct.error as exc:
+            raise _out_of_range("u32", value) from exc
         return self
 
     def ip(self, ip: str) -> "Writer":

@@ -97,7 +97,7 @@ class SlpAgent:
         Returns the transaction id (useful for tests). Local matches are
         included in the results immediately.
         """
-        xid = next(self._xid)
+        xid = next(self._xid) & 0xFFFF  # the SLP XID wire field is 16 bits
         pending = _PendingLookup(service_type=service_type, callback=callback)
         now = self.sim.now
         for entry in self._local.values():
@@ -158,10 +158,10 @@ class SlpAgent:
         if matches:
             reply = SrvRply(
                 xid=request.xid,
-                entries=[
+                entries=tuple(
                     UrlEntry.from_service_entry(entry, entry.expires_at - now)
                     for entry in matches
-                ],
+                ),
             )
             self._socket.send(request.requester, PORT_SLP, encode_slp(reply))
             self.node.stats.increment("slp.replies_sent")

@@ -5,14 +5,19 @@ baseline the related work criticises as too chatty for MANETs) and as the
 *payload of SIPHoc's piggyback extensions* — so the packet analyzer can
 dissect an AODV route reply and show the SLP service registration inside,
 exactly like the Wireshark snapshot in Figure 5 of the paper.
+
+``decode_slp`` is memoized on the message bytes, so the messages are frozen
+and ``SrvRply.entries`` is a tuple: a decoded message may be shared by every
+node that received the same routing packet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from repro.errors import CodecError
-from repro.routing.wire import Reader, Writer
+from repro.routing.wire import DECODE_CACHE_SIZE, Reader, Writer
 from repro.slp.service import ServiceEntry, ServiceUrl, format_attributes, parse_attributes
 
 SLP_VERSION = 2
@@ -41,10 +46,13 @@ def _write_string(writer: Writer, text: str) -> None:
 
 def _read_string(reader: Reader) -> str:
     length = reader.u16()
-    return reader.raw(length).decode("utf-8")
+    try:
+        return reader.raw(length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"SLP string is not UTF-8: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class SrvRqst:
     """Service request: who offers ``service_type`` matching ``predicate``?
 
@@ -59,7 +67,7 @@ class SrvRqst:
     requester: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class UrlEntry:
     """One service URL with its lifetime and attributes."""
 
@@ -85,16 +93,16 @@ class UrlEntry:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SrvRply:
     """Service reply: matching URL entries."""
 
     xid: int
-    entries: list[UrlEntry] = field(default_factory=list)
+    entries: tuple[UrlEntry, ...] = ()
     error: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SrvReg:
     """Service registration (also the piggyback advert payload)."""
 
@@ -102,7 +110,7 @@ class SrvReg:
     entry: UrlEntry
 
 
-@dataclass
+@dataclass(frozen=True)
 class SrvDeReg:
     """Service deregistration."""
 
@@ -110,7 +118,7 @@ class SrvDeReg:
     url: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class SrvAck:
     xid: int
     error: int = 0
@@ -151,7 +159,9 @@ def encode_slp(message: SlpMessage) -> bytes:
     return writer.getvalue()
 
 
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def decode_slp(data: bytes) -> SlpMessage:
+    """Parse one SLP message; memoized, so equal bytes share one result."""
     reader = Reader(data)
     version = reader.u8()
     if version != SLP_VERSION:
@@ -174,7 +184,7 @@ def decode_slp(data: bytes) -> SlpMessage:
             url = _read_string(reader)
             attributes = _read_string(reader)
             entries.append(UrlEntry(url=url, lifetime=lifetime, attributes=attributes))
-        return SrvRply(xid=xid, entries=entries, error=error)
+        return SrvRply(xid=xid, entries=tuple(entries), error=error)
     if function == FN_SRV_REG:
         lifetime = reader.u16()
         url = _read_string(reader)

@@ -43,7 +43,7 @@ class TestExtensionCodec:
 
     def test_query_and_reply(self):
         query = SrvRqst(xid=2, service_type="t", predicate="", requester="1.2.3.4")
-        reply = SrvRply(xid=2, entries=[])
+        reply = SrvRply(xid=2, entries=())
         assert decode_extension(query_extension(query)) == query
         assert decode_extension(reply_extension(reply)) == reply
 
@@ -57,6 +57,13 @@ class TestExtensionCodec:
         from repro.routing import Extension
 
         assert decode_extension(Extension(EXT_SLP_ADVERT, b"\x00\x01garbage")) is None
+
+    def test_non_utf8_body_returns_none(self):
+        from repro.routing import Extension
+
+        # A well-formed SrvDeReg whose two-byte URL is not UTF-8.
+        body = b"\x02\x04\x00\x01\x00\x02\xff\xfe"
+        assert decode_extension(Extension(EXT_SLP_ADVERT, body)) is None
 
 
 def build(protocol, n=3, seed=31):

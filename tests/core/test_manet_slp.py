@@ -1,5 +1,7 @@
 """Behavioural tests for MANET SLP over both routing handler plugins."""
 
+import itertools
+
 import pytest
 
 from repro.core import ManetSlp, ManetSlpConfig, make_handler
@@ -172,3 +174,25 @@ class TestCacheSemantics:
         slps[1].register(sip_url(nodes[1]), {"user": "sip:bob@h"}, lifetime=10.0)
         sim.run(60.0)
         assert slps[0].lookup_cached(SERVICE_SIP_CONTACT, "(user=sip:bob@h)")
+
+
+class TestXidWrap:
+    """SLP XIDs are 16 bits on the wire: the 65,536th one wraps to 0."""
+
+    @pytest.mark.parametrize("protocol", ["aodv", "olsr"])
+    def test_lookup_xid_wraps(self, protocol):
+        sim, stats, nodes, slps = build(protocol, n=2)
+        slps[0]._xid = itertools.count(65536)
+        assert slps[0].find_services("no-such-service") == 0
+        sim.run(5.0)
+        assert stats.count("manetslp.lookups_failed") == 1
+
+    @pytest.mark.parametrize("protocol", ["aodv", "olsr"])
+    def test_advert_xid_wraps(self, protocol):
+        sim, stats, nodes, slps = build(protocol, n=2)
+        slps[0].handler._xid = itertools.count(65536)
+        slps[0].register(sip_url(nodes[0]), {"user": "sip:a@h"})
+        if protocol == "aodv":
+            nodes[0].router.discover(nodes[1].ip)  # an RREQ to carry the advert
+        sim.run(10.0)
+        assert slps[1].lookup_cached(SERVICE_SIP_CONTACT, "(user=sip:a@h)")

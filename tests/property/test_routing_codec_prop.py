@@ -46,11 +46,11 @@ rreps = st.builds(
     Rrep, dest_ip=ips, dest_seq=u32, orig_ip=ips, lifetime_ms=u32, hop_count=u8
 )
 rerrs = st.builds(
-    Rerr, unreachable=st.lists(st.tuples(ips, u32), max_size=20)
+    Rerr, unreachable=st.lists(st.tuples(ips, u32), max_size=20).map(tuple)
 )
 extensions = st.lists(
     st.builds(Extension, ext_type=u8, body=st.binary(max_size=100)), max_size=4
-)
+).map(tuple)
 
 
 class TestAodvProperties:
@@ -78,7 +78,7 @@ url_entries = st.builds(
 )
 slp_messages = st.one_of(
     st.builds(SrvRqst, xid=u16, service_type=text, predicate=text, requester=text),
-    st.builds(SrvRply, xid=u16, entries=st.lists(url_entries, max_size=5),
+    st.builds(SrvRply, xid=u16, entries=st.lists(url_entries, max_size=5).map(tuple),
               error=u16),
     st.builds(SrvReg, xid=u16, entry=url_entries),
     st.builds(SrvDeReg, xid=u16, url=text),

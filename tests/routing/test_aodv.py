@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.netsim import Node, Simulator, Stats, WirelessMedium, manet_ip, place_chain
+from repro.netsim import (
+    BROADCAST,
+    Node,
+    Simulator,
+    Stats,
+    WirelessMedium,
+    manet_ip,
+    place_chain,
+)
 from repro.routing import Aodv
 
 
@@ -80,6 +88,19 @@ class TestRouteDiscovery:
         nodes[0].send_udp(nodes[2].ip, 9000, 9000, b"two")
         sim.run(4.0)
         assert stats.count("aodv.rreq_originated") == rreqs
+
+
+class TestMalformedDatagrams:
+    def test_malformed_datagram_is_dropped_and_counted(self):
+        sim, stats, nodes, daemons = build_aodv_chain(3)
+        nodes[0].send_udp(BROADCAST, Aodv.port, Aodv.port, b"\x01\x00")
+        sim.run(sim.now + 1.0)
+        assert stats.count("aodv.malformed") == 1  # only node 1 is in range
+        got = []
+        nodes[2].bind(9000, lambda data, src, sport: got.append(data))
+        nodes[0].send_udp(nodes[2].ip, 9000, 9000, b"after")
+        sim.run(sim.now + 3.0)
+        assert got == [b"after"]
 
 
 class TestRouteMaintenance:

@@ -1,5 +1,7 @@
 """Unit tests for AODV and OLSR wire codecs."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CodecError
@@ -36,7 +38,7 @@ class TestAodvCodec:
         )
         decoded, extensions = decode_aodv(encode_aodv(rreq))
         assert decoded == rreq
-        assert extensions == []
+        assert extensions == ()
         assert decoded.dest_only and decoded.unknown_seq
 
     def test_rreq_wire_size_is_rfc_24_bytes(self):
@@ -68,18 +70,18 @@ class TestAodvCodec:
         assert decoded.is_hello()
 
     def test_rerr_round_trip(self):
-        rerr = Rerr(unreachable=[("192.168.0.5", 9), ("192.168.0.6", 10)])
+        rerr = Rerr(unreachable=(("192.168.0.5", 9), ("192.168.0.6", 10)))
         decoded, _ = decode_aodv(encode_aodv(rerr))
         assert decoded == rerr
 
     def test_rerr_too_many_destinations(self):
-        rerr = Rerr(unreachable=[(f"10.0.{i // 250}.{i % 250}", i) for i in range(300)])
+        rerr = Rerr(unreachable=tuple((f"10.0.{i // 250}.{i % 250}", i) for i in range(300)))
         with pytest.raises(CodecError):
             encode_aodv(rerr)
 
     def test_extensions_round_trip(self):
         rreq = Rreq(rreq_id=1, dest_ip="1.1.1.1", dest_seq=0, orig_ip="2.2.2.2", orig_seq=0)
-        extensions = [Extension(0x11, b"advert-body"), Extension(0x12, b"")]
+        extensions = (Extension(0x11, b"advert-body"), Extension(0x12, b""))
         decoded, got = decode_aodv(encode_aodv(rreq, extensions))
         assert got == extensions
 
@@ -144,6 +146,64 @@ class TestOlsrCodec:
         assert message.key() == ("10.0.0.1", 5)
 
     def test_empty_packet_round_trip(self):
-        packet_seq, messages = decode_olsr_packet(encode_olsr_packet(3, []))
+        packet_seq, messages = decode_olsr_packet(encode_olsr_packet(3, ()))
         assert packet_seq == 3
-        assert messages == []
+        assert messages == ()
+
+
+def _copy(wire: bytes) -> bytes:
+    """An equal but distinct bytes object, as a second receiver would hold."""
+    copy = bytes(bytearray(wire))
+    assert copy == wire and copy is not wire
+    return copy
+
+
+class TestSharedDecodes:
+    """Decoders are memoized on content and return immutable results."""
+
+    def test_aodv_decode_is_shared_between_equal_datagrams(self):
+        rreq = Rreq(rreq_id=9, dest_ip="1.1.1.1", dest_seq=3, orig_ip="2.2.2.2", orig_seq=4)
+        wire = encode_aodv(rreq, (Extension(0x11, b"advert"),))
+        assert decode_aodv(wire) is decode_aodv(_copy(wire))
+
+    def test_olsr_decode_is_shared_between_equal_packets(self):
+        message = OlsrMessage(msg_type=130, orig_ip="10.0.0.1", seq=5, body=b"slp")
+        wire = encode_olsr_packet(8, (message,))
+        assert decode_olsr_packet(wire) is decode_olsr_packet(_copy(wire))
+
+    @pytest.mark.parametrize(
+        "message, field",
+        [
+            (Rreq(rreq_id=1, dest_ip="1.1.1.1", dest_seq=0, orig_ip="2.2.2.2", orig_seq=0),
+             "hop_count"),
+            (Rrep(dest_ip="1.1.1.1", dest_seq=1, orig_ip="2.2.2.2", lifetime_ms=10), "dest_seq"),
+            (Rerr(unreachable=(("1.1.1.1", 2),)), "unreachable"),
+        ],
+    )
+    def test_decoded_aodv_messages_are_frozen(self, message, field):
+        decoded, _ = decode_aodv(encode_aodv(message))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(decoded, field, 0)
+
+    def test_decoded_olsr_message_is_frozen(self):
+        message = OlsrMessage(msg_type=2, orig_ip="10.0.0.1", seq=5, body=b"tc", ttl=9)
+        _, (decoded,) = decode_olsr_packet(encode_olsr_packet(1, (message,)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decoded.ttl = 8
+
+    def test_decoded_sequences_are_tuples(self):
+        rreq = Rreq(rreq_id=1, dest_ip="1.1.1.1", dest_seq=0, orig_ip="2.2.2.2", orig_seq=0)
+        _, extensions = decode_aodv(encode_aodv(rreq, (Extension(0x12, b"q"),)))
+        assert isinstance(extensions, tuple)
+        rerr, _ = decode_aodv(encode_aodv(Rerr(unreachable=(("1.1.1.1", 2),))))
+        assert isinstance(rerr.unreachable, tuple)
+        message = OlsrMessage(msg_type=2, orig_ip="10.0.0.1", seq=5, body=b"tc")
+        _, messages = decode_olsr_packet(encode_olsr_packet(1, (message,)))
+        assert isinstance(messages, tuple)
+
+    def test_malformed_datagrams_still_raise_every_time(self):
+        for _ in range(2):
+            with pytest.raises(CodecError):
+                decode_aodv(b"\x01\x00")
+            with pytest.raises(CodecError):
+                decode_olsr_packet(b"\x01\x00")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim import (
+    BROADCAST,
     Node,
     PacketCapture,
     Simulator,
@@ -11,7 +12,14 @@ from repro.netsim import (
     manet_ip,
     place_chain,
 )
-from repro.routing import OLSR_SLP, Olsr, OlsrMessage, decode_olsr_packet
+from repro.routing import (
+    OLSR_HELLO,
+    OLSR_SLP,
+    OLSR_TC,
+    Olsr,
+    OlsrMessage,
+    decode_olsr_packet,
+)
 
 
 def build_olsr(positions, seed=1, tx_range=150.0):
@@ -149,3 +157,41 @@ class TestTcFlooding:
         # Re-flooded by at least the chain's interior MPR nodes.
         assert nodes[1].ip in senders
         assert nodes[2].ip in senders
+
+
+class TestMalformedPackets:
+    def test_malformed_packet_is_dropped_and_counted(self):
+        sim, stats, medium, nodes, daemons = build_olsr(chain_positions(3))
+        sim.run(10.0)
+        nodes[0].send_udp(BROADCAST, Olsr.port, Olsr.port, b"\x01\x00")
+        sim.run(sim.now + 1.0)
+        assert stats.count("olsr.malformed") == 1  # only node 1 is in range
+        sim.run(sim.now + 10.0)
+        daemons[0].recompute_routes()
+        assert daemons[0].hop_count_to(nodes[2].ip) == 2
+
+    @pytest.mark.parametrize(
+        "msg_type, body",
+        [
+            (OLSR_HELLO, b"\x00\x03\x02\x00\x00\x05"),  # five neighbours announced, none sent
+            (OLSR_TC, b"\x00"),  # ANSN cut short
+        ],
+    )
+    def test_malformed_message_body_is_dropped_and_counted(self, msg_type, body):
+        sim, stats, medium, nodes, daemons = build_olsr(chain_positions(2))
+        sim.run(6.0)
+        daemons[0].send_packet(
+            (
+                OlsrMessage(
+                    msg_type=msg_type,
+                    orig_ip=nodes[0].ip,
+                    seq=daemons[0].next_message_seq(),
+                    body=body,
+                    ttl=1,
+                ),
+            )
+        )
+        sim.run(sim.now + 1.0)
+        assert stats.count("olsr.malformed") == 1
+        sim.run(sim.now + 6.0)
+        assert nodes[0].ip in daemons[1].symmetric_neighbors()

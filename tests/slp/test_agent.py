@@ -1,5 +1,7 @@
 """Behavioural tests for the multicast (flooding) SLP agent baseline."""
 
+import itertools
+
 import pytest
 
 from repro.netsim import Node, Simulator, Stats, WirelessMedium, manet_ip, place_chain
@@ -86,6 +88,15 @@ class TestNetworkLookup:
         sim.run(5.0)
         # Each node forwards at most once despite hearing multiple copies.
         assert stats.count("slp.requests_forwarded") <= 2
+
+    def test_xid_wraps_to_16_bits(self):
+        sim, stats, nodes, agents = build_agents(2)
+        agents[0]._xid = itertools.count(65536)
+        results = []
+        assert agents[0].find_services("no-such-service", callback=results.append) == 0
+        sim.run(5.0)
+        assert results == [[]]
+        assert stats.count("slp.requests_forwarded") == 1
 
     def test_multiple_providers_all_reported(self):
         sim, stats, nodes, agents = build_agents(3)

@@ -1,5 +1,7 @@
 """Unit tests for the SLP wire codec."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CodecError
@@ -28,12 +30,12 @@ class TestRoundTrips:
     def test_srvrply_multiple_entries(self):
         message = SrvRply(
             xid=9,
-            entries=[
+            entries=(
                 UrlEntry(url="service:siphoc-sip://192.168.0.5:5060", lifetime=60,
                          attributes="(user=sip:bob@voicehoc.ch)"),
                 UrlEntry(url="service:siphoc-sip://192.168.0.6:5060", lifetime=30,
                          attributes=""),
-            ],
+            ),
         )
         assert decode_slp(encode_slp(message)) == message
 
@@ -75,6 +77,46 @@ class TestErrors:
         )
         with pytest.raises(CodecError):
             decode_slp(data[:-3])
+
+    def test_invalid_utf8_string(self):
+        data = encode_slp(SrvDeReg(xid=1, url="ab"))
+        with pytest.raises(CodecError):
+            decode_slp(data[:-2] + b"\xff\xfe")
+
+
+class TestSharedDecodes:
+    """decode_slp is memoized on content and returns immutable results."""
+
+    def test_equal_bytes_share_one_decode(self):
+        wire = encode_slp(SrvRqst(xid=4, service_type="siphoc-sip", requester="1.2.3.4"))
+        copy = bytes(bytearray(wire))
+        assert copy is not wire
+        assert decode_slp(wire) is decode_slp(copy)
+
+    @pytest.mark.parametrize(
+        "message, field",
+        [
+            (SrvRqst(xid=1, service_type="t"), "service_type"),
+            (SrvRply(xid=1, entries=(UrlEntry(url="service:x://h", lifetime=5),)), "entries"),
+            (SrvReg(xid=1, entry=UrlEntry(url="service:x://h", lifetime=5)), "xid"),
+            (SrvDeReg(xid=1, url="service:x://h"), "url"),
+            (SrvAck(xid=1), "error"),
+        ],
+    )
+    def test_decoded_messages_are_frozen(self, message, field):
+        decoded = decode_slp(encode_slp(message))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(decoded, field, 0)
+
+    def test_url_entries_are_frozen_tuples(self):
+        entry = UrlEntry(url="service:x://h", lifetime=5)
+        decoded = decode_slp(encode_slp(SrvRply(xid=1, entries=(entry,))))
+        assert isinstance(decoded.entries, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decoded.entries[0].lifetime = 6
+        registered = decode_slp(encode_slp(SrvReg(xid=1, entry=entry)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            registered.entry.url = "service:y://h"
 
 
 class TestUrlEntryConversion:

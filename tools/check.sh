@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: determinism lint, style lint, test suite — in order, failing fast.
+# Repo gate: determinism lint, style lint, test suite, end-to-end benchmark
+# smoke — in order, failing fast.
 #
 # Usage: tools/check.sh
 #
@@ -55,3 +56,6 @@ fi
 
 echo "== pytest =="
 python -m pytest -x -q
+
+echo "== e2ebench smoke (traced and untraced digests agree, every call reaches a final state) =="
+python3 -m pytest e2ebench/test_e2e_smoke.py -q
