@@ -9,7 +9,7 @@ import pytest
 from repro.netsim import Simulator
 from repro.routing import Rreq, decode_aodv, encode_aodv
 from repro.rtp import RtpPacket, decode_rtp
-from repro.sip import parse_message
+from repro.sip import CSeq, NameAddr, SipUri, Via, parse_message
 from repro.slp import SrvReg, UrlEntry, decode_slp, encode_slp
 
 INVITE_WIRE = (
@@ -26,8 +26,38 @@ INVITE_WIRE = (
 
 
 def test_sip_parse_throughput(benchmark):
+    # The request-URI parse inside is a cache hit after the first round, as
+    # it is in real traffic, where every hop of a call re-reads the same URI.
     message = benchmark(parse_message, INVITE_WIRE)
     assert message.method == "INVITE"
+
+
+# The typed-header parsers are memoized; these time the parse itself through
+# the undecorated functions, and the cache-hit one a typed read of a message.
+_VIA = "SIP/2.0/UDP 192.168.0.1:5070;branch=z9hG4bK-77;rport"
+_NAME_ADDR = '"Alice" <sip:alice@voicehoc.ch>;tag=a1'
+
+
+@pytest.mark.parametrize(
+    ("parse", "text"),
+    [
+        (Via.parse, _VIA),
+        (CSeq.parse, "1 INVITE"),
+        (NameAddr.parse, _NAME_ADDR),
+        (SipUri.parse, "sip:bob@192.168.0.7:5060;lr"),
+    ],
+    ids=["via", "cseq", "name_addr", "uri"],
+)
+def test_sip_header_parse_throughput(benchmark, parse, text):
+    value = benchmark(parse.__wrapped__, text)
+    assert value == parse(text)
+
+
+def test_sip_header_cache_hit_throughput(benchmark):
+    """A proxy or UA reading the top Via of a message it already checked."""
+    message = parse_message(INVITE_WIRE)
+    expected = message.top_via
+    assert benchmark(lambda: message.top_via) is expected
 
 
 def test_sip_serialize_throughput(benchmark):

@@ -117,6 +117,7 @@ class FloodingSipBackend(DiscoveryBackend):
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
         try:
             message = parse_message(data)
+            message.check_headers()
         except SipParseError:
             return
         if not isinstance(message, SipRequest) or message.method != "REGISTER":

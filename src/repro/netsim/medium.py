@@ -338,15 +338,16 @@ class WirelessMedium:
             append((tx_time + rng_uniform(0, jitter), neighbor.receive_wireless, cb_args))
         if deliveries:
             self.sim.schedule_batch(deliveries)
-        self._notify_sniffers(
-            CapturedFrame(
-                time=self.sim.now,
-                sender_ip=sender.ip,
-                receiver_ip="*",
-                packet=packet,
-                delivered=bool(deliveries),
+        if self._sniffers:
+            self._notify_sniffers(
+                CapturedFrame(
+                    time=self.sim.now,
+                    sender_ip=sender.ip,
+                    receiver_ip="*",
+                    packet=packet,
+                    delivered=bool(deliveries),
+                )
             )
-        )
 
     def unicast(
         self,
@@ -405,15 +406,16 @@ class WirelessMedium:
                 else:
                     # Promiscuous overhear-and-discard cost for bystanders.
                     self.energy.on_discard(neighbor, packet)
-        self._notify_sniffers(
-            CapturedFrame(
-                time=self.sim.now,
-                sender_ip=sender.ip,
-                receiver_ip=next_hop_ip,
-                packet=packet,
-                delivered=delivered,
+        if self._sniffers:
+            self._notify_sniffers(
+                CapturedFrame(
+                    time=self.sim.now,
+                    sender_ip=sender.ip,
+                    receiver_ip=next_hop_ip,
+                    packet=packet,
+                    delivered=delivered,
+                )
             )
-        )
         if not delivered:
             self.stats.increment("medium.unicast_failures")
             if tracer is not None:

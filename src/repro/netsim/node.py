@@ -397,7 +397,13 @@ class Node:
         self._extra_addresses.discard(ip)
 
     def is_local_address(self, ip: str) -> bool:
-        return ip == "127.0.0.1" or ip in self.local_addresses
+        # Same answer as ``ip in local_addresses``, without building the set
+        # (this runs for every packet a node receives or routes).
+        return (
+            ip == "127.0.0.1"
+            or ip in self._extra_addresses
+            or (bool(ip) and (ip == self.ip or ip == self.wired_ip))
+        )
 
     # -- default routes (wired / tunnel) ---------------------------------------
     def set_default_route(self, name: str, send: GatewaySendFn, priority: int = 10) -> None:

@@ -9,7 +9,7 @@ that overhead measurements are honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.globalstate import registry
@@ -93,7 +93,7 @@ class Packet:
 
     def forwarded(self) -> "Packet":
         """Return the next-hop copy of this packet with TTL decremented."""
-        clone = replace(self, ttl=self.ttl - 1)
+        clone = Packet(self.src, self.dst, self.payload, self.ttl - 1, self.uid)
         size = self.__dict__.get("size")
         if size is not None:  # carry the size cache across hops (same payload)
             clone.__dict__["size"] = size
@@ -101,7 +101,8 @@ class Packet:
 
     def with_data(self, data: bytes) -> "Packet":
         """Return a copy carrying different payload bytes (hook mutation)."""
-        return replace(self, payload=Datagram(self.sport, self.dport, data))
+        payload = Datagram(self.sport, self.dport, data)
+        return Packet(self.src, self.dst, payload, self.ttl, self.uid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

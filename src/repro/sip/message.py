@@ -8,10 +8,13 @@ of the paper.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.errors import SipParseError
-from repro.sip.uri import NameAddr, SipUri
+from repro.sip.uri import PARSE_CACHE_SIZE, NameAddr, SipUri, parse_params
 
 SIP_VERSION = "SIP/2.0"
 CRLF = "\r\n"
@@ -52,18 +55,33 @@ REASON_PHRASES = {
     603: "Decline",
 }
 
+#: Lower-cased names whose canonical form is not plain Title-Case, plus the
+#: RFC 3261 §7.3.3 compact forms, which a receiver must accept.
 _CANONICAL_CASE = {
     "call-id": "Call-ID",
     "cseq": "CSeq",
     "www-authenticate": "WWW-Authenticate",
     "mime-version": "MIME-Version",
+    "c": "Content-Type",
+    "e": "Content-Encoding",
+    "f": "From",
+    "i": "Call-ID",
+    "k": "Supported",
+    "l": "Content-Length",
+    "m": "Contact",
+    "s": "Subject",
+    "t": "To",
+    "v": "Via",
 }
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def canonical_header_name(name: str) -> str:
+    """The canonical spelling of a header name (memoized; names repeat)."""
     lower = name.lower()
-    if lower in _CANONICAL_CASE:
-        return _CANONICAL_CASE[lower]
+    canonical = _CANONICAL_CASE.get(lower)
+    if canonical is not None:
+        return canonical
     return "-".join(part.capitalize() for part in lower.split("-"))
 
 
@@ -74,11 +92,11 @@ class Headers:
     uses it to memoize the wire form between mutations.
     """
 
-    def __init__(self, items: list[tuple[str, str]] | None = None) -> None:
-        self._items: list[tuple[str, str]] = []
+    def __init__(self, items: Iterable[tuple[str, str]] = ()) -> None:
+        self._items: list[tuple[str, str]] = [
+            (canonical_header_name(name), value.strip()) for name, value in items
+        ]
         self._version = 0
-        for name, value in items or []:
-            self.add(name, value)
 
     @property
     def version(self) -> int:
@@ -111,20 +129,21 @@ class Headers:
         return [value for existing, value in self._items if existing == canonical]
 
     def set(self, name: str, value: str) -> None:
-        """Replace all fields of this name with a single one (in place)."""
+        """Replace all fields of this name with a single one (in place).
+
+        The first field keeps its position; later duplicates are dropped.
+        """
         canonical = canonical_header_name(name)
-        replaced = False
-        out = []
-        for existing, old_value in self._items:
-            if existing != canonical:
-                out.append((existing, old_value))
-            elif not replaced:
-                out.append((canonical, value.strip()))
-                replaced = True
-        if not replaced:
-            out.append((canonical, value.strip()))
-        self._items = out
+        items = self._items
         self._version += 1
+        for index, (existing, _) in enumerate(items):
+            if existing == canonical:
+                items[index] = (canonical, value.strip())
+                for later in range(len(items) - 1, index, -1):
+                    if items[later][0] == canonical:
+                        del items[later]
+                return
+        items.append((canonical, value.strip()))
 
     def remove(self, name: str) -> None:
         canonical = canonical_header_name(name)
@@ -170,24 +189,35 @@ class Headers:
         return list(self._items)
 
     def copy(self) -> "Headers":
-        return Headers(list(self._items))
+        return Headers(self._items)
 
     def __len__(self) -> int:
         return len(self._items)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Via:
-    """One Via header value: ``SIP/2.0/UDP host:port;branch=...``."""
+    """One Via header value: ``SIP/2.0/UDP host:port;branch=...``.
+
+    Immutable and memoized like the URI types (``sip/uri.py``); ``params``
+    holds the parameters other than ``branch`` and is read-only.
+    """
 
     host: str
     port: int = 5060
     branch: str | None = None
     transport: str = "UDP"
-    params: dict[str, str | None] = field(default_factory=dict)
+    params: Mapping[str, str | None] = field(default_factory=dict)
 
-    @classmethod
-    def parse(cls, text: str) -> "Via":
+    def __post_init__(self) -> None:
+        # Parsed values are shared: a caller's dict becomes a read-only copy.
+        if not isinstance(self.params, MappingProxyType):
+            object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    @staticmethod
+    @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+    def parse(text: str) -> "Via":
+        """Parse ``text``; equal texts return the same (immutable) object."""
         text = text.strip()
         try:
             protocol, rest = text.split(None, 1)
@@ -196,21 +226,8 @@ class Via:
         parts = protocol.split("/")
         if len(parts) != 3 or parts[0].upper() != "SIP":
             raise SipParseError(f"malformed Via protocol: {text!r}")
-        transport = parts[2].upper()
-        params: dict[str, str | None] = {}
-        if ";" in rest:
-            hostport, param_text = rest.split(";", 1)
-            for chunk in param_text.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                if "=" in chunk:
-                    key, value = chunk.split("=", 1)
-                    params[key.lower()] = value
-                else:
-                    params[chunk.lower()] = None
-        else:
-            hostport = rest
+        hostport, _, param_text = rest.partition(";")
+        params = parse_params(param_text)
         hostport = hostport.strip()
         if ":" in hostport:
             host, port_text = hostport.rsplit(":", 1)
@@ -218,10 +235,18 @@ class Via:
                 port = int(port_text)
             except ValueError as exc:
                 raise SipParseError(f"invalid Via port: {text!r}") from exc
+            if not 0 < port < 65536:
+                raise SipParseError(f"Via port out of range: {text!r}")
         else:
             host, port = hostport, 5060
         branch = params.pop("branch", None)
-        return cls(host=host, port=port, branch=branch, transport=transport, params=params)
+        return Via(
+            host=host,
+            port=port,
+            branch=branch,
+            transport=parts[2].upper(),
+            params=MappingProxyType(params),
+        )
 
     def __str__(self) -> str:
         out = f"SIP/2.0/{self.transport} {self.host}:{self.port}"
@@ -232,21 +257,38 @@ class Via:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class CSeq:
     number: int
     method: str
 
-    @classmethod
-    def parse(cls, text: str) -> "CSeq":
+    @staticmethod
+    @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+    def parse(text: str) -> "CSeq":
+        """Parse ``text``; equal texts return the same (immutable) object."""
         try:
             number_text, method = text.split()
-            return cls(number=int(number_text), method=method.upper())
+            number = int(number_text)
         except ValueError as exc:
             raise SipParseError(f"malformed CSeq: {text!r}") from exc
+        if not 0 <= number < 2**31:  # RFC 3261 §8.1.1.5
+            raise SipParseError(f"CSeq number out of range: {text!r}")
+        return CSeq(number=number, method=method.upper())
 
     def __str__(self) -> str:
         return f"{self.number} {self.method}"
+
+
+#: Typed headers checked on every received message (:meth:`SipMessage.check_headers`).
+_HEADER_PARSERS: dict[str, Callable[[str], object]] = {
+    "Via": Via.parse,
+    "CSeq": CSeq.parse,
+    "From": NameAddr.parse,
+    "To": NameAddr.parse,
+    "Contact": NameAddr.parse,
+    "Route": NameAddr.parse,
+    "Record-Route": NameAddr.parse,
+}
 
 
 class SipMessage:
@@ -319,6 +361,20 @@ class SipMessage:
 
     def routes(self) -> list[NameAddr]:
         return [NameAddr.parse(raw) for raw in self.headers.get_all("Route")]
+
+    def check_headers(self) -> None:
+        """Parse every typed header; raise :class:`SipParseError` on a bad one.
+
+        Typed headers are otherwise parsed on first read, deep inside a
+        proxy or UA. A receiver calls this right after :func:`parse_message`
+        so that a malformed header drops the message instead. The parsers
+        are memoized, so the later reads are cache hits. ``Contact: *`` (the
+        REGISTER wildcard) is not a name-addr and is left alone.
+        """
+        for name, value in self.headers.items():
+            parser = _HEADER_PARSERS.get(name)
+            if parser is not None and not (name == "Contact" and value == "*"):
+                parser(value)
 
     def transaction_key(self) -> tuple[str, str]:
         """RFC 3261 (17.1.3/17.2.3) matching key: top branch + CSeq method."""
@@ -440,7 +496,10 @@ class SipResponse(SipMessage):
 def parse_message(data: bytes) -> SipRequest | SipResponse:
     """Parse wire bytes into a request or response.
 
-    Raises :class:`SipParseError` on malformed input.
+    Content-Length frames the body (RFC 3261 §18.3): bytes past it are
+    discarded, and a body shorter than it is malformed. Without the header
+    the body is the rest of the datagram. Raises :class:`SipParseError` on
+    malformed input.
     """
     try:
         head, _, body = data.partition(b"\r\n\r\n")
@@ -451,22 +510,31 @@ def parse_message(data: bytes) -> SipRequest | SipResponse:
     if not lines or not lines[0].strip():
         raise SipParseError("empty SIP message")
     start_line = lines[0]
-    headers = Headers()
-    previous_name: str | None = None
+    fields: list[tuple[str, str]] = []
     for line in lines[1:]:
         if not line.strip():
             continue
-        if line[0] in " \t" and previous_name is not None:
+        if line[0] in " \t" and fields:
             # Header line folding (obsolete but legal): append to previous.
-            headers.extend_last(previous_name, line)
+            name, value = fields[-1]
+            fields[-1] = (name, f"{value.strip()} {line.strip()}")
             continue
-        if ":" not in line:
+        name, colon, value = line.partition(":")
+        if not colon:
             raise SipParseError(f"malformed header line: {line!r}")
-        name, value = line.split(":", 1)
-        if not name.strip() or name != name.strip():
+        if not name or name != name.strip():
             raise SipParseError(f"malformed header name: {name!r}")
-        headers.add(name.strip(), value)
-        previous_name = name.strip()
+        fields.append((name, value))
+    headers = Headers(fields)
+
+    length_text = headers.get("Content-Length")
+    if length_text is not None:
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise SipParseError(f"invalid Content-Length: {length_text!r}")
+        length = int(length_text)
+        if length > len(body):
+            raise SipParseError(f"Content-Length {length} exceeds the {len(body)}-byte body")
+        body = body[:length]
 
     if start_line.startswith(SIP_VERSION):
         parts = start_line.split(" ", 2)

@@ -2,13 +2,36 @@
 
 Supports ``sip:user@host:port;param=value;lr`` forms plus name-addr
 (``"Display" <sip:...>;tag=x``) used by From/To/Contact/Route headers.
+
+Parsed values are immutable and memoized on the header text: every hop of a
+call re-reads the same handful of URIs, so each distinct text is parsed once
+per process and the result is shared by every caller.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from repro.errors import SipParseError
+
+#: Entries kept by each memoized SIP parser (header names, ``SipUri``,
+#: ``NameAddr``, ``Via`` and ``CSeq``), keyed on the wire text.
+PARSE_CACHE_SIZE = 1024
+
+
+def parse_params(text: str) -> dict[str, str | None]:
+    """``;key=value;flag`` parameters, keys lower-cased, in wire order."""
+    params: dict[str, str | None] = {}
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        key, sep, value = chunk.partition("=")
+        params[key.lower()] = value if sep else None
+    return params
 
 
 @dataclass(frozen=True)
@@ -21,8 +44,10 @@ class SipUri:
     params: tuple[tuple[str, str | None], ...] = ()
     scheme: str = "sip"
 
-    @classmethod
-    def parse(cls, text: str) -> "SipUri":
+    @staticmethod
+    @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+    def parse(text: str) -> "SipUri":
+        """Parse ``text``; equal texts return the same (immutable) object."""
         text = text.strip()
         if ":" not in text:
             raise SipParseError(f"not a SIP URI (no scheme): {text!r}")
@@ -61,7 +86,7 @@ class SipUri:
             host = hostport
         if not host:
             raise SipParseError(f"empty host in URI: {text!r}")
-        return cls(user=user, host=host.lower(), port=port, params=tuple(params), scheme=scheme)
+        return SipUri(user=user, host=host.lower(), port=port, params=tuple(params), scheme=scheme)
 
     def __str__(self) -> str:
         out = f"{self.scheme}:"
@@ -101,53 +126,42 @@ class SipUri:
         return self.port if self.port is not None else default
 
 
-@dataclass
+@dataclass(frozen=True)
 class NameAddr:
     """name-addr form: optional display name, URI, and header parameters.
 
     Used for From/To/Contact/Route/Record-Route header values like
-    ``"Alice" <sip:alice@voicehoc.ch>;tag=8f2a``.
+    ``"Alice" <sip:alice@voicehoc.ch>;tag=8f2a``. ``params`` is read-only;
+    :meth:`with_tag` builds a new value.
     """
 
     uri: SipUri
     display_name: str | None = None
-    params: dict[str, str | None] = field(default_factory=dict)
+    params: Mapping[str, str | None] = field(default_factory=dict)
 
-    @classmethod
-    def parse(cls, text: str) -> "NameAddr":
+    def __post_init__(self) -> None:
+        # Parsed values are shared: a caller's dict becomes a read-only copy.
+        if not isinstance(self.params, MappingProxyType):
+            object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    @staticmethod
+    @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+    def parse(text: str) -> "NameAddr":
+        """Parse ``text``; equal texts return the same (immutable) object."""
         text = text.strip()
         display_name: str | None = None
-        params: dict[str, str | None] = {}
         if "<" in text:
             before, _, rest = text.partition("<")
-            uri_text, _, after = rest.partition(">")
+            uri_text, _, param_text = rest.partition(">")
             display_name = before.strip().strip('"') or None
-            for chunk in after.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                if "=" in chunk:
-                    key, value = chunk.split("=", 1)
-                    params[key.lower()] = value
-                else:
-                    params[chunk.lower()] = None
-            uri = SipUri.parse(uri_text)
         else:
             # addr-spec form: any ;params belong to the header, not the URI.
-            if ";" in text:
-                uri_text, _, param_text = text.partition(";")
-                for chunk in param_text.split(";"):
-                    if not chunk:
-                        continue
-                    if "=" in chunk:
-                        key, value = chunk.split("=", 1)
-                        params[key.lower()] = value
-                    else:
-                        params[chunk.lower()] = None
-            else:
-                uri_text = text
-            uri = SipUri.parse(uri_text)
-        return cls(uri=uri, display_name=display_name, params=params)
+            uri_text, _, param_text = text.partition(";")
+        return NameAddr(
+            uri=SipUri.parse(uri_text),
+            display_name=display_name,
+            params=MappingProxyType(parse_params(param_text)),
+        )
 
     def __str__(self) -> str:
         if self.display_name:
@@ -163,6 +177,4 @@ class NameAddr:
         return self.params.get("tag")
 
     def with_tag(self, tag: str) -> "NameAddr":
-        new_params = dict(self.params)
-        new_params["tag"] = tag
-        return NameAddr(uri=self.uri, display_name=self.display_name, params=new_params)
+        return replace(self, params={**self.params, "tag": tag})

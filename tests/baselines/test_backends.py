@@ -13,6 +13,7 @@ from repro.baselines import (
     MulticastSlpBackend,
     ProactiveHelloBackend,
 )
+from repro.baselines.flooding_sip import FLOODING_PORT
 from repro.netsim import Node, Simulator, Stats, WirelessMedium, manet_ip, place_chain
 from repro.routing import Aodv
 
@@ -98,6 +99,19 @@ class TestFloodingRegister:
         expiry = FloodingSipBackend.BINDING_LIFETIME
         sim.run(5.0 + expiry + 15.0)
         assert backends[3].table_size() == 0
+
+    def test_malformed_register_is_ignored(self):
+        sim, stats, nodes, backends = build(BACKENDS["flooding-register"])
+        wire = (
+            "REGISTER sip:h SIP/2.0\r\n"
+            f"Via: SIP/2.0/UDP {nodes[0].ip}:{FLOODING_PORT};branch=z9hG4bKbad\r\n"
+            "To: nope\r\n"
+            f"Contact: <sip:a@{nodes[0].ip}:5060>\r\n"
+            "Call-ID: bad\r\nCSeq: 1 REGISTER\r\nMax-Forwards: 3\r\n\r\n"
+        ).encode()
+        nodes[0].send_udp(nodes[1].ip, FLOODING_PORT, FLOODING_PORT, wire)
+        sim.run(2.0)  # raised SipParseError from the lazy To parse before
+        assert backends[1].table_size() == 0
 
 
 class TestProactiveHello:

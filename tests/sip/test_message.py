@@ -1,9 +1,13 @@
 """Unit tests for SIP message grammar: parsing, serialization, headers."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SipParseError
-from repro.sip import CSeq, Headers, SipRequest, SipResponse, SipUri, Via, parse_message
+from repro.sip import CSeq, Headers, NameAddr, SipRequest, SipResponse, SipUri, Via, parse_message
+from repro.sip.message import canonical_header_name
+from repro.sip.uri import PARSE_CACHE_SIZE
 
 INVITE_WIRE = (
     b"INVITE sip:bob@voicehoc.ch SIP/2.0\r\n"
@@ -66,6 +70,66 @@ class TestHeaders:
         headers.add("cseq", "1 INVITE")
         assert headers.items()[0][0] == "CSeq"
 
+    def test_set_keeps_first_position_and_drops_duplicates(self):
+        headers = Headers([("Route", "r1"), ("Via", "v1"), ("Route", "r2"), ("Via", "v2")])
+        headers.set("route", "only")
+        assert headers.items() == [("Route", "only"), ("Via", "v1"), ("Via", "v2")]
+
+    def test_constructor_canonicalizes_and_strips(self):
+        headers = Headers([("call-id", "  x "), ("v", "SIP/2.0/UDP h")])
+        assert headers.items() == [("Call-ID", "x"), ("Via", "SIP/2.0/UDP h")]
+
+    def test_copy_is_independent(self):
+        headers = Headers([("Via", "a")])
+        copy = headers.copy()
+        copy.add("Via", "b")
+        assert headers.get_all("Via") == ["a"]
+        assert copy.get_all("Via") == ["a", "b"]
+
+
+class TestHeaderNames:
+    """Header names are canonicalized through a bounded memo."""
+
+    @pytest.mark.parametrize(
+        ("compact", "full"),
+        [
+            ("c", "Content-Type"),
+            ("e", "Content-Encoding"),
+            ("f", "From"),
+            ("i", "Call-ID"),
+            ("k", "Supported"),
+            ("l", "Content-Length"),
+            ("m", "Contact"),
+            ("s", "Subject"),
+            ("t", "To"),
+            ("v", "Via"),
+        ],
+    )
+    def test_compact_forms_map_to_long_forms(self, compact, full):
+        assert canonical_header_name(compact) == full
+        assert canonical_header_name(compact.upper()) == full
+
+    def test_cache_is_bounded(self):
+        assert canonical_header_name.cache_info().maxsize == PARSE_CACHE_SIZE
+
+    def test_compact_response_is_routable(self):
+        wire = (
+            b"SIP/2.0 200 OK\r\n"
+            b"v: SIP/2.0/UDP 192.168.0.1:5060;branch=z9hG4bK-1\r\n"
+            b"f: <sip:alice@voicehoc.ch>;tag=a\r\n"
+            b"t: <sip:bob@voicehoc.ch>;tag=b\r\n"
+            b"i: abc\r\n"
+            b"CSeq: 1 INVITE\r\n"
+            b"m: <sip:bob@192.168.0.2>\r\n"
+            b"l: 0\r\n\r\n"
+        )
+        message = parse_message(wire)
+        assert message.top_via.host == "192.168.0.1"
+        assert message.call_id == "abc"
+        assert message.from_.tag == "a" and message.to.tag == "b"
+        assert message.contact.uri.host == "192.168.0.2"
+        assert message.transaction_key() == ("z9hG4bK-1", "INVITE")
+
 
 class TestVia:
     def test_parse_full(self):
@@ -82,7 +146,17 @@ class TestVia:
         text = "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-abc"
         assert str(Via.parse(text)) == text
 
-    @pytest.mark.parametrize("bad", ["", "UDP 1.2.3.4", "HTTP/1.1/TCP x"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "",
+            "UDP 1.2.3.4",
+            "HTTP/1.1/TCP x",
+            "SIP/2.0/UDP 1.2.3.4:99999",
+            "SIP/2.0/UDP 1.2.3.4:0",
+            "SIP/2.0/UDP 1.2.3.4:-1;branch=z9hG4bK-1",
+        ],
+    )
     def test_invalid(self, bad):
         with pytest.raises(SipParseError):
             Via.parse(bad)
@@ -96,6 +170,128 @@ class TestCSeq:
     def test_invalid(self):
         with pytest.raises(SipParseError):
             CSeq.parse("nope")
+
+    @pytest.mark.parametrize("bad", ["-5 INVITE", "-1 BYE", "2147483648 INVITE"])
+    def test_out_of_range(self, bad):
+        with pytest.raises(SipParseError):
+            CSeq.parse(bad)
+
+    def test_range_bounds_accepted(self):
+        assert CSeq.parse("0 INVITE").number == 0
+        assert CSeq.parse("2147483647 INVITE").number == 2**31 - 1
+
+
+def _copy(text: str) -> str:
+    """An equal string that is a different object."""
+    return "".join(list(text))
+
+
+class TestSharedParses:
+    """Typed header parsers are memoized on the text and return immutable values."""
+
+    @pytest.mark.parametrize(
+        ("parse", "text"),
+        [
+            (Via.parse, "SIP/2.0/UDP 192.168.0.1:5070;branch=z9hG4bK-7;rport"),
+            (CSeq.parse, "7 INVITE"),
+            (NameAddr.parse, '"Alice" <sip:alice@voicehoc.ch>;tag=a1'),
+            (SipUri.parse, "sip:bob@192.168.0.7:5060;lr"),
+        ],
+        ids=["via", "cseq", "name_addr", "uri"],
+    )
+    def test_equal_texts_share_one_parse(self, parse, text):
+        copy = _copy(text)
+        assert copy is not text
+        assert parse(text) is parse(copy)
+        assert parse.cache_info().maxsize == PARSE_CACHE_SIZE
+
+    @pytest.mark.parametrize(
+        ("value", "field"),
+        [
+            (Via.parse("SIP/2.0/UDP 10.0.0.1;branch=z9hG4bK-f"), "branch"),
+            (Via.parse("SIP/2.0/UDP 10.0.0.1;branch=z9hG4bK-f"), "port"),
+            (CSeq.parse("3 BYE"), "number"),
+            (NameAddr.parse("<sip:a@b>;tag=x"), "display_name"),
+            (SipUri.parse("sip:a@b"), "host"),
+        ],
+    )
+    def test_parsed_values_are_frozen(self, value, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, None)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Via.parse("SIP/2.0/UDP 10.0.0.1;branch=z9hG4bK-p;rport"),
+            NameAddr.parse("<sip:a@b>;tag=x"),
+        ],
+    )
+    def test_params_are_read_only(self, value):
+        with pytest.raises(TypeError):
+            value.params["x"] = "y"
+        assert "x" not in value.params
+
+    def test_caller_dict_is_copied_read_only(self):
+        params = {"rport": None}
+        via = Via(host="10.0.0.1", branch="z9hG4bK-c", params=params)
+        params["received"] = "10.0.0.9"
+        assert dict(via.params) == {"rport": None}
+        with pytest.raises(TypeError):
+            via.params["x"] = "y"
+        assert str(via) == "SIP/2.0/UDP 10.0.0.1:5060;branch=z9hG4bK-c;rport"
+
+    def test_with_tag_leaves_shared_value_alone(self):
+        shared = NameAddr.parse("<sip:bob@voicehoc.ch>")
+        tagged = shared.with_tag("t1")
+        assert tagged.tag == "t1"
+        assert shared.tag is None
+        assert NameAddr.parse("<sip:bob@voicehoc.ch>") is shared
+
+    def test_errors_are_raised_every_time(self):
+        for _ in range(2):
+            with pytest.raises(SipParseError):
+                Via.parse("garbage")
+            with pytest.raises(SipParseError):
+                CSeq.parse("nope")
+
+
+class TestCheckHeaders:
+    """check_headers parses every typed header a receiver will read."""
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("Via", "garbage"),
+            ("CSeq", "nope"),
+            ("CSeq", "-5 INVITE"),
+            ("From", "garbage"),
+            ("To", "nope"),
+            ("Contact", "x"),
+            ("Route", "<tel:123>"),
+            ("Record-Route", "<nope>"),
+        ],
+    )
+    def test_malformed_typed_header_raises(self, name, value):
+        message = parse_message(INVITE_WIRE)
+        message.headers.add(name, value)
+        with pytest.raises(SipParseError):
+            message.check_headers()
+
+    def test_well_formed_message_passes(self):
+        parse_message(INVITE_WIRE).check_headers()
+
+    def test_contact_wildcard_is_allowed(self):
+        register = SipRequest("REGISTER", "sip:voicehoc.ch")
+        register.headers.add("Via", "SIP/2.0/UDP 192.168.0.1:5070;branch=z9hG4bK-r")
+        register.headers.add("CSeq", "2 REGISTER")
+        register.headers.add("Contact", "*")
+        register.headers.add("Expires", "0")
+        parse_message(register.serialize()).check_headers()
+
+    def test_untyped_headers_are_not_parsed(self):
+        message = parse_message(INVITE_WIRE)
+        message.headers.add("Subject", "<<not a name-addr>>")
+        message.check_headers()
 
 
 class TestParsing:
@@ -232,11 +428,23 @@ class TestSerializeCache:
             b"SIP/2.0 999999 OK\r\n\r\n",
             b"invite sip:x SIP/2.0\r\n\r\n",  # lowercase method
             b"\xff\xfe INVITE",
+            b"OPTIONS sip:x SIP/2.0\r\nContent-Length: 50\r\n\r\nhello",  # short body
+            b"OPTIONS sip:x SIP/2.0\r\nContent-Length: -1\r\n\r\nhello",
+            b"OPTIONS sip:x SIP/2.0\r\nContent-Length: five\r\n\r\nhello",
+            b"OPTIONS sip:x SIP/2.0\r\nl: 6\r\n\r\nhello",  # compact form
         ],
     )
     def test_malformed_rejected(self, bad):
         with pytest.raises(SipParseError):
             parse_message(bad)
+
+    def test_bytes_past_content_length_are_discarded(self):
+        message = parse_message(b"OPTIONS sip:x SIP/2.0\r\nContent-Length: 2\r\n\r\nhello")
+        assert message.body == b"he"
+
+    def test_missing_content_length_takes_rest_of_datagram(self):
+        message = parse_message(b"OPTIONS sip:x SIP/2.0\r\nCall-ID: c\r\n\r\nhello")
+        assert message.body == b"hello"
 
     def test_transaction_key_ack_maps_to_invite(self):
         request = SipRequest("ACK", "sip:h")

@@ -54,8 +54,8 @@ else
     echo "mypy not installed (pip install -e '.[dev]') — skipped"
 fi
 
-echo "== pytest =="
-python -m pytest -x -q
+echo "== pytest (tier-1 + micro-benchmarks, each benchmark run once) =="
+python -m pytest -x -q tests benchmarks/test_bench_micro.py --benchmark-disable
 
 echo "== e2ebench smoke (traced and untraced digests agree, every call reaches a final state) =="
 python3 -m pytest e2ebench/test_e2e_smoke.py -q
