@@ -26,10 +26,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from repro.errors import MetricsError
+from repro.experiments.handover import HandoverTrial, run_handover_trial
+from repro.experiments.media import run_media_point
 from repro.faults.channel import GilbertElliottChannel, TimedGilbertElliottChannel
 from repro.faults.harness import default_chaos_plan, run_chaos
 from repro.faults.plan import FaultPlan
 from repro.globalstate import registry
+from repro.metrics.registry import render_prometheus
+from repro.metrics.scraper import load_jsonl
+from repro.overload.harness import MODE_CONTROLLED, MODE_UNCONTROLLED, run_sweep, smoke_config
 from repro.scenarios import ManetConfig, ManetScenario, build_chain_call_scenario
 from repro.trace.events import TraceError, parse_jsonl_line
 
@@ -237,39 +243,41 @@ def check_chaos_run(text: str) -> list[str]:
 
 def overload_sweep() -> str:
     """The reduced offered-load sweep (1 and 2 cps), rendered report."""
-    from repro.overload.harness import run_sweep, smoke_config
-
     return run_sweep(smoke_config()).render()
 
 
+#: Columns of one load row in ``SweepReport.render()``.
+_SWEEP_COLUMNS = (
+    "load", "mode", "att", "ok", "rate", "est", "p50", "p95", "mos", "503", "other",
+    "qdrops", "admrej",
+)
+
+
 def check_overload_sweep(text: str) -> list[str]:
-    """The top load sheds with 503s under control and collapses without it."""
-    rows: dict[tuple[float, str], list[str]] = {}
+    """At the top load admission sheds with 503s; without it the queues collapse."""
+    rows = {}
     for line in text.splitlines():
         fields = line.split()
-        if len(fields) == 13 and fields[1] in ("controlled", "uncontrolled"):
-            rows[(float(fields[0]), fields[1])] = fields
-    failures: list[str] = []
-    if not rows:
-        return ["the sweep report has no load rows"]
-    top = max(load for load, _ in rows)
-    controlled = rows.get((top, "controlled"))
-    uncontrolled = rows.get((top, "uncontrolled"))
+        if len(fields) == len(_SWEEP_COLUMNS) and fields[1] in (MODE_CONTROLLED, MODE_UNCONTROLLED):
+            rows[float(fields[0]), fields[1]] = dict(zip(_SWEEP_COLUMNS, fields))
+    top = max((load for load, _ in rows), default=None)
+    controlled = rows.get((top, MODE_CONTROLLED))
+    uncontrolled = rows.get((top, MODE_UNCONTROLLED))
     if controlled is None or uncontrolled is None:
         return ["the sweep report is missing its top-load points"]
-    # Columns: load mode att ok rate est p50 p95 mos 503 other qdrops admrej.
-    if int(controlled[9]) == 0:
+    failures = []
+    if int(controlled["503"]) == 0:
         failures.append("no 503 admission rejections at the overload point")
-    if int(controlled[12]) == 0:
+    if int(controlled["admrej"]) == 0:
         failures.append("sip.admission_rejected counter never moved")
-    if int(uncontrolled[11]) == 0:
+    if int(uncontrolled["qdrops"]) == 0:
         failures.append("bounded TX queues shed nothing without admission")
-    if float(controlled[4]) <= float(uncontrolled[4]):
+    if float(controlled["rate"]) <= float(uncontrolled["rate"]):
         failures.append(
             f"admission control did not help at {top:.1f} cps (controlled "
-            f"{controlled[4]} <= uncontrolled {uncontrolled[4]})"
+            f"{controlled['rate']} <= uncontrolled {uncontrolled['rate']})"
         )
-    if int(uncontrolled[9]) or int(uncontrolled[12]):
+    if int(uncontrolled["503"]) or int(uncontrolled["admrej"]):
         failures.append("uncontrolled run unexpectedly produced 503 rejections")
     if "knee: none" in text:
         failures.append("no knee: controlled runs never cleared the threshold")
@@ -295,10 +303,6 @@ def metrics_export() -> str:
 
 def check_metrics_export(text: str) -> list[str]:
     """The export parses, carries the standard gauges and renders for Prometheus."""
-    from repro.errors import MetricsError
-    from repro.metrics.registry import render_prometheus
-    from repro.metrics.scraper import load_jsonl
-
     try:
         sections = load_jsonl(io.StringIO(text))
     except MetricsError as exc:
@@ -324,8 +328,6 @@ def check_metrics_export(text: str) -> list[str]:
 
 def media_contrast() -> str:
     """The M1 contrast point: fixed/no-RED against adaptive + RED 2 under fading."""
-    from repro.experiments.media import run_media_point
-
     lines = []
     for label, policy, red in (("baseline", "fixed", 0), ("full", "adaptive", 2)):
         quality, _ = run_media_point(
@@ -418,18 +420,49 @@ def check_media_knobs_off(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _drill_report(mode: str, trial: HandoverTrial) -> str:
+    def first(values: list[float]) -> str:
+        return f"{values[0]:.3f}" if values else "-"
+
+    return (
+        f"mode:        {mode}\n"
+        f"established: {trial.established}\n"
+        f"survived:    {trial.survived}\n"
+        f"final state: {trial.final_state}\n"
+        f"attempted/succeeded/abandoned: "
+        f"{trial.attempted}/{trial.succeeded}/{trial.abandoned}\n"
+        f"ssrc stable: {trial.ssrc_stable}\n"
+        f"latency_ms:  {first(trial.latencies_ms)}\n"
+        f"gap_ms:      {first(trial.gaps_ms)}\n"
+    )
+
+
 def handover_drills() -> str:
     """The seed-7 coverage-loss drill with handover, then without (baseline)."""
-    from repro.handover.harness import run_report
-
-    return run_report().render()
+    enabled = run_handover_trial(handover=True, seed=7, loss_at=10.0)
+    baseline = run_handover_trial(handover=False, seed=7, loss_at=10.0)
+    return "\n".join(
+        [
+            "== handover drill ==",
+            _drill_report("handover", enabled),
+            "== baseline drill ==",
+            _drill_report("baseline", baseline),
+            "== handover trace slice ==",
+            enabled.trace_jsonl,
+        ]
+    )
 
 
 def legacy_call() -> str:
     """A handover-free 4-node chain call: the full trace export."""
-    from repro.handover.harness import legacy_fingerprint
-
-    return legacy_fingerprint()
+    scenario = build_chain_call_scenario(hops=3, routing="aodv", seed=7, tracing=True)
+    scenario.converge(5.0)
+    scenario.phones["alice"].place_call(BOB, duration=6.0)
+    scenario.sim.run(18.0)
+    assert scenario.trace is not None
+    export = scenario.trace.export_jsonl()
+    scenario.stop()
+    return export
 
 
 def check_legacy_call(text: str) -> list[str]:

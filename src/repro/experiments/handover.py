@@ -12,15 +12,21 @@ The survival criterion is media-based, not signaling-based: a baseline
 call whose radio died still *looks* established to SIP (the BYE cannot
 escape either), so H1 asks whether inbound media was flowing at the
 scheduled end of the talk spurt.
+
+The same trial, at seed 7 with the outage at 10 s, is the coverage-loss
+drill that ``tests/core/test_handover.py`` and the ``handover_drills``
+gate run.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.core.config import HandoverConfig, SiphocConfig
 from repro.experiments.tables import Table
 from repro.faults.channel import TimedGilbertElliottChannel
 from repro.faults.plan import FaultPlan
-from repro.handover.report import build_report, percentile
+from repro.netsim.stats import SampleSeries
 from repro.scenarios import ManetConfig, ManetScenario
 from repro.sip.ua import CallState
 
@@ -30,6 +36,34 @@ CONDITIONS: tuple[tuple[str, float | None, float | None, bool], ...] = (
     ("fading", 1.5, 0.04, False),
     ("mobile", None, None, True),
 )
+
+#: Trace categories kept in a trial's ``trace_jsonl`` slice.
+TRACE_CATEGORIES = ("handover", "iface", "fault")
+
+
+@dataclass
+class HandoverTrial:
+    """Observables of one coverage-loss trial."""
+
+    established: bool
+    #: Inbound media still flowing at alice near the scheduled call end.
+    survived: bool
+    final_state: str
+    attempted: int
+    succeeded: int
+    abandoned: int
+    #: Same RtpSession and SSRC before and after the outage.
+    ssrc_stable: bool
+    #: Trigger to re-INVITE confirmed, per completed handover, in trace order.
+    latencies_ms: list[float]
+    #: Inbound silence spanning the outage, per restored media stream.
+    gaps_ms: list[float]
+    #: JSONL of the handover, iface and fault trace events.
+    trace_jsonl: str
+
+    @property
+    def media_gap_ms(self) -> float | None:
+        return self.gaps_ms[0] if self.gaps_ms else None
 
 
 def run_handover_trial(
@@ -42,14 +76,14 @@ def run_handover_trial(
     talk_time: float = 16.0,
     loss_at: float = 12.0,
     routing: str = "aodv",
-) -> dict[str, object]:
-    """One coverage-loss trial; returns the per-trial observables.
+) -> HandoverTrial:
+    """One coverage-loss trial: alice on node 0, bob on node ``hops``.
 
-    ``loss_at`` is the absolute sim time the caller's radio dies; the
-    call is placed after a 5 s convergence window, so the outage lands a
-    few seconds into the established call. A trial that never
-    establishes (fades can eat signaling too) reports
-    ``established=False`` and is excluded from survival accounting.
+    Both ends are multihomed (wired uplink without the gateway role).
+    ``loss_at`` is the absolute sim time alice's radio dies; the call is
+    placed after a 5 s convergence window, so the outage lands a few
+    seconds into the established call. A trial that never establishes
+    (fades can eat signaling too) reports ``established=False``.
     """
     channel = None
     if mean_good is not None and mean_bad is not None:
@@ -81,7 +115,10 @@ def run_handover_trial(
         step=0.1,
     )
     established = call.state is CallState.ESTABLISHED
+    # The session object is ours, so it stays readable after the phone
+    # retires the call.
     session = alice.media_session(call.call_id)
+    ssrc_before = session.ssrc if session is not None else None
     call_end = sim.now + talk_time
     sim.run(call_end + 12.0)
     survived = bool(
@@ -92,14 +129,27 @@ def run_handover_trial(
     )
     trace = scenario.trace
     assert trace is not None
-    report = build_report(trace.select(category="handover"))
+    events = [event for event in trace.events if event.category in TRACE_CATEGORIES]
+    stats = scenario.stats.counters
     scenario.stop()
-    return {
-        "established": established,
-        "survived": survived,
-        "loss_events": 1,
-        "report": report,
-    }
+    return HandoverTrial(
+        established=established,
+        survived=survived,
+        final_state=call.state.name,
+        attempted=stats.get("handover.attempted", 0),
+        succeeded=stats.get("handover.succeeded", 0),
+        abandoned=stats.get("handover.abandoned", 0),
+        ssrc_stable=session is not None
+        and ssrc_before is not None
+        and session.ssrc == ssrc_before,
+        latencies_ms=[
+            e.detail["latency_ms"] for e in events if e.kind == "handover.complete"
+        ],
+        gaps_ms=[
+            e.detail["gap_ms"] for e in events if e.kind == "handover.media_restored"
+        ],
+        trace_jsonl="".join(event.to_json_line() + "\n" for event in events),
+    )
 
 
 def handover_table(
@@ -129,9 +179,8 @@ def handover_table(
         for mode, enabled in (("baseline", False), ("handover", True)):
             established = 0
             survived = 0
-            loss_events = 0
-            latencies: list[float] = []
-            gaps: list[float] = []
+            latencies = SampleSeries()
+            gaps = SampleSeries()
             for seed in seeds:
                 trial = run_handover_trial(
                     handover=enabled,
@@ -143,30 +192,25 @@ def handover_table(
                     talk_time=talk_time,
                     routing=routing,
                 )
-                if not trial["established"]:
+                if not trial.established:
                     continue
                 established += 1
-                loss_events += trial["loss_events"]  # type: ignore[operator]
-                survived += 1 if trial["survived"] else 0
-                report = trial["report"]
-                latencies.extend(report.latencies_ms)  # type: ignore[union-attr]
-                gaps.extend(report.gaps_ms)  # type: ignore[union-attr]
-
-            def _pct(values: list[float], q: float) -> float:
-                value = percentile(values, q)
-                return round(value, 1) if value is not None else float("nan")
-
+                survived += 1 if trial.survived else 0
+                for latency in trial.latencies_ms:
+                    latencies.add(latency)
+                for gap in trial.gaps_ms:
+                    gaps.add(gap)
             table.add_row(
                 label,
                 mode,
                 len(seeds),
                 established,
-                loss_events,
+                established,  # one coverage-loss event per established trial
                 survived,
                 round(100.0 * survived / established, 1) if established else float("nan"),
-                _pct(latencies, 50),
-                _pct(latencies, 95),
-                _pct(gaps, 50),
+                round(latencies.percentile(50), 1),
+                round(latencies.percentile(95), 1),
+                round(gaps.percentile(50), 1),
             )
     table.add_note(
         "survival = inbound media still flowing at the scheduled end of the"

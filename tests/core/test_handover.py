@@ -1,7 +1,7 @@
 """Mid-call multihomed handover: policy behaviour and failure drills (§5k).
 
 Covers the HandoverPolicy end to end (the happy path rides the
-repro.handover drill harness), the two required failure drills — peer
+H1 coverage-loss trial), the two required failure drills — peer
 crash and MANET partition during the migration window — and the
 ConnectionProvider cooldown-map pruning regression that the handover
 work is layered on.
@@ -9,7 +9,7 @@ work is layered on.
 
 from repro.core import ConnectionProvider, ManetSlp, make_handler
 from repro.faults import FaultPlan
-from repro.handover.harness import DrillConfig, run_drill
+from repro.experiments.handover import run_handover_trial
 from repro.netsim import Node, Simulator, Stats, WirelessMedium, manet_ip, place_chain
 from repro.routing import Aodv
 from repro.scenarios import ManetConfig, ManetScenario
@@ -53,7 +53,7 @@ class TestMidCallHandover:
     """Happy path: the coverage-loss drill from the harness."""
 
     def test_call_survives_radio_loss(self):
-        result = run_drill(DrillConfig(seed=7, handover=True))
+        result = run_handover_trial(seed=7, loss_at=10.0)
         assert result.established
         assert result.survived
         assert result.succeeded == 1
@@ -65,7 +65,7 @@ class TestMidCallHandover:
         assert result.media_gap_ms is not None and result.media_gap_ms < 1000.0
 
     def test_trace_ladder_records_the_migration(self):
-        result = run_drill(DrillConfig(seed=7, handover=True))
+        result = run_handover_trial(seed=7, loss_at=10.0)
         kinds = [line.split('"kind":"')[1].split('"')[0]
                  for line in result.trace_jsonl.splitlines()]
         for expected in (
@@ -79,7 +79,7 @@ class TestMidCallHandover:
             assert expected in kinds, f"missing {expected} in {kinds}"
 
     def test_baseline_without_policy_dies(self):
-        result = run_drill(DrillConfig(seed=7, handover=False))
+        result = run_handover_trial(handover=False, seed=7, loss_at=10.0)
         assert result.established
         assert not result.survived
         assert result.attempted == 0
