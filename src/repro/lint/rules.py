@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -19,7 +20,7 @@ from repro.lint.core import FileContext, ProgramRule, ProgramReporter, Rule, Rul
 from repro.lint.graph import ModuleSummary, ProjectGraph
 
 # ---------------------------------------------------------------------------
-# DET001 — wall-clock access
+# DET001, FAULT001, OBS001 — path-scoped bans on the wall clock and random.*
 # ---------------------------------------------------------------------------
 
 #: Resolved dotted names that read the host clock.
@@ -41,38 +42,138 @@ _WALL_CLOCK_CALLS = frozenset(
 )
 
 
-class _WallClockVisitor(RuleVisitor):
+@dataclass(frozen=True)
+class ScopedBan:
+    """One row of the scoped-ban table: where a rule applies and what it bans.
+
+    A file is in scope when one of its directories is in ``dirs`` or its
+    name is in ``files`` (every file when both are empty), unless a
+    directory is in ``exempt_dirs`` or its ``(dir, file)`` suffix is in
+    ``exempt_files``. Wall-clock calls are always banned; ``random.*``
+    calls only when ``random_message`` is set. Messages are formatted with
+    the resolved dotted ``name``.
+    """
+
+    id: str
+    title: str
+    rationale: str
+    clock_message: str
+    random_message: str | None = None
+    dirs: frozenset[str] = frozenset()
+    files: frozenset[str] = frozenset()
+    exempt_dirs: frozenset[str] = frozenset()
+    exempt_files: tuple[tuple[str, str], ...] = ()
+
+
+class _ScopedBanVisitor(RuleVisitor):
     def visit_Call(self, node: ast.Call) -> None:
+        row: ScopedBan = self.rule.row  # type: ignore[attr-defined]
         name = self.ctx.resolve_dotted(node.func)
         if name in _WALL_CLOCK_CALLS:
-            self.report(
-                node,
-                f"wall-clock call {name}(): simulation code must read time "
-                "from Simulator.now so seeded runs stay bit-identical",
-            )
+            self.report(node, row.clock_message.format(name=name))
+        elif row.random_message and name is not None and name.startswith("random."):
+            self.report(node, row.random_message.format(name=name))
         self.generic_visit(node)
 
 
-class WallClockRule(Rule):
-    id = "DET001"
-    title = "no wall-clock reads outside the simulator, profiler and benchmarks"
-    rationale = (
-        "Any code path keyed on host time diverges between runs; only the "
-        "simulator core (which defines virtual time), the kernel profiler "
-        "(which measures the host by design) and benchmarks may touch the "
-        "real clock."
-    )
-    visitor_class = _WallClockVisitor
+class ScopedBanRule(Rule):
+    """The per-file rule for one :class:`ScopedBan` row."""
 
-    #: ``(dir, file)`` suffixes exempt from the rule: the simulator owns
-    #: virtual time, the profiler's entire purpose is wall-time attribution.
-    EXEMPT_SUFFIXES = (("netsim", "simulator.py"), ("metrics", "profiler.py"))
+    visitor_class = _ScopedBanVisitor
+
+    def __init__(self, row: ScopedBan) -> None:
+        self.row = row
+        self.id, self.title, self.rationale = row.id, row.title, row.rationale
 
     def applies_to(self, path: Path) -> bool:
-        parts = path.parts
-        if "benchmarks" in parts:
+        row, parts = self.row, path.parts
+        if row.exempt_dirs.intersection(parts) or tuple(parts[-2:]) in row.exempt_files:
             return False
-        return not (len(parts) >= 2 and parts[-2:] in self.EXEMPT_SUFFIXES)
+        if not row.dirs and not row.files:
+            return True
+        return bool(row.dirs.intersection(parts)) or path.name in row.files
+
+
+#: DET001, FAULT001 and OBS001 differ only in scope, exemptions and bans.
+#: FAULT001 and OBS001 are stricter than DET002: even a *seeded*
+#: random.Random is banned in their scope, because owning a private RNG
+#: forks the random stream, so the run stops being pinned by the scenario
+#: seed alone (fault schedules) or observing changes the observed run
+#: (metrics, handover drills).
+SCOPED_BANS: dict[str, ScopedBan] = {
+    row.id: row
+    for row in (
+        ScopedBan(
+            id="DET001",
+            title="no wall-clock reads outside the simulator, profiler and benchmarks",
+            rationale=(
+                "Any code path keyed on host time diverges between runs; only the "
+                "simulator core (which defines virtual time), the kernel profiler "
+                "(which measures the host by design) and benchmarks may touch the "
+                "real clock."
+            ),
+            clock_message=(
+                "wall-clock call {name}(): simulation code must read time "
+                "from Simulator.now so seeded runs stay bit-identical"
+            ),
+            # The simulator owns virtual time; the profiler's entire purpose
+            # is wall-time attribution.
+            exempt_dirs=frozenset({"benchmarks"}),
+            exempt_files=(("netsim", "simulator.py"), ("metrics", "profiler.py")),
+        ),
+        ScopedBan(
+            id="FAULT001",
+            title="no wall-clock or random.* calls (even seeded) under faults/",
+            rationale=(
+                "The fault subsystem's contract is byte-identical schedules for a "
+                "given seed, tracing on or off. That only holds if fault code is a "
+                "pure function of the plan, Simulator.now and the Simulator.rng it "
+                "is passed — any private clock or RNG (seeded or not) breaks the "
+                "reproduction of a failure run."
+            ),
+            clock_message=(
+                "wall-clock call {name}() in fault-schedule code: fault "
+                "timing must come from the plan and Simulator.now only"
+            ),
+            random_message=(
+                "{name}() in fault-schedule code: channel models and fault "
+                "plans must draw exclusively from the Simulator.rng handed "
+                "to them, never construct or call their own RNG"
+            ),
+            dirs=frozenset({"faults"}),
+        ),
+        ScopedBan(
+            id="OBS001",
+            title="no wall-clock or random.* calls under metrics/ or handover/ (profiler exempt)",
+            rationale=(
+                "The observability layers' contract is zero observer effect: "
+                "same-seed runs are byte-identical with scraping on or off, and the "
+                "§5k handover drills must fingerprint identically across fresh "
+                "interpreters. That only holds if metrics and handover-harness code "
+                "is a pure function of registry/trace state and Simulator.now — any "
+                "wall-clock read or RNG (seeded or not) couples output to the host. "
+                "(The policy's own retry jitter draws a *private* integer-seeded "
+                "RNG in repro.core.connection, outside this scope by design.) The "
+                "one sanctioned exception is metrics/profiler.py, whose entire "
+                "purpose is wall-time measurement."
+            ),
+            clock_message=(
+                "wall-clock call {name}() in observability code: scrape and "
+                "drill timing must derive from sim time only, or the observer "
+                "changes what it observes; wall-time belongs in "
+                "metrics/profiler.py"
+            ),
+            random_message=(
+                "{name}() in observability code: instruments, scrapers and "
+                "handover drills must be pure readers — no sampling jitter, "
+                "no private RNG — so observing cannot perturb the run"
+            ),
+            dirs=frozenset({"metrics", "handover"}),
+            files=frozenset({"handover.py"}),
+            exempt_files=(("metrics", "profiler.py"),),
+        ),
+    )
+}
 
 
 # ---------------------------------------------------------------------------
@@ -489,104 +590,6 @@ class TimeEqualityRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# FAULT001 — fault-schedule code must not own any randomness or clock
-# ---------------------------------------------------------------------------
-
-
-class _FaultScheduleVisitor(RuleVisitor):
-    def visit_Call(self, node: ast.Call) -> None:
-        name = self.ctx.resolve_dotted(node.func)
-        if name in _WALL_CLOCK_CALLS:
-            self.report(
-                node,
-                f"wall-clock call {name}() in fault-schedule code: fault "
-                "timing must come from the plan and Simulator.now only",
-            )
-        elif name is not None and name.startswith("random."):
-            # Stricter than DET002: even a *seeded* random.Random is banned
-            # here. Fault code owning its own RNG forks the random stream,
-            # so the injected schedule stops being pinned by the scenario
-            # seed alone.
-            self.report(
-                node,
-                f"{name}() in fault-schedule code: channel models and fault "
-                "plans must draw exclusively from the Simulator.rng handed "
-                "to them, never construct or call their own RNG",
-            )
-        self.generic_visit(node)
-
-
-class FaultScheduleRule(Rule):
-    id = "FAULT001"
-    title = "no wall-clock or random.* calls (even seeded) under faults/"
-    rationale = (
-        "The fault subsystem's contract is byte-identical schedules for a "
-        "given seed, tracing on or off. That only holds if fault code is a "
-        "pure function of the plan, Simulator.now and the Simulator.rng it "
-        "is passed — any private clock or RNG (seeded or not) breaks the "
-        "reproduction of a failure run."
-    )
-    visitor_class = _FaultScheduleVisitor
-
-    def applies_to(self, path: Path) -> bool:
-        return "faults" in path.parts
-
-
-# ---------------------------------------------------------------------------
-# OBS001 — observability code must not perturb or fork determinism sources
-# ---------------------------------------------------------------------------
-
-
-class _MetricsPurityVisitor(RuleVisitor):
-    def visit_Call(self, node: ast.Call) -> None:
-        name = self.ctx.resolve_dotted(node.func)
-        if name in _WALL_CLOCK_CALLS:
-            self.report(
-                node,
-                f"wall-clock call {name}() in observability code: scrape and "
-                "drill timing must derive from sim time only, or the observer "
-                "changes what it observes; wall-time belongs in "
-                "metrics/profiler.py",
-            )
-        elif name is not None and name.startswith("random."):
-            # Stricter than DET002: even a *seeded* random.Random is banned.
-            # Observability code drawing randomness (sampling, jitter) would
-            # fork the random stream, so enabling it would change the run it
-            # is supposed to passively observe.
-            self.report(
-                node,
-                f"{name}() in observability code: instruments, scrapers and "
-                "handover drills must be pure readers — no sampling jitter, "
-                "no private RNG — so observing cannot perturb the run",
-            )
-        self.generic_visit(node)
-
-
-class MetricsPurityRule(Rule):
-    id = "OBS001"
-    title = "no wall-clock or random.* calls under metrics/ or handover/ (profiler exempt)"
-    rationale = (
-        "The observability layers' contract is zero observer effect: "
-        "same-seed runs are byte-identical with scraping on or off, and the "
-        "§5k handover drills must fingerprint identically across fresh "
-        "interpreters. That only holds if metrics and handover-harness code "
-        "is a pure function of registry/trace state and Simulator.now — any "
-        "wall-clock read or RNG (seeded or not) couples output to the host. "
-        "(The policy's own retry jitter draws a *private* integer-seeded "
-        "RNG in repro.core.connection, outside this scope by design.) The "
-        "one sanctioned exception is metrics/profiler.py, whose entire "
-        "purpose is wall-time measurement."
-    )
-    visitor_class = _MetricsPurityVisitor
-
-    def applies_to(self, path: Path) -> bool:
-        parts = path.parts
-        if "metrics" not in parts and "handover" not in parts:
-            return False
-        return not (len(parts) >= 2 and parts[-2:] == ("metrics", "profiler.py"))
-
-
-# ---------------------------------------------------------------------------
 # OVR001 — unbounded queues in overload-sensitive subsystems
 # ---------------------------------------------------------------------------
 
@@ -679,9 +682,8 @@ class UnboundedQueueRule(Rule):
 # ---------------------------------------------------------------------------
 
 #: Modules the SHARD family certifies. Everything the sharded kernel will
-#: fork into worker processes lives here — including repro.handover, whose
-#: drills replay inside workers; lint/, trace/, experiments/, faults/,
-#: overload/ and the other harnesses stay host-side.
+#: fork into worker processes lives here; lint/, trace/, experiments/,
+#: faults/, overload/ and the other harnesses stay host-side.
 _SHARD_SCOPE_PREFIXES = (
     "repro.netsim.",
     "repro.core.",
@@ -689,7 +691,6 @@ _SHARD_SCOPE_PREFIXES = (
     "repro.routing.",
     "repro.slp.",
     "repro.rtp.",
-    "repro.handover.",
 )
 _SHARD_SCOPE_MODULES = frozenset(
     {
@@ -700,7 +701,6 @@ _SHARD_SCOPE_MODULES = frozenset(
         "repro.routing",
         "repro.slp",
         "repro.rtp",
-        "repro.handover",
     }
 )
 
@@ -907,15 +907,15 @@ class GlobalRandomIndirectionRule(ProgramRule):
 # ---------------------------------------------------------------------------
 
 ALL_RULES: tuple[Rule, ...] = (
-    WallClockRule(),
+    ScopedBanRule(SCOPED_BANS["DET001"]),
     GlobalRandomRule(),
     GlobalRandomIndirectionRule(),
     SetIterationRule(),
     CacheStateRule(),
     PositionWriteRule(),
     TimeEqualityRule(),
-    FaultScheduleRule(),
-    MetricsPurityRule(),
+    ScopedBanRule(SCOPED_BANS["FAULT001"]),
+    ScopedBanRule(SCOPED_BANS["OBS001"]),
     UnboundedQueueRule(),
     ShardGlobalStateRule(),
     ShardClosureEscapeRule(),

@@ -42,6 +42,7 @@ EXPECTED = {
     "metrics/profiler.py": [],
     "handover/obs001_bad.py": ["DET001", "DET002", "OBS001", "OBS001", "OBS001"],
     "handover/obs001_ok.py": [],
+    "experiments/handover.py": ["DET001", "DET002", "OBS001", "OBS001", "OBS001"],
     "obs001_unscoped.py": [],
     "netsim/ovr001_bad.py": ["OVR001"] * 5,
     "netsim/ovr001_ok.py": [],
