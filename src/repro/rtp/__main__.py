@@ -4,100 +4,15 @@ Subcommands:
 
 * ``sweep`` — print the M1 media-stack sweep (codec × RFC 2198 depth ×
   playout policy under Gilbert–Elliott fading)
-* ``smoke`` — the ``tools/check.sh`` gate for the media plane:
 
-  1. MOS recovery: at the M1 contrast point the fixed-buffer /
-     no-redundancy stack scores below 3.6 while RFC 2198 redundancy plus
-     the adaptive jitter buffer recovers MOS >= 3.6 — asserted inside a
-     fresh interpreter, twice, and both reports must be byte-identical.
-  2. Defaults-off identity: an E5-style scalability schedule fingerprint
-     (kernel events processed + canonical stats + call outcomes) is
-     byte-identical between a config that never mentions the media knobs
-     and one that sets every knob to its documented "off" value — the
-     media plane must be invisible until switched on.
+The sweep's contrast point (fixed/no-RED against adaptive + RED 2) and
+the media-knobs-off E5 schedule are the ``media_contrast`` and
+``media_knobs_off`` gates in :mod:`repro.experiments.gates`.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import subprocess
-import sys
-
-#: "Users satisfied" threshold on the E-model MOS scale (ITU-T G.107).
-MOS_SATISFIED = 3.6
-
-#: Fresh-interpreter contrast report. Protocol identifiers (Call-ID, Via
-#: branch, packet uid) come from process-global counters, so — like the
-#: overload and faults smokes — byte-identity is between fresh
-#: interpreters, not reruns inside one process.
-_CONTRAST_SCRIPT = """
-import sys
-from repro.experiments.media import run_media_point
-
-for label, policy, red in (("baseline", "fixed", 0), ("full", "adaptive", 2)):
-    quality, fade = run_media_point(
-        codec="PCMU", policy=policy, redundancy=red,
-        mean_good=1.2, mean_bad=0.05, talk_time=8.0,
-    )
-    if quality is None:
-        sys.stdout.write(f"{label} not-established\\n")
-        continue
-    sys.stdout.write(
-        f"{label} mos={quality.mos:.4f} eff={quality.effective_loss_ratio:.4f} "
-        f"m2e={quality.mouth_to_ear_delay:.4f} recovered={quality.packets_recovered}\\n"
-    )
-"""
-
-#: E5-style schedule fingerprint, parameterized by whether the media knobs
-#: are omitted (defaults) or explicitly set to their "off" values.
-_E5_FINGERPRINT_SCRIPT = """
-import sys
-from repro.scenarios import ManetConfig, ManetScenario
-
-kwargs = dict(
-    n_nodes=10, topology="grid", routing="aodv", seed=1,
-    spacing=90.0, tx_range=140.0,
-)
-if sys.argv[1] == "explicit":
-    kwargs.update(media_jitter_policy="fixed", media_redundancy=0, media_vad=False)
-scenario = ManetScenario(ManetConfig(**kwargs))
-scenario.start()
-scenario.add_phone(0, "alice")
-scenario.add_phone(9, "bob")
-scenario.converge()
-for _ in range(3):
-    scenario.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=4.0)
-for record in scenario.call_records():
-    quality = record.quality
-    line = "call none" if quality is None else (
-        f"call mos={quality.mos:.6f} played={quality.packets_played}"
-        f"/{quality.packets_expected}"
-    )
-    sys.stdout.write(line + "\\n")
-sys.stdout.write(f"events_processed={scenario.sim.events_processed}\\n")
-for name in sorted(scenario.stats.counters):
-    sys.stdout.write(f"{name}={scenario.stats.counters[name]}\\n")
-scenario.stop()
-"""
-
-
-def _fresh_process(script: str, *argv: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ),
-    )
-    return result.stdout
-
-
-def _parse_mos(report: str, label: str) -> float | None:
-    for line in report.splitlines():
-        if line.startswith(f"{label} mos="):
-            return float(line.split("mos=", 1)[1].split()[0])
-    return None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -107,58 +22,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         codecs=tuple(args.codecs), talk_time=args.talk_time, seed=args.seed
     )
     print(table.format())
-    return 0
-
-
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    """Media gate: MOS recovery holds and schedules are reproducible."""
-    failures: list[str] = []
-
-    try:
-        contrast_a = _fresh_process(_CONTRAST_SCRIPT)
-        contrast_b = _fresh_process(_CONTRAST_SCRIPT)
-    except subprocess.CalledProcessError as exc:
-        print(f"FAIL: fresh-process media sweep crashed: {exc.stderr[-300:]}", file=sys.stderr)
-        return 1
-    if contrast_a != contrast_b:
-        failures.append("same-seed fresh-process media reports differ")
-    baseline = _parse_mos(contrast_a, "baseline")
-    full = _parse_mos(contrast_a, "full")
-    if baseline is None or full is None:
-        failures.append(f"contrast calls did not establish:\n{contrast_a}")
-    else:
-        if baseline >= MOS_SATISFIED:
-            failures.append(
-                f"fixed/no-RED baseline unexpectedly satisfied: MOS {baseline:.2f}"
-            )
-        if full < MOS_SATISFIED:
-            failures.append(
-                f"RFC 2198 + adaptive playout did not recover: MOS {full:.2f}"
-            )
-
-    try:
-        defaults = _fresh_process(_E5_FINGERPRINT_SCRIPT, "defaults")
-        explicit = _fresh_process(_E5_FINGERPRINT_SCRIPT, "explicit")
-    except subprocess.CalledProcessError as exc:
-        failures.append(f"E5 fingerprint run crashed: {exc.stderr[-300:]}")
-    else:
-        if not defaults.strip():
-            failures.append("E5 fingerprint run produced no output")
-        if defaults != explicit:
-            failures.append(
-                "media defaults are not inert: explicit-off E5 schedule differs"
-            )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    assert baseline is not None and full is not None
-    print(
-        f"media smoke ok: baseline MOS {baseline:.2f} < {MOS_SATISFIED} <= "
-        f"{full:.2f} with RFC 2198 + adaptive playout; defaults-off E5 "
-        f"schedule byte-identical"
-    )
     return 0
 
 
@@ -173,9 +36,6 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--talk-time", type=float, default=12.0)
     sweep.add_argument("--seed", type=int, default=3)
     sweep.set_defaults(fn=_cmd_sweep)
-
-    smoke = sub.add_parser("smoke", help="media-plane gate for tools/check.sh")
-    smoke.set_defaults(fn=_cmd_smoke)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -135,6 +135,11 @@ class TestCli:
         assert main(["prom", export_path, "--index", "0"]) == 0
         assert "repro_queue_depth 1.0" in capsys.readouterr().out
 
+    def test_prom_index_out_of_range_exits_with_error(self, export_path, capsys):
+        with pytest.raises(SystemExit, match="--index 999 is out of range"):
+            main(["prom", export_path, "--index", "999"])
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["table", str(tmp_path / "absent.jsonl")])

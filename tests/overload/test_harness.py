@@ -2,7 +2,9 @@
 
 import math
 
-from repro.overload.__main__ import build_parser
+import pytest
+
+from repro.overload.__main__ import build_parser, main
 from repro.overload.harness import (
     MODE_CONTROLLED,
     MODE_UNCONTROLLED,
@@ -166,3 +168,10 @@ class TestCli:
     def test_parser_accepts_smoke(self):
         args = build_parser().parse_args(["smoke"])
         assert args.fn is not None
+
+    @pytest.mark.parametrize("load", ["0", "-1"])
+    def test_sweep_rejects_non_positive_load(self, load, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--loads", "1", load])
+        assert excinfo.value.code == 2
+        assert "offered load must be a positive rate" in capsys.readouterr().err

@@ -7,25 +7,14 @@ draws — the Stats output stays bit-identical to an untraced run).
 
 Protocol identifiers (Call-ID, Via branch, packet uid) are allocated from
 process-global counters, so the byte-identity contract is between *runs of
-the same program*: the comparison below launches two fresh interpreters.
+the same program*: the ``traced_chain_call`` gate pins this workload's
+export across fresh interpreters (``tests/netsim/test_golden.py``), and
+in-process reruns match once ``registry.reset_all()`` restarts the counters.
 """
 
-import os
-import subprocess
-import sys
-
+from repro.experiments.gates import traced_chain_call
+from repro.globalstate import registry
 from repro.scenarios import build_chain_call_scenario
-
-_RUN_SCRIPT = """
-from repro.scenarios import build_chain_call_scenario
-scenario = build_chain_call_scenario(hops=2, routing="aodv", seed=11, tracing=True)
-scenario.converge()
-record = scenario.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=2.0)
-assert record.established
-scenario.stop()
-import sys
-sys.stdout.write(scenario.trace.export_jsonl())
-"""
 
 
 def run_traced_call(tracing: bool = True):
@@ -37,20 +26,14 @@ def run_traced_call(tracing: bool = True):
     return scenario
 
 
-def _export_in_fresh_process() -> str:
-    result = subprocess.run(
-        [sys.executable, "-c", _RUN_SCRIPT],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=dict(os.environ),
-    )
-    return result.stdout
+def _export_after_reset() -> str:
+    registry.reset_all()
+    return traced_chain_call()
 
 
 def test_same_seed_exports_byte_identical_jsonl():
-    first = _export_in_fresh_process()
-    second = _export_in_fresh_process()
+    first = _export_after_reset()
+    second = _export_after_reset()
     assert first  # the trace is non-trivial...
     assert first == second  # ...and reproduced byte for byte
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Repo gate: determinism lint, style lint, test suite, end-to-end benchmark
-# smoke — in order, failing fast.
+# smoke — in order, failing fast. The seeded gate workloads
+# (src/repro/experiments/gates.py) run inside the test suite, each once in a
+# fresh interpreter, against the digests in tests/netsim/golden.json.
 #
 # Usage: tools/check.sh
 #
@@ -21,24 +23,6 @@ sarif_tmp=$(mktemp)
 python -m repro.lint --format sarif src/ > "$sarif_tmp" || true
 python tools/validate_sarif.py "$sarif_tmp"
 rm -f "$sarif_tmp"
-
-echo "== repro.trace smoke (traced scenario, JSONL schema) =="
-python -m repro.trace smoke
-
-echo "== repro.faults smoke (chaos recovery + deterministic schedules) =="
-python -m repro.faults smoke
-
-echo "== repro.overload smoke (graceful shedding + byte-identical reruns) =="
-python -m repro.overload smoke
-
-echo "== repro.metrics smoke (byte-identical exports + no observer effect) =="
-python -m repro.metrics smoke
-
-echo "== repro.rtp smoke (MOS recovery contrast + inert media defaults) =="
-python -m repro.rtp smoke
-
-echo "== repro.handover smoke (mid-call survival + byte-identical reruns) =="
-python -m repro.handover smoke
 
 echo "== ruff check =="
 if command -v ruff >/dev/null 2>&1; then
