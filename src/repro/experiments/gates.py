@@ -219,6 +219,7 @@ def chaos_run() -> str:
 
 
 def check_chaos_run(text: str) -> list[str]:
+    """The run used the default plan and its valid trace shows every planned fault."""
     schedule, _, jsonl = text.partition(_CHAOS_SEPARATOR)
     failures = _trace_failures(jsonl)
     if failures:

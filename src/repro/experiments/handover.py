@@ -139,9 +139,7 @@ def run_handover_trial(
         attempted=stats.get("handover.attempted", 0),
         succeeded=stats.get("handover.succeeded", 0),
         abandoned=stats.get("handover.abandoned", 0),
-        ssrc_stable=session is not None
-        and ssrc_before is not None
-        and session.ssrc == ssrc_before,
+        ssrc_stable=session is not None and session.ssrc == ssrc_before,
         latencies_ms=[
             e.detail["latency_ms"] for e in events if e.kind == "handover.complete"
         ],
