@@ -202,3 +202,68 @@ def test_cancelled_timer_churn_heap(benchmark):
     assert sim.pending_events == 1
     assert sim.queue_size <= Simulator.COMPACT_MIN
     assert 0 < sim.compactions <= 1_000_000 // Simulator.COMPACT_MIN + 1
+
+
+# -- the per-packet voice path ------------------------------------------------
+#
+# Every 20 ms voice frame of every call pays these: the RFC 2198 codec at both
+# ends, and one send/relay/receive pass per wireless hop.
+
+from repro.netsim import StaticRouter, place_chain
+from repro.rtp import G711, decode_red, encode_red, make_voice_payload
+
+_FRAME = make_voice_payload(G711.frame_bytes, 0.0)
+#: Depth-2 redundancy: two secondaries (40 and 20 ms old), then the primary.
+_RED_BLOCKS = [
+    (G711.payload_type, 2 * G711.timestamp_increment, _FRAME),
+    (G711.payload_type, G711.timestamp_increment, _FRAME),
+    (G711.payload_type, 0, _FRAME),
+]
+
+
+def _red_round_trip(blocks):
+    return decode_red(encode_red(blocks))
+
+
+def test_red_codec_throughput(benchmark):
+    """One depth-2 G.711 RED payload, encoded by the sender, decoded by the receiver."""
+    assert benchmark(_red_round_trip, _RED_BLOCKS) == _RED_BLOCKS
+
+
+_HOP_FRAMES = 200
+
+
+def _build_static_chain(n_nodes=3, seed=5):
+    sim = Simulator(seed=seed)
+    medium = WirelessMedium(sim, tx_range=150.0)
+    nodes = [Node(sim, index, manet_ip(index)) for index in range(n_nodes)]
+    for node in nodes:
+        node.join_medium(medium)
+    place_chain(nodes, 100.0)
+    for index, node in enumerate(nodes):
+        router = StaticRouter(node)
+        node.set_router(router)
+        for other_index, other in enumerate(nodes):
+            if other_index != index:
+                step = 1 if other_index > index else -1
+                router.add_route(other.ip, nodes[index + step].ip)
+    received = []
+    nodes[-1].bind(16384, lambda data, src, sport: received.append(data))
+    return sim, nodes, received
+
+
+def _send_frames(sim, nodes):
+    """``_HOP_FRAMES`` RTP-sized datagrams end to end: send, relay, receive."""
+    source, sink = nodes[0], nodes[-1]
+    data = bytes(12) + _FRAME
+    for _ in range(_HOP_FRAMES):
+        source.send_udp(sink.ip, 16384, 16384, data)
+    sim.run(sim.now + 1.0)
+
+
+def test_unicast_hop_throughput(benchmark):
+    """Voice frames over a static 3-node chain, one relay hop in the middle."""
+    sim, nodes, received = _build_static_chain()
+    benchmark(_send_frames, sim, nodes)
+    assert len(received) >= _HOP_FRAMES
+    assert len(received) % _HOP_FRAMES == 0  # a clean channel loses nothing

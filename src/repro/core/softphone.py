@@ -30,7 +30,7 @@ from repro.rtp.codecs import (
 )
 from repro.rtp.jitter import JitterPolicy
 from repro.rtp.quality import CallQuality
-from repro.rtp.session import RtpSession
+from repro.rtp.session import RtpSession, check_redundancy
 from repro.sip.pidf import AVAILABLE, OFFLINE, ON_THE_PHONE, PresenceStatus
 from repro.sip.sdp import SessionDescription
 from repro.sip.ua import Call, CallState, IncomingCall, OutgoingCall, Subscription, UserAgent
@@ -144,6 +144,8 @@ class SoftPhone:
         retry_on_503: bool = False,
         max_call_attempts: int = 3,
     ) -> None:
+        # Fail at construction, not mid-call inside the event loop.
+        check_redundancy(redundancy, codec)
         self.node = node
         self.sim = node.sim
         self.account = account

@@ -54,10 +54,16 @@ class NetfilterHooks:
     A hook receives the packet and returns ``(verdict, packet)``; returning a
     different packet object rewrites the traffic. Hooks run in registration
     order; a DROP verdict short-circuits the chain.
+
+    ``input_ports`` and ``output_ports`` index which destination ports some
+    hook of each chain watches; the node skips :meth:`run` for any other
+    port, so traffic no hook matches never enters the chain.
     """
 
     def __init__(self) -> None:
         self._hooks: list[_Hook] = []
+        self.input_ports: frozenset[int] = frozenset()
+        self.output_ports: frozenset[int] = frozenset()
 
     def register(
         self,
@@ -68,10 +74,21 @@ class NetfilterHooks:
     ) -> _Hook:
         hook = _Hook(chain=chain, ports=frozenset(ports), fn=fn, name=name)
         self._hooks.append(hook)
+        self._reindex()
         return hook
 
     def unregister(self, hook: _Hook) -> None:
         self._hooks.remove(hook)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        def watched(chain: Chain) -> frozenset[int]:
+            return frozenset(
+                port for hook in self._hooks if hook.chain is chain for port in hook.ports
+            )
+
+        self.input_ports = watched(Chain.INPUT)
+        self.output_ports = watched(Chain.OUTPUT)
 
     def run(self, chain: Chain, packet: Packet) -> Packet | None:
         """Run ``packet`` through ``chain``; None means the packet was dropped."""

@@ -214,9 +214,9 @@ class WirelessMedium:
     def partition(self, name: str, group_a: frozenset[str], group_b: frozenset[str]) -> None:
         """Block every link crossing between ``group_a`` and ``group_b``.
 
-        Partitioned links behave exactly like out-of-range ones: unicasts
-        fail after the full MAC retry sequence (triggering link-failure
-        feedback), broadcasts simply do not arrive.
+        Partitioned links behave exactly like out-of-range ones: a unicast
+        fails after a single attempt and one frame's airtime (then triggers
+        link-failure feedback), broadcasts simply do not arrive.
         """
         self._partitions[name] = (frozenset(group_a), frozenset(group_b))
 
@@ -261,12 +261,6 @@ class WirelessMedium:
         """
         return self._tx_time(packet)
 
-    def _lost(self, sender_ip: str, receiver_ip: str) -> bool:
-        """One loss draw for one transmission attempt on a directed link."""
-        if self.channel is not None:
-            return self.channel.should_drop(sender_ip, receiver_ip, self.sim.rng)
-        return self.loss_rate > 0 and self.sim.rng.random() < self.loss_rate
-
     def broadcast(self, sender: "Node", packet: Packet) -> None:
         """Transmit one link-layer broadcast frame from ``sender``.
 
@@ -305,7 +299,6 @@ class WirelessMedium:
         loss_rate = self.loss_rate
         rng = self.sim.rng
         rng_random = rng.random
-        rng_uniform = rng.uniform
         jitter = self.jitter
         cb_args = (packet, sender_ip)
         for neighbor in self.neighbors(sender):
@@ -335,7 +328,9 @@ class WirelessMedium:
                 continue
             if energy is not None:
                 energy.on_receive_broadcast(neighbor, packet)
-            append((tx_time + rng_uniform(0, jitter), neighbor.receive_wireless, cb_args))
+            # jitter * random() is uniform(0, jitter) bit for bit: CPython
+            # computes that as 0 + (jitter - 0) * random().
+            append((tx_time + jitter * rng_random(), neighbor.receive_wireless, cb_args))
         if deliveries:
             self.sim.schedule_batch(deliveries)
         if self._sniffers:
@@ -358,17 +353,25 @@ class WirelessMedium:
     ) -> None:
         """Transmit a unicast frame to a specific link-layer neighbor.
 
-        The frame is retried up to ``mac_retries`` times on loss; if the
-        neighbor is out of range or every attempt is lost, the optional
-        ``on_link_failure(next_hop_ip, packet)`` callback fires (the 802.11
+        Only a reachable neighbor gets MAC retries: each lost attempt on a
+        lossy link is retried, up to ``mac_retries`` times. An unreachable
+        one (out of range, partitioned, crashed or with its radio down)
+        sends no MAC ACK and the frame fails after one attempt and one
+        airtime. Either failure fires the optional
+        ``on_link_failure(next_hop_ip, packet)`` callback (the 802.11
         TX-failure feedback that reactive routing protocols rely on).
+
+        The receiver lookup, reachability and range tests and the loss draws
+        run inline: this is the per-hop cost of every forwarded frame.
         """
+        sim = self.sim
+        sender_ip = sender.ip
         self.stats.record_transmission(packet.dport, packet.size)
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         if tracer is not None:
             tracer.emit(
                 "packet.tx",
-                sender.ip,
+                sender_ip,
                 uid=packet.uid,
                 dst=packet.dst,
                 dport=packet.dport,
@@ -377,40 +380,46 @@ class WirelessMedium:
                 next_hop=next_hop_ip,
             )
         receiver = self._by_ip.get(next_hop_ip)
-        blocked = self._partitions and self.link_blocked(sender.ip, next_hop_ip)
-        # A crashed node (or one with its radio administratively down) has
-        # no radio: it sends no MAC ACK, so the sender's retries exhaust
-        # exactly as for an out-of-range neighbor.
-        reachable = (
-            receiver is not None
-            and receiver.up
-            and receiver.interface_up("wireless")
-            and not blocked
-            and self.in_range(sender, receiver)
-        )
+        blocked = bool(self._partitions) and self.link_blocked(sender_ip, next_hop_ip)
+        reachable = False
+        if receiver is not None and receiver.up and not blocked:
+            wireless = receiver.wireless
+            if wireless is None or wireless.up:
+                ax, ay = sender.position
+                bx, by = receiver.position
+                reachable = math.hypot(ax - bx, ay - by) <= self.tx_range
         delivered = False
         attempts = 1
         if reachable:
+            rng = sim.rng
+            channel = self.channel
+            loss_rate = self.loss_rate
             for attempt in range(self.mac_retries + 1):
                 attempts = attempt + 1
-                if not self._lost(sender.ip, next_hop_ip):
+                if channel is not None:
+                    lost = channel.should_drop(sender_ip, next_hop_ip, rng)
+                else:
+                    lost = loss_rate > 0 and rng.random() < loss_rate
+                if not lost:
                     delivered = True
                     break
-        if self.energy is not None:
-            self.energy.on_send(sender, packet, attempts=attempts)
+        tx_time = self._tx_time(packet)
+        energy = self.energy
+        if energy is not None:
+            energy.on_send(sender, packet, attempts=attempts)
             # One cached neighbor-list lookup covers receiver and bystanders.
             for neighbor in self.neighbors(sender):
                 if neighbor is receiver:
                     if delivered:
-                        self.energy.on_receive(neighbor, packet)
+                        energy.on_receive(neighbor, packet)
                 else:
                     # Promiscuous overhear-and-discard cost for bystanders.
-                    self.energy.on_discard(neighbor, packet)
+                    energy.on_discard(neighbor, packet)
         if self._sniffers:
             self._notify_sniffers(
                 CapturedFrame(
-                    time=self.sim.now,
-                    sender_ip=sender.ip,
+                    time=sim.now,
+                    sender_ip=sender_ip,
                     receiver_ip=next_hop_ip,
                     packet=packet,
                     delivered=delivered,
@@ -427,17 +436,17 @@ class WirelessMedium:
                     cause = "retries_exhausted"
                 tracer.emit(
                     "packet.drop",
-                    sender.ip,
+                    sender_ip,
                     uid=packet.uid,
                     cause=cause,
                     peer=next_hop_ip,
                     attempts=attempts,
                 )
             if on_link_failure is not None:
-                # Failure is detected after the full retry sequence.
-                delay = attempts * self._tx_time(packet)
-                self.sim.schedule(delay, on_link_failure, next_hop_ip, packet)
+                # Failure is detected after the last attempt's airtime.
+                sim.schedule(attempts * tx_time, on_link_failure, next_hop_ip, packet)
             return
-        delay = attempts * self._tx_time(packet) + self.sim.rng.uniform(0, self.jitter)
+        # jitter * random() is uniform(0, jitter) bit for bit (see broadcast).
+        delay = attempts * tx_time + self.jitter * sim.rng.random()
         assert receiver is not None
-        self.sim.schedule(delay, receiver.receive_wireless, packet, sender.ip)
+        sim.schedule(delay, receiver.receive_wireless, packet, sender_ip)

@@ -255,6 +255,9 @@ class Node:
         self.hostname = hostname or (f"node-{node_id}")
         self.medium: "WirelessMedium | None" = None
         self.interfaces: dict[str, Interface] = {}
+        # The "wireless" entry of ``interfaces``, read on every radio send
+        # and receive; None on hosts without one.
+        self.wireless: Interface | None = None
         if self.ip:
             self.add_interface("wireless")
         # Observers of administrative interface flaps: ``fn(name, up)``.
@@ -296,6 +299,8 @@ class Node:
         if interface is None:
             interface = Interface(name)
             self.interfaces[name] = interface
+            if name == "wireless":
+                self.wireless = interface
         return interface
 
     def interface_up(self, name: str) -> bool:
@@ -333,7 +338,7 @@ class Node:
     @property
     def tx_queue(self) -> InterfaceTxQueue | None:
         """The wireless interface's bounded TX queue (§5f), if configured."""
-        interface = self.interfaces.get("wireless")
+        interface = self.wireless
         return interface.tx_queue if interface is not None else None
 
     @tx_queue.setter
@@ -452,12 +457,14 @@ class Node:
         """Originate a UDP datagram from this node."""
         if not self.up:
             return
-        src = self._source_address()
-        packet = Packet(src=src, dst=dst_ip, payload=Datagram(sport, dport, data), ttl=ttl)
-        mangled = self.hooks.run(Chain.OUTPUT, packet)
-        if mangled is None:
-            return
-        self.route_packet(mangled)
+        packet = Packet(self._source_address(), dst_ip, Datagram(sport, dport, data), ttl)
+        hooks = self.hooks
+        if dport in hooks.output_ports:
+            mangled = hooks.run(Chain.OUTPUT, packet)
+            if mangled is None:
+                return
+            packet = mangled
+        self.route_packet(packet)
 
     def _source_address(self) -> str:
         """Preferred source address given current interface state.
@@ -466,7 +473,8 @@ class Node:
         is up; a multihomed node with its radio down sources from the
         wired address so replies come back over the surviving uplink.
         """
-        if self.ip and self.interface_up("wireless"):
+        wireless = self.wireless
+        if self.ip and (wireless is None or wireless.up):
             return self.ip
         if self.wired_ip and self.interface_up("wired"):
             return self.wired_ip
@@ -529,35 +537,41 @@ class Node:
         self, next_hop_ip: str | None, packet: Packet, on_link_failure=None
     ) -> None:
         """Every wireless send funnels through here (``None`` = broadcast)."""
-        if self.medium is None:
+        medium = self.medium
+        if medium is None:
             return
-        if not self.interface_up("wireless"):
-            self.stats.increment("iface.tx_down")
-            return
-        queue = self.tx_queue
-        if queue is None:
-            if next_hop_ip is None:
-                self.medium.broadcast(self, packet)
-            else:
-                self.medium.unicast(self, next_hop_ip, packet, on_link_failure)
-            return
-        queue.submit(next_hop_ip, packet, on_link_failure)
+        wireless = self.wireless
+        if wireless is not None:
+            if not wireless.up:
+                self.stats.increment("iface.tx_down")
+                return
+            if wireless.tx_queue is not None:
+                wireless.tx_queue.submit(next_hop_ip, packet, on_link_failure)
+                return
+        if next_hop_ip is None:
+            medium.broadcast(self, packet)
+        else:
+            medium.unicast(self, next_hop_ip, packet, on_link_failure)
 
     # -- receive paths -------------------------------------------------------------
     def receive_wireless(self, packet: Packet, from_ip: str) -> None:
         """Entry point for frames delivered by the wireless medium."""
-        if not self.up or not self.interface_up("wireless"):
+        wireless = self.wireless
+        if not self.up or (wireless is not None and not wireless.up):
             return
         if packet.dst == BROADCAST or self.is_local_address(packet.dst):
-            mangled = self.hooks.run(Chain.INPUT, packet)
-            if mangled is None:
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.emit(
-                        "packet.drop", self.ip, uid=packet.uid, cause="hook_drop",
-                    )
-                return
-            self._deliver(mangled, from_ip)
+            hooks = self.hooks
+            if packet.dport in hooks.input_ports:
+                mangled = hooks.run(Chain.INPUT, packet)
+                if mangled is None:
+                    tracer = self.sim.tracer
+                    if tracer is not None:
+                        tracer.emit(
+                            "packet.drop", self.ip, uid=packet.uid, cause="hook_drop",
+                        )
+                    return
+                packet = mangled
+            self._deliver(packet, from_ip)
             return
         # We were the link-layer next hop of a transit packet: forward it.
         tracer = self.sim.tracer
@@ -573,10 +587,13 @@ class Node:
         if not self.up or not self.interface_up("wired"):
             return
         if self.is_local_address(packet.dst):
-            mangled = self.hooks.run(Chain.INPUT, packet)
-            if mangled is None:
-                return
-            self._deliver(mangled)
+            hooks = self.hooks
+            if packet.dport in hooks.input_ports:
+                mangled = hooks.run(Chain.INPUT, packet)
+                if mangled is None:
+                    return
+                packet = mangled
+            self._deliver(packet)
             return
         self.route_packet(packet.forwarded())
 

@@ -9,9 +9,6 @@ that overhead measurements are honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 from repro.globalstate import registry
 
 BROADCAST = "255.255.255.255"
@@ -35,69 +32,73 @@ DEFAULT_TTL = 64
 _packet_ids = registry.counter("netsim.packet.uid", start=1)
 
 
-@dataclass
 class Datagram:
     """A UDP datagram: source/destination ports and raw payload bytes."""
 
-    sport: int
-    dport: int
-    data: bytes
+    __slots__ = ("sport", "dport", "data", "size")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.data, (bytes, bytearray)):
-            raise TypeError(f"datagram payload must be bytes, got {type(self.data)!r}")
-        self.data = bytes(self.data)
+    def __init__(self, sport: int, dport: int, data: bytes) -> None:
+        if not isinstance(data, (bytes, bytearray)):
+            raise TypeError(f"datagram payload must be bytes, got {type(data)!r}")
+        self.sport = sport
+        self.dport = dport
+        self.data = bytes(data)
+        self.size = len(self.data) + UDP_HEADER_BYTES
 
-    @cached_property
-    def size(self) -> int:
-        return len(self.data) + UDP_HEADER_BYTES
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Datagram):
+            return NotImplemented
+        return (self.sport, self.dport, self.data) == (other.sport, other.dport, other.data)
+
+    def __repr__(self) -> str:
+        return f"Datagram(sport={self.sport!r}, dport={self.dport!r}, data={self.data!r})"
 
 
-@dataclass
 class Packet:
     """An IPv4 packet carrying a UDP datagram.
 
     ``uid`` identifies the original packet across hops; forwarded copies keep
     the uid, which lets capture tooling correlate multihop transit.
+
+    ``size`` (on-air bytes, including MAC/IP/UDP framing) and the ports are
+    read once from the datagram at construction: payload bytes are
+    immutable, and hook mutation goes through :meth:`with_data`, which
+    builds a fresh packet.
     """
 
-    src: str
-    dst: str
-    payload: Datagram
-    ttl: int = DEFAULT_TTL
-    uid: int = field(default_factory=_packet_ids.next)
+    __slots__ = ("src", "dst", "payload", "ttl", "uid", "sport", "dport", "data", "size")
 
-    @cached_property
-    def size(self) -> int:
-        """On-air size in bytes, including MAC/IP/UDP framing.
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        payload: Datagram,
+        ttl: int = DEFAULT_TTL,
+        uid: int | None = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.ttl = ttl
+        self.uid = _packet_ids.next() if uid is None else uid
+        self.sport = payload.sport
+        self.dport = payload.dport
+        self.data = payload.data
+        self.size = len(payload.data) + FRAMING_BYTES
 
-        Cached: payload bytes are immutable, and hook mutation goes through
-        :meth:`with_data`, which builds a fresh packet (and a fresh cache).
-        """
-        return len(self.payload.data) + FRAMING_BYTES
-
-    @property
-    def sport(self) -> int:
-        return self.payload.sport
-
-    @property
-    def dport(self) -> int:
-        return self.payload.dport
-
-    @property
-    def data(self) -> bytes:
-        return self.payload.data
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Packet):
+            return NotImplemented
+        return (self.src, self.dst, self.payload, self.ttl, self.uid) == (
+            other.src, other.dst, other.payload, other.ttl, other.uid
+        )
 
     def is_broadcast(self) -> bool:
         return self.dst == BROADCAST
 
     def forwarded(self) -> "Packet":
         """Return the next-hop copy of this packet with TTL decremented."""
-        clone = Packet(self.src, self.dst, self.payload, self.ttl - 1, self.uid)
-        size = self.__dict__.get("size")
-        if size is not None:  # carry the size cache across hops (same payload)
-            clone.__dict__["size"] = size
-        return clone
+        return Packet(self.src, self.dst, self.payload, self.ttl - 1, self.uid)
 
     def with_data(self, data: bytes) -> "Packet":
         """Return a copy carrying different payload bytes (hook mutation)."""

@@ -113,12 +113,20 @@ class Stats:
         self.traffic: dict[str, TrafficCounter] = defaultdict(TrafficCounter)
         self.counters: dict[str, int] = defaultdict(int)
         self.samples: dict[str, SampleSeries] = defaultdict(SampleSeries)
+        # dport -> (its class counter, the total counter), filled on first use
+        # so a port's class is classified once, not per frame.
+        self._port_counters: dict[int, tuple[TrafficCounter, TrafficCounter]] = {}
 
     # -- traffic -----------------------------------------------------------
     def record_transmission(self, dport: int, size: int) -> None:
         """Account one on-air transmission of ``size`` bytes to port ``dport``."""
-        self.traffic[traffic_class_for_port(dport)].add(size)
-        self.traffic["total"].add(size)
+        counters = self._port_counters.get(dport)
+        if counters is None:
+            counters = (self.traffic[traffic_class_for_port(dport)], self.traffic["total"])
+            self._port_counters[dport] = counters
+        port_class, total = counters
+        port_class.add(size)
+        total.add(size)
 
     def traffic_bytes(self, traffic_class: str) -> int:
         return self.traffic[traffic_class].bytes

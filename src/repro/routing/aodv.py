@@ -108,21 +108,23 @@ class Aodv(RoutingProtocol):
 
     # -- IP-layer interface -------------------------------------------------------
     def dispatch(self, packet: Packet) -> None:
-        if not self.started:
+        if not self._started:
             return
-        route = self.table.lookup(packet.dst, self.sim.now)
-        if route is not None:
-            self._refresh(route)
+        # Usable-route lookup and active-route refresh, inlined: this runs
+        # once per hop of every data packet.
+        now = self.sim.now
+        route = self.table.get(packet.dst)
+        if route is not None and route.valid and now < route.expires_at:
+            refreshed = now + self.ACTIVE_ROUTE_TIMEOUT
+            if refreshed > route.expires_at:
+                route.expires_at = refreshed
             self.node.link_send(route.next_hop, packet, self._on_link_failure)
             return
         tracer = self.sim.tracer
-        if tracer is not None:
-            stale = self.table.get(packet.dst)
-            if stale is not None:
-                tracer.emit(
-                    "aodv.route_expired", self.node.ip, dest=packet.dst,
-                    valid=stale.valid,
-                )
+        if tracer is not None and route is not None:
+            tracer.emit(
+                "aodv.route_expired", self.node.ip, dest=packet.dst, valid=route.valid,
+            )
         self._buffer_packet(packet)
 
     def _buffer_packet(self, packet: Packet) -> None:
@@ -457,9 +459,6 @@ class Aodv(RoutingProtocol):
                 precursors=precursors,
             )
         )
-
-    def _refresh(self, route: Route) -> None:
-        route.expires_at = max(route.expires_at, self.sim.now + self.ACTIVE_ROUTE_TIMEOUT)
 
     # -- duplicate suppression -----------------------------------------------------------
     def _mark_seen(self, orig_ip: str, rreq_id: int) -> None:

@@ -154,11 +154,14 @@ class JitterBuffer:
     _last_playout_at: float | None = None
     _late_streak: int = 0
     _slack_streak: int = 0
+    # policy.adaptive, read once: classify() consults it on every arrival.
+    _adaptive: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.policy is None:
             self.policy = FixedPlayoutPolicy(self.playout_delay)
         self.playout_delay = self.policy.initial_delay()
+        self._adaptive = self.policy.adaptive
 
     # -- arrivals -----------------------------------------------------------
     def on_packet(
@@ -192,17 +195,18 @@ class JitterBuffer:
             return DUPLICATE
         policy = self.policy
         assert policy is not None
+        adaptive = self._adaptive
         resync = self._anchor_time is not None and (
             marker
             or (
-                policy.adaptive
+                adaptive
                 and self._late_streak >= policy.resync_after  # type: ignore[attr-defined]
             )
         )
         if self._anchor_time is None or resync:
             if resync:
                 self.stats.retargets += 1
-                if policy.adaptive:
+                if adaptive:
                     self.playout_delay = policy.target_delay(jitter)
             self._anchor_time = arrival_time
             self._anchor_ext = ext
@@ -217,7 +221,7 @@ class JitterBuffer:
         if arrival_time <= playout_at:
             self.stats.played += 1
             self._late_streak = 0
-            if policy.adaptive:
+            if adaptive:
                 self._maybe_shrink(ext, arrival_time, jitter)
             self._note_playout(playout_at)
             return PLAYED

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from repro.errors import CodecError
 
@@ -83,71 +84,69 @@ def extract_send_time(payload: bytes) -> float:
 # and runs to the end of the payload.
 
 _RED_MAX_TS_OFFSET = (1 << 14) - 1
-_RED_MAX_BLOCK_LEN = (1 << 10) - 1
+#: Largest block a secondary can carry: its length field is 10 bits.
+RED_MAX_BLOCK_BYTES = (1 << 10) - 1
+_RED_WORD = struct.Struct("!I")
 
 
-@dataclass(frozen=True)
-class RedBlock:
-    """One encoding inside an RFC 2198 payload (primary or secondary)."""
+class RedBlock(NamedTuple):
+    """One encoding inside an RFC 2198 payload (primary or secondary).
+
+    The codec reads blocks as plain ``(payload_type, timestamp_offset,
+    payload)`` triples, so senders may pass bare tuples.
+    """
 
     payload_type: int
     timestamp_offset: int  # RTP timestamp units behind the packet timestamp
     payload: bytes
 
 
-def encode_red(blocks: list[RedBlock]) -> bytes:
+def encode_red(blocks: Sequence[tuple[int, int, bytes]]) -> bytes:
     """Encode blocks (oldest secondary first, primary LAST) per RFC 2198."""
     if not blocks:
         raise CodecError("red payload needs at least a primary block")
-    parts = []
-    for block in blocks[:-1]:
-        if not 0 <= block.timestamp_offset <= _RED_MAX_TS_OFFSET:
-            raise CodecError(
-                f"red timestamp offset {block.timestamp_offset} exceeds 14 bits"
-            )
-        if len(block.payload) > _RED_MAX_BLOCK_LEN:
-            raise CodecError(f"red block of {len(block.payload)} bytes exceeds 10 bits")
-        word = (
-            (1 << 31)
-            | ((block.payload_type & 0x7F) << 24)
-            | (block.timestamp_offset << 10)
-            | len(block.payload)
-        )
-        parts.append(word.to_bytes(4, "big"))
-    primary = blocks[-1]
-    parts.append(bytes([primary.payload_type & 0x7F]))
-    parts.extend(block.payload for block in blocks)
-    return b"".join(parts)
+    headers = []
+    payloads = []
+    for payload_type, ts_offset, payload in blocks[:-1]:
+        if not 0 <= ts_offset <= _RED_MAX_TS_OFFSET:
+            raise CodecError(f"red timestamp offset {ts_offset} exceeds 14 bits")
+        length = len(payload)
+        if length > RED_MAX_BLOCK_BYTES:
+            raise CodecError(f"red block of {length} bytes exceeds 10 bits")
+        word = (1 << 31) | ((payload_type & 0x7F) << 24) | (ts_offset << 10) | length
+        headers.append(_RED_WORD.pack(word))
+        payloads.append(payload)
+    primary_type, _, primary = blocks[-1]
+    headers.append(bytes((primary_type & 0x7F,)))
+    payloads.append(primary)
+    return b"".join(headers) + b"".join(payloads)
 
 
 def decode_red(data: bytes) -> list[RedBlock]:
     """Decode an RFC 2198 payload into blocks; the primary is LAST."""
-    headers: list[tuple[int, int, int]] = []  # (payload_type, ts_offset, length)
+    secondaries: list[tuple[int, int, int]] = []  # (payload_type, ts_offset, length)
     offset = 0
+    size = len(data)
     while True:
-        if offset >= len(data):
+        if offset >= size:
             raise CodecError("red payload truncated in its block headers")
-        first = data[offset]
-        if not first & 0x80:  # F=0: the primary's 1-byte header
-            headers.append((first & 0x7F, 0, -1))
-            offset += 1
+        if not data[offset] & 0x80:  # F=0: the primary's 1-byte header
             break
-        if offset + 4 > len(data):
+        if offset + 4 > size:
             raise CodecError("red payload truncated in a secondary header")
-        word = int.from_bytes(data[offset : offset + 4], "big")
-        headers.append(((word >> 24) & 0x7F, (word >> 10) & 0x3FFF, word & 0x3FF))
+        (word,) = _RED_WORD.unpack_from(data, offset)
+        secondaries.append(((word >> 24) & 0x7F, (word >> 10) & 0x3FFF, word & 0x3FF))
         offset += 4
+    primary_type = data[offset] & 0x7F
+    offset += 1
     blocks: list[RedBlock] = []
-    for payload_type, ts_offset, length in headers:
-        if length < 0:  # primary: everything that remains
-            payload = data[offset:]
-            offset = len(data)
-        else:
-            if offset + length > len(data):
-                raise CodecError("red payload shorter than its block headers claim")
-            payload = data[offset : offset + length]
-            offset += length
-        blocks.append(RedBlock(payload_type, ts_offset, payload))
+    for payload_type, ts_offset, length in secondaries:
+        end = offset + length
+        if end > size:
+            raise CodecError("red payload shorter than its block headers claim")
+        blocks.append(RedBlock(payload_type, ts_offset, data[offset:end]))
+        offset = end
+    blocks.append(RedBlock(primary_type, 0, data[offset:]))
     return blocks
 
 

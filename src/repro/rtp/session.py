@@ -42,7 +42,7 @@ from repro.rtp.codecs import (
 from repro.rtp.jitter import DUPLICATE, JitterBuffer, JitterPolicy, _seq_delta
 from repro.rtp.packet import (
     DTMF_EVENTS,
-    RedBlock,
+    RED_MAX_BLOCK_BYTES,
     RtpPacket,
     decode_dtmf_payload,
     decode_red,
@@ -59,6 +59,23 @@ _ssrc_counter = registry.counter("rtp.session.ssrc", start=0x1000)
 
 #: Most secondary encodings one packet may carry (bandwidth sanity bound).
 MAX_REDUNDANCY = 4
+
+
+def check_redundancy(redundancy: int, codec: Codec) -> None:
+    """Reject an RFC 2198 depth the sender could not encode.
+
+    Raises :class:`ConfigError` for a depth outside ``0..MAX_REDUNDANCY``,
+    or for redundancy over a codec whose frames overflow a secondary
+    block's 10-bit length field (H.263's 1300-byte frames, for one).
+    """
+    if not 0 <= redundancy <= MAX_REDUNDANCY:
+        raise ConfigError(f"redundancy must be 0..{MAX_REDUNDANCY}, got {redundancy}")
+    if redundancy > 0 and codec.frame_bytes > RED_MAX_BLOCK_BYTES:
+        raise ConfigError(
+            f"{codec.name} frames of {codec.frame_bytes} bytes exceed the "
+            f"{RED_MAX_BLOCK_BYTES}-byte RFC 2198 block limit; use redundancy=0"
+        )
+
 
 #: Talk-spurt on/off model: exponential holding times, telephony-ish means.
 _TALK_SPURT_MEAN = 1.0
@@ -91,11 +108,12 @@ class RtpSession:
         redundancy: int = 0,
         vad: bool = False,
     ) -> None:
-        if not 0 <= redundancy <= MAX_REDUNDANCY:
-            raise ConfigError(f"redundancy must be 0..{MAX_REDUNDANCY}, got {redundancy}")
+        check_redundancy(redundancy, codec)
         self.node = node
         self.sim = node.sim
         self.codec = codec
+        # Read once: the codec is fixed for the session's life.
+        self._ts_increment = codec.timestamp_increment
         self.local_port = local_port
         self.remote = remote
         self.redundancy = redundancy
@@ -214,7 +232,7 @@ class RtpSession:
             )
         # The RTP timestamp tracks the sampling clock, so it advances every
         # frame interval even across suppressed (silent) frames.
-        self._timestamp = (self._timestamp + self.codec.timestamp_increment) & 0xFFFFFFFF
+        self._timestamp = (self._timestamp + self._ts_increment) & 0xFFFFFFFF
 
     def _update_spurt(self, now: float) -> None:
         if not self.vad:
@@ -239,20 +257,18 @@ class RtpSession:
         payload = make_voice_payload(self.codec.frame_bytes, now)
         marker = self._marker_pending
         self._marker_pending = False
+        payload_type = self.codec.payload_type
         if self.redundancy > 0:
+            timestamp = self._timestamp
             blocks = [
-                RedBlock(
-                    payload_type=self.codec.payload_type,
-                    timestamp_offset=(self._timestamp - past_ts) & 0xFFFFFFFF,
-                    payload=past_payload,
-                )
+                (payload_type, (timestamp - past_ts) & 0xFFFFFFFF, past_payload)
                 for past_ts, past_payload in self._red_history
             ]
-            blocks.append(RedBlock(self.codec.payload_type, 0, payload))
-            self._red_history.append((self._timestamp, payload))
+            blocks.append((payload_type, 0, payload))
+            self._red_history.append((timestamp, payload))
             self._transmit(RED_PAYLOAD_TYPE, encode_red(blocks), marker)
         else:
-            self._transmit(self.codec.payload_type, payload, marker)
+            self._transmit(payload_type, payload, marker)
 
     def _transmit(self, payload_type: int, payload: bytes, marker: bool) -> None:
         assert self.remote is not None
@@ -299,11 +315,11 @@ class RtpSession:
             self.node.stats.increment("rtp.bad_packets")
             return
         self._receive_voice(packet, blocks[-1].payload, now)
-        increment = self.codec.timestamp_increment
-        for block in blocks[:-1]:
-            if increment <= 0 or block.timestamp_offset <= 0:
+        increment = self._ts_increment
+        for _, ts_offset, _ in blocks[:-1]:
+            if increment <= 0 or ts_offset <= 0:
                 continue
-            steps = round(block.timestamp_offset / increment)
+            steps = round(ts_offset / increment)
             sequence = (packet.sequence - steps) & 0xFFFF
             if self.jitter_buffer.on_recovered(sequence, now):
                 self.node.stats.increment("rtp.recovered")

@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.netsim import Node, Simulator, Stats, WirelessMedium, manet_ip, place_chain
 from repro.rtp import (
     COMFORT_NOISE_PAYLOAD_TYPE,
+    H263,
     RED_PAYLOAD_TYPE,
     TELEPHONE_EVENT_PAYLOAD_TYPE,
 )
@@ -68,6 +69,22 @@ class TestRedNegotiation:
         assert quality is not None
         assert quality.packets_recovered == 0
         assert quality.mos > 4.0
+
+
+class TestMediaConfigValidated:
+    @pytest.mark.parametrize(
+        "phone_kwargs",
+        [{"redundancy": 99}, {"codec": H263, "redundancy": 1}],
+        ids=["depth_out_of_range", "frame_too_big_for_red"],
+    )
+    def test_bad_media_config_fails_at_construction(self, phone_kwargs):
+        """Regression: both configs used to build, then raise out of
+        ``sim.run`` once a call's media session started (the H.263 one at
+        its second frame, when the first RFC 2198 secondary was encoded)."""
+        sim, stats, stacks = build(n=1)
+        with pytest.raises(ConfigError):
+            stacks[0].add_phone(username="alice", **phone_kwargs)
+        assert stacks[0].phones == []
 
 
 class TestExtensionPayloads:

@@ -7,6 +7,7 @@ from repro.netsim import (
     BROADCAST,
     Chain,
     Datagram,
+    NetfilterHooks,
     Node,
     Packet,
     Simulator,
@@ -222,6 +223,54 @@ class TestNetfilterHooks:
         a.send_udp(b.ip, 4000, 5000, b"x")
         sim.run(1.0)
         assert got == [b"x12"]
+
+    def test_port_index_follows_register_and_unregister(self):
+        hooks = NetfilterHooks()
+
+        def accept(pkt):
+            return (Verdict.ACCEPT, pkt)
+
+        first = hooks.register(Chain.OUTPUT, {654, 698}, accept)
+        second = hooks.register(Chain.OUTPUT, {654}, accept)
+        inbound = hooks.register(Chain.INPUT, {427}, accept)
+        assert (hooks.output_ports, hooks.input_ports) == ({654, 698}, {427})
+        hooks.unregister(first)
+        assert hooks.output_ports == {654}  # still watched by the second hook
+        hooks.unregister(second)
+        hooks.unregister(inbound)
+        assert (hooks.output_ports, hooks.input_ports) == (set(), set())
+
+    def test_hook_registered_mid_traffic_sees_next_packet(self, sim, medium, chain3):
+        a, b, c = chain3
+        got, seen_out, seen_in = [], [], []
+        b.bind(5000, lambda data, src, sport: got.append(data))
+        a.send_udp(b.ip, 4000, 5000, b"before")
+        sim.run(1.0)
+
+        def tap(seen):
+            def hook(pkt):
+                seen.append(pkt.data)
+                return (Verdict.ACCEPT, pkt)
+
+            return hook
+
+        a.hooks.register(Chain.OUTPUT, {5000}, tap(seen_out))
+        b.hooks.register(Chain.INPUT, {5000}, tap(seen_in))
+        a.send_udp(b.ip, 4000, 5000, b"after")
+        sim.run(2.0)
+        assert got == [b"before", b"after"]
+        assert seen_out == seen_in == [b"after"]
+
+    def test_input_hook_drop(self, sim, medium, chain3):
+        a, b, c = chain3
+        b.hooks.register(Chain.INPUT, {5000}, lambda pkt: (Verdict.DROP, pkt))
+        got = []
+        b.bind(5000, lambda data, src, sport: got.append(data))
+        b.bind(5001, lambda data, src, sport: got.append(data))
+        a.send_udp(b.ip, 4000, 5000, b"dropped")
+        a.send_udp(b.ip, 4000, 5001, b"unwatched")
+        sim.run(1.0)
+        assert got == [b"unwatched"]
 
 
 class TestStaticRouter:

@@ -1,5 +1,7 @@
-"""Property-based invariants: simulator ordering, jitter buffer, E-model,
-route table, SLP predicates, tunnel codec."""
+"""Property-based invariants: simulator ordering, the medium's jitter draw,
+jitter buffer, E-model, route table, SLP predicates, tunnel codec."""
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +40,23 @@ class TestSimulatorOrdering:
             return values
 
         assert run(seed) == run(seed)
+
+
+class TestMediumJitterDraw:
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**64),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_scaled_random_is_uniform_bit_for_bit(self, seed, jitter):
+        """The medium draws delivery jitter as ``jitter * rng.random()``.
+        Same-seed digests rest on that being ``uniform(0, jitter)`` exactly,
+        value for value, across a run of draws."""
+        uniform, scaled = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            expected = uniform.uniform(0, jitter)
+            got = jitter * scaled.random()
+            assert got.hex() == expected.hex()
 
 
 class TestJitterBufferInvariants:

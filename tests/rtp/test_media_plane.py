@@ -8,6 +8,7 @@ from repro.errors import CodecError, ConfigError
 from repro.netsim import Node, Simulator, Stats, WirelessMedium, manet_ip
 from repro.rtp import (
     G711,
+    H263,
     RedBlock,
     RtpPacket,
     RtpSession,
@@ -30,16 +31,26 @@ def build_pair(sim, medium, **session_kwargs):
 
 class TestRedCodec:
     def test_round_trip_with_secondaries(self):
-        blocks = [
-            RedBlock(payload_type=0, timestamp_offset=320, payload=b"oldest"),
-            RedBlock(payload_type=0, timestamp_offset=160, payload=b"older"),
-            RedBlock(payload_type=0, timestamp_offset=0, payload=b"primary frame"),
+        cases = [
+            [
+                RedBlock(payload_type=0, timestamp_offset=320, payload=b"oldest"),
+                RedBlock(payload_type=0, timestamp_offset=160, payload=b"older"),
+                RedBlock(payload_type=0, timestamp_offset=0, payload=b"primary frame"),
+            ],
+            # The field limits: a 1023-byte secondary (10-bit length) at
+            # offset 16383 (14 bits), ahead of an empty primary.
+            [RedBlock(127, (1 << 14) - 1, b"s" * 1023), RedBlock(0, 0, b"")],
         ]
-        assert decode_red(encode_red(blocks)) == blocks
+        for blocks in cases:
+            assert decode_red(encode_red(blocks)) == blocks
+        # Senders may pass bare (payload_type, offset, payload) tuples.
+        plain = [(0, 160, b"older"), (0, 0, b"primary")]
+        assert decode_red(encode_red(plain)) == plain
 
     def test_primary_only_round_trip(self):
-        blocks = [RedBlock(payload_type=18, timestamp_offset=0, payload=b"x" * 20)]
-        assert decode_red(encode_red(blocks)) == blocks
+        for payload in (b"x" * 20, b""):
+            blocks = [RedBlock(payload_type=18, timestamp_offset=0, payload=payload)]
+            assert decode_red(encode_red(blocks)) == blocks
 
     def test_empty_block_list_rejected(self):
         with pytest.raises(CodecError):
@@ -106,6 +117,9 @@ class TestSessionRng:
         nodes = make_chain(sim, medium, 2, static_routes=True)
         with pytest.raises(ConfigError):
             RtpSession(nodes[0], 16384, redundancy=99)
+        # H.263's 1300-byte frames overflow a secondary's 10-bit length.
+        with pytest.raises(ConfigError):
+            RtpSession(nodes[0], 16386, codec=H263, redundancy=1)
 
 
 class TestDuplicateAccounting:
