@@ -7,7 +7,23 @@ parsers and codecs are the inner loops of every experiment above).
 import pytest
 
 from repro.netsim import Simulator
-from repro.routing import Rreq, decode_aodv, encode_aodv
+from repro.routing import (
+    LINK_MPR,
+    LINK_SYM,
+    OLSR_HELLO,
+    OLSR_SLP,
+    OLSR_TC,
+    HelloBody,
+    OlsrMessage,
+    Rreq,
+    TcBody,
+    decode_aodv,
+    decode_olsr_packet,
+    encode_aodv,
+    encode_hello_body,
+    encode_olsr_packet,
+    encode_tc_body,
+)
 from repro.rtp import RtpPacket, decode_rtp
 from repro.sip import CSeq, NameAddr, SipUri, Via, parse_message
 from repro.slp import SrvReg, UrlEntry, decode_slp, encode_slp
@@ -84,6 +100,27 @@ def test_aodv_codec_throughput(benchmark):
 def test_slp_codec_throughput(benchmark):
     decoded = benchmark(decode_slp.__wrapped__, encode_slp(_SRVREG))
     assert decoded == _SRVREG
+
+
+_OLSR_WIRE = encode_olsr_packet(7, (
+    OlsrMessage(msg_type=OLSR_HELLO, orig_ip="192.168.0.1", seq=1, ttl=1,
+                body=encode_hello_body(HelloBody(links={
+                    LINK_SYM: ["192.168.0.2", "192.168.0.8"], LINK_MPR: ["192.168.0.3"]}))),
+    OlsrMessage(msg_type=OLSR_TC, orig_ip="192.168.0.9", seq=2, vtime=15.0,
+                body=encode_tc_body(TcBody(ansn=3, neighbors=["192.168.0.1", "192.168.0.4"]))),
+    OlsrMessage(msg_type=OLSR_SLP, orig_ip="192.168.0.5", seq=3, vtime=60.0,
+                body=encode_slp(_SRVREG)),
+))
+
+
+def _olsr_round_trip(wire):
+    packet_seq, messages = decode_olsr_packet.__wrapped__(wire)
+    return encode_olsr_packet(packet_seq, messages)
+
+
+def test_olsr_codec_throughput(benchmark):
+    """A HELLO + TC + type-130 packet, decoded by a receiver and re-encoded to forward."""
+    assert benchmark(_olsr_round_trip, _OLSR_WIRE) == _OLSR_WIRE
 
 
 def test_aodv_decode_cache_hit_throughput(benchmark):
@@ -193,7 +230,7 @@ def test_cancelled_timer_churn_heap(benchmark):
 
     Before the ``COMPACT_MIN`` floor, the ``tombstones > live`` trigger
     re-fired on nearly every cancellation around a lone keepalive — an
-    O(N) sweep per cancel, the 0.5 ops/s pathology in BENCH_2026-08-06.
+    O(N) sweep per cancel, which ran this benchmark at 0.5 ops/s.
     With the floor each sweep retires ``COMPACT_MIN`` tombstones, so the
     sweep count is bounded by churn/COMPACT_MIN (amortized O(1)/cancel)
     and memory stays bounded.
@@ -267,3 +304,62 @@ def test_unicast_hop_throughput(benchmark):
     benchmark(_send_frames, sim, nodes)
     assert len(received) >= _HOP_FRAMES
     assert len(received) % _HOP_FRAMES == 0  # a clean channel loses nothing
+
+
+# -- the OLSR control plane ---------------------------------------------------
+#
+# Every node of an OLSR mesh receives its neighbours' HELLOs every 2 s and the
+# flooded TCs every 5 s, whether or not anyone is calling; the route table is
+# read on every forwarded packet.
+
+from repro.netsim import PacketCapture
+from repro.routing import Olsr
+
+_GRID_SIDE = 7
+
+
+def _converged_grid():
+    """The olsr_mesh grid (90 m spacing, 140 m range) after 20 s of OLSR."""
+    sim = Simulator(seed=1)
+    medium = WirelessMedium(sim, tx_range=140.0)
+    daemons = []
+    for index in range(_GRID_SIDE * _GRID_SIDE):
+        position = ((index % _GRID_SIDE) * 90.0, (index // _GRID_SIDE) * 90.0)
+        node = Node(sim, index, manet_ip(index), position=position)
+        node.join_medium(medium)
+        daemons.append(Olsr(node).start())
+    sim.run(20.0)
+    return medium, daemons
+
+
+def _latest_hello(medium, sender):
+    """The HELLO ``sender`` would send now, as its neighbours decode it."""
+    capture = PacketCapture(port_filter={Olsr.port})
+    medium.add_sniffer(capture.on_frame)
+    sender._send_hello()
+    _, (message,) = decode_olsr_packet(capture.frames[-1].packet.data)
+    return message
+
+
+def _hello_then_route(daemon, hello, neighbor_ip, destination):
+    daemon._process_hello(hello, neighbor_ip)
+    return daemon.route_to(destination)
+
+
+@pytest.mark.parametrize("case", ["unchanged_hello", "forced_rebuild"])
+def test_olsr_route_table_throughput(benchmark, case):
+    """A corner node of the converged 7x7 grid looks up the far corner.
+
+    ``unchanged_hello``: a neighbour's HELLO that changes no link state, then
+    ``route_to``, as on most receptions in a converged mesh.
+    ``forced_rebuild``: ``recompute_routes()``, the full graph build and BFS.
+    """
+    medium, daemons = _converged_grid()
+    corner, neighbor, far = daemons[0], daemons[1], daemons[-1].node.ip
+    if case == "unchanged_hello":
+        hello = _latest_hello(medium, neighbor)
+        route = benchmark(_hello_then_route, corner, hello, neighbor.node.ip, far)
+    else:
+        benchmark(corner.recompute_routes)
+        route = corner.route_to(far)
+    assert route.hop_count == _GRID_SIDE - 1  # diagonal steps (127 m) are in range

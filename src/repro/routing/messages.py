@@ -11,18 +11,23 @@ piggyback SLP payloads onto routing traffic:
 
 ``decode_aodv`` and ``decode_olsr_packet`` are memoized on the datagram
 bytes: the SLP INPUT hook, the daemon behind it and every neighbour of one
-broadcast share a single decode. What they return is immutable (frozen
-messages, tuple sequences); a caller that wants to change a message builds
-a new one.
+broadcast share a single decode. ``decode_hello_body`` and
+``decode_tc_body`` are memoized on the message body, which every receiver
+of one HELLO or TC shares. What they return is immutable (frozen messages,
+tuple sequences, read-only mappings); a caller that wants to change a
+message builds a new one.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.errors import CodecError
-from repro.routing.wire import DECODE_CACHE_SIZE, Reader, Writer
+from repro.routing.wire import DECODE_CACHE_SIZE, Reader, Writer, decode_ip, encode_ip
 
 # -- shared extension container ------------------------------------------------
 
@@ -195,7 +200,10 @@ LINK_ASYM = 1
 LINK_SYM = 2
 LINK_MPR = 3
 
-_OLSR_MSG_HEADER = 12
+#: Packet header: length, packet sequence number.
+_OLSR_PACKET_HEADER = struct.Struct("!HH")
+#: Message header: type, vtime, size, originator, TTL, hop count, sequence.
+_OLSR_MESSAGE_HEADER = struct.Struct("!BBH4sBBH")
 
 
 @dataclass(frozen=True)
@@ -215,23 +223,35 @@ class OlsrMessage:
         return (self.orig_ip, self.seq)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HelloBody:
-    """OLSR HELLO: the sender's view of its links, by link code."""
+    """OLSR HELLO: the sender's view of its links, by link code.
 
-    links: dict[int, list[str]] = field(default_factory=dict)
+    ``links`` is read-only and maps each link code to a tuple of addresses;
+    a dict of lists passed in is copied into one.
+    """
+
+    links: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
     willingness: int = 3
 
-    def all_neighbors(self) -> list[str]:
-        return [ip for ips in self.links.values() for ip in ips]
+    def __post_init__(self) -> None:
+        # Decoded bodies are shared: a caller's dict becomes a read-only copy.
+        links = {code: tuple(ips) for code, ips in self.links.items()}
+        object.__setattr__(self, "links", MappingProxyType(links))
+
+    def all_neighbors(self) -> tuple[str, ...]:
+        return tuple(ip for ips in self.links.values() for ip in ips)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcBody:
     """OLSR Topology Control: advertised (MPR-selector) neighbors."""
 
     ansn: int
-    neighbors: list[str] = field(default_factory=list)
+    neighbors: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "neighbors", tuple(self.neighbors))
 
 
 def _encode_vtime(seconds: float) -> int:
@@ -253,7 +273,9 @@ def encode_hello_body(body: HelloBody) -> bytes:
     return writer.getvalue()
 
 
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def decode_hello_body(data: bytes) -> HelloBody:
+    """Parse a HELLO body; equal bodies return the same (immutable) object."""
     reader = Reader(data)
     reader.u8()  # htime (unused)
     willingness = reader.u8()
@@ -274,31 +296,43 @@ def encode_tc_body(body: TcBody) -> bytes:
     return writer.getvalue()
 
 
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def decode_tc_body(data: bytes) -> TcBody:
+    """Parse a TC body; equal bodies return the same (immutable) object."""
     reader = Reader(data)
     ansn = reader.u16()
     reader.u16()  # reserved
-    neighbors = []
-    while reader.remaining >= 4:
-        neighbors.append(reader.ip())
-    return TcBody(ansn=ansn, neighbors=neighbors)
+    if reader.remaining % 4:
+        raise CodecError(
+            f"TC address block of {reader.remaining} bytes is not a whole number of addresses"
+        )
+    return TcBody(ansn=ansn, neighbors=tuple(reader.ip() for _ in range(reader.remaining // 4)))
 
 
 def encode_olsr_packet(
     packet_seq: int, messages: tuple[OlsrMessage, ...] | list[OlsrMessage]
 ) -> bytes:
     """Serialize an OLSR packet (header + concatenated messages)."""
-    writer = Writer()
-    body = Writer()
+    parts = [b""]
+    length = _OLSR_PACKET_HEADER.size
     for message in messages:
-        size = _OLSR_MSG_HEADER + len(message.body)
-        body.u8(message.msg_type).u8(_encode_vtime(message.vtime)).u16(size)
-        body.ip(message.orig_ip)
-        body.u8(message.ttl).u8(message.hops).u16(message.seq)
-        body.raw(message.body)
-    payload = body.getvalue()
-    writer.u16(4 + len(payload)).u16(packet_seq).raw(payload)
-    return writer.getvalue()
+        body = message.body
+        size = _OLSR_MESSAGE_HEADER.size + len(body)
+        parts.append(_pack(
+            _OLSR_MESSAGE_HEADER, message.msg_type, _encode_vtime(message.vtime), size,
+            encode_ip(message.orig_ip), message.ttl, message.hops, message.seq,
+        ))
+        parts.append(body)
+        length += size
+    parts[0] = _pack(_OLSR_PACKET_HEADER, length, packet_seq)
+    return b"".join(parts)
+
+
+def _pack(header: struct.Struct, *values: object) -> bytes:
+    try:
+        return header.pack(*values)
+    except struct.error as exc:
+        raise CodecError(f"OLSR header {values!r} does not fit its wire fields") from exc
 
 
 @functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
@@ -307,33 +341,39 @@ def decode_olsr_packet(data: bytes) -> tuple[int, tuple[OlsrMessage, ...]]:
 
     Memoized: equal packets return the same (immutable) result object.
     """
-    reader = Reader(data)
-    length = reader.u16()
-    if length != len(data):
-        raise CodecError(f"OLSR packet length mismatch: header says {length}, got {len(data)}")
-    packet_seq = reader.u16()
+    total = len(data)
+    if total < _OLSR_PACKET_HEADER.size:
+        raise _truncated(_OLSR_PACKET_HEADER.size, total)
+    length, packet_seq = _OLSR_PACKET_HEADER.unpack_from(data)
+    if length != total:
+        raise CodecError(f"OLSR packet length mismatch: header says {length}, got {total}")
     messages = []
-    while reader.remaining > 0:
-        msg_type = reader.u8()
-        vtime = _decode_vtime(reader.u8())
-        size = reader.u16()
-        orig_ip = reader.ip()
-        ttl = reader.u8()
-        hops = reader.u8()
-        seq = reader.u16()
-        body_len = size - _OLSR_MSG_HEADER
+    header = _OLSR_MESSAGE_HEADER
+    offset = _OLSR_PACKET_HEADER.size
+    while offset < total:
+        if total - offset < header.size:
+            raise _truncated(header.size, total - offset)
+        msg_type, vtime, size, orig_ip, ttl, hops, seq = header.unpack_from(data, offset)
+        offset += header.size
+        body_len = size - header.size
         if body_len < 0:
             raise CodecError(f"OLSR message size too small: {size}")
-        body = reader.raw(body_len)
+        if total - offset < body_len:
+            raise _truncated(body_len, total - offset)
         messages.append(
             OlsrMessage(
                 msg_type=msg_type,
-                orig_ip=orig_ip,
+                orig_ip=decode_ip(orig_ip),
                 seq=seq,
-                body=body,
-                vtime=vtime,
+                body=data[offset : offset + body_len],
+                vtime=_decode_vtime(vtime),
                 ttl=ttl,
                 hops=hops,
             )
         )
+        offset += body_len
     return packet_seq, tuple(messages)
+
+
+def _truncated(wanted: int, left: int) -> CodecError:
+    return CodecError(f"truncated message: wanted {wanted} bytes, {left} left")

@@ -3,7 +3,7 @@
 Implements neighbor sensing via HELLO (asym -> sym two-way handshake),
 multipoint relay (MPR) selection with the standard greedy cover, topology
 dissemination via TC messages flooded through MPRs, duplicate suppression,
-and shortest-path route calculation.
+and shortest-path route calculation (a BFS: every link costs one hop).
 
 Crucially for SIPHoc, the daemon implements the *default forwarding
 algorithm*: messages of unknown type (such as the SLP piggyback message,
@@ -15,7 +15,8 @@ OLSR at near-zero extra packet cost.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from repro.errors import CodecError
 from repro.netsim.node import Node
@@ -55,7 +56,7 @@ class _LinkInfo:
 @dataclass
 class _TopologyEntry:
     ansn: int
-    selectors: set[str] = field(default_factory=set)
+    selectors: frozenset[str] = frozenset()
     expires_at: float = 0.0
 
 
@@ -74,7 +75,7 @@ class Olsr(RoutingProtocol):
     def __init__(self, node: Node) -> None:
         super().__init__(node)
         self._links: dict[str, _LinkInfo] = {}
-        self._two_hop: dict[str, tuple[set[str], float]] = {}
+        self._two_hop: dict[str, tuple[frozenset[str], float]] = {}
         self._mpr_set: set[str] = set()
         self._selectors: dict[str, float] = {}
         self._topology: dict[str, _TopologyEntry] = {}
@@ -83,6 +84,11 @@ class Olsr(RoutingProtocol):
         self._pkt_seq = itertools.count(1)
         self._ansn = 0
         self._dirty = True
+        # The route table is a function of the live link state alone. It is
+        # rebuilt only when that state changed (``_stale``) or an entry the
+        # last rebuild used has expired since (``_valid_until``).
+        self._stale = True
+        self._valid_until = 0.0
         self._hello_task = None
         self._tc_task = None
         self._retried_uids: set[int] = set()
@@ -132,6 +138,8 @@ class Olsr(RoutingProtocol):
             return  # TX-failure feedback arriving after the daemon stopped
         link = self._links.get(next_hop)
         if link is not None:
+            if link.is_sym(self.sim.now):
+                self._stale = True
             link.sym_until = 0.0
             link.asym_until = 0.0
         tracer = self.sim.tracer
@@ -282,20 +290,26 @@ class Olsr(RoutingProtocol):
             self.node.stats.increment("olsr.malformed")
             return
         now = self.sim.now
+        me = self.node.ip
+        expiry = now + self.NEIGHB_HOLD_TIME
         link = self._links.setdefault(src_ip, _LinkInfo())
-        link.asym_until = now + self.NEIGHB_HOLD_TIME
-        mentioned = hello.all_neighbors()
-        if self.node.ip in mentioned:
-            link.sym_until = now + self.NEIGHB_HOLD_TIME
-        sym_neighbors = {
+        link.asym_until = expiry
+        if me in hello.all_neighbors():
+            if _alters_graph(None, link.sym_until, None, expiry, now):
+                self._stale = True
+            link.sym_until = expiry
+        sym_neighbors = frozenset(
             ip
             for code in (LINK_SYM, LINK_MPR)
-            for ip in hello.links.get(code, [])
-            if ip != self.node.ip
-        }
-        self._two_hop[src_ip] = (sym_neighbors, now + self.NEIGHB_HOLD_TIME)
-        if self.node.ip in hello.links.get(LINK_MPR, []):
-            self._selectors[src_ip] = now + self.NEIGHB_HOLD_TIME
+            for ip in hello.links.get(code, ())
+            if ip != me
+        )
+        old_neighbors, old_expiry = self._two_hop.get(src_ip, (frozenset(), 0.0))
+        if _alters_graph(old_neighbors, old_expiry, sym_neighbors, expiry, now):
+            self._stale = True
+        self._two_hop[src_ip] = (sym_neighbors, expiry)
+        if me in hello.links.get(LINK_MPR, ()):
+            self._selectors[src_ip] = expiry
         else:
             self._selectors.pop(src_ip, None)
         self._select_mprs()
@@ -310,11 +324,14 @@ class Olsr(RoutingProtocol):
         entry = self._topology.get(message.orig_ip)
         if entry is not None and _seq_newer(entry.ansn, tc.ansn):
             return  # stale ANSN
-        self._topology[message.orig_ip] = _TopologyEntry(
-            ansn=tc.ansn,
-            selectors=set(tc.neighbors),
-            expires_at=self.sim.now + message.vtime,
+        now = self.sim.now
+        new = _TopologyEntry(
+            ansn=tc.ansn, selectors=frozenset(tc.neighbors), expires_at=now + message.vtime
         )
+        old = entry if entry is not None else _TopologyEntry(ansn=0)
+        if _alters_graph(old.selectors, old.expires_at, new.selectors, new.expires_at, now):
+            self._stale = True
+        self._topology[message.orig_ip] = new
         self._dirty = True
 
     # -- MPR selection -----------------------------------------------------------------------
@@ -323,7 +340,7 @@ class Olsr(RoutingProtocol):
         sym = set(self.symmetric_neighbors())
         coverage: dict[str, set[str]] = {}
         for neighbor in sorted(sym):
-            two_hop, expiry = self._two_hop.get(neighbor, (set(), 0.0))
+            two_hop, expiry = self._two_hop.get(neighbor, (frozenset(), 0.0))
             if expiry <= now:
                 continue
             coverage[neighbor] = {
@@ -367,30 +384,48 @@ class Olsr(RoutingProtocol):
 
     def recompute_routes(self) -> None:
         """Force an immediate shortest-path recomputation (mostly for tests)."""
+        self._stale = True
         self._recompute_routes()
         self._dirty = False
 
     def _recompute_routes(self) -> None:
+        """Bring the table up to date; rebuild it only if it may have changed."""
         now = self.sim.now
+        if self._stale or now >= self._valid_until:
+            self._rebuild_routes(now)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(
+                "olsr.route_recompute", self.node.ip, routes=len(self.table),
+            )
+
+    def _rebuild_routes(self, now: float) -> None:
         graph: dict[str, set[str]] = {}
+        valid_until = math.inf
 
         def add_edge(a: str, b: str) -> None:
             graph.setdefault(a, set()).add(b)
             graph.setdefault(b, set()).add(a)
 
         me = self.node.ip
-        for neighbor in self.symmetric_neighbors():
-            add_edge(me, neighbor)
+        for neighbor, link in self._links.items():
+            if link.is_sym(now):
+                add_edge(me, neighbor)
+                valid_until = min(valid_until, link.sym_until)
         for neighbor, (two_hop, expiry) in self._two_hop.items():
             if expiry <= now:
                 continue
+            valid_until = min(valid_until, expiry)
             for far in two_hop:
                 add_edge(neighbor, far)
         for origin, entry in self._topology.items():
             if entry.expires_at <= now:
                 continue
+            valid_until = min(valid_until, entry.expires_at)
             for selector in entry.selectors:
                 add_edge(origin, selector)
+        self._stale = False
+        self._valid_until = valid_until
 
         self.table.clear()
         # BFS from self: every edge has cost 1.
@@ -413,11 +448,6 @@ class Olsr(RoutingProtocol):
                     )
                     next_frontier.append(peer)
             frontier = next_frontier
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                "olsr.route_recompute", self.node.ip, routes=len(self.table),
-            )
 
     # -- housekeeping ------------------------------------------------------------------------
     def _gc(self, now: float) -> None:
@@ -425,6 +455,26 @@ class Olsr(RoutingProtocol):
             self._duplicates = {
                 key: expiry for key, expiry in self._duplicates.items() if expiry > now
             }
+
+
+def _alters_graph(
+    old_edges: frozenset[str] | None,
+    old_expiry: float,
+    new_edges: frozenset[str] | None,
+    new_expiry: float,
+    now: float,
+) -> bool:
+    """Whether replacing a link-state entry can change the route graph.
+
+    An entry takes part in the graph while its expiry lies ahead of ``now``
+    (an absent entry has expiry 0). The graph changes if an expired entry
+    comes back or a live one changes its edges. A live entry that gets a
+    shorter expiry may leave the graph before the time the last rebuild
+    recorded, so it counts as a change too.
+    """
+    if old_expiry <= now:
+        return new_expiry > now
+    return new_expiry < old_expiry or new_edges != old_edges
 
 
 def _seq_newer(existing: int, candidate: int) -> bool:

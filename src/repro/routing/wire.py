@@ -6,30 +6,44 @@ Addresses are encoded as 4-byte IPv4, multi-byte integers are big-endian
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from repro.errors import CodecError
 
-#: Entries kept by each memoized datagram decoder (``decode_aodv``,
-#: ``decode_olsr_packet``, ``decode_slp``). Every neighbour of a broadcast
+#: Entries kept by each memoized decoder: the datagram decoders
+#: (``decode_aodv``, ``decode_olsr_packet``, ``decode_slp``), the OLSR body
+#: decoders and the address codec below. Every neighbour of a broadcast
 #: decodes the same bytes, so a small cache catches nearly all repeats.
 DECODE_CACHE_SIZE = 1024
 
 
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def encode_ip(ip: str) -> bytes:
+    """The 4 bytes of a dotted quad; memoized.
+
+    Only the text :func:`decode_ip` gives back is accepted, so an address
+    has one spelling: no sign, space, underscore, leading zero or
+    non-ASCII digit.
+    """
     try:
-        parts = [int(part) for part in ip.split(".")]
+        data = bytes(int(part) for part in ip.split("."))
     except ValueError as exc:
         raise CodecError(f"invalid IPv4 address {ip!r}") from exc
-    if len(parts) != 4 or not all(0 <= part <= 255 for part in parts):
+    if len(data) != 4 or _ip_text(data) != ip:
         raise CodecError(f"invalid IPv4 address {ip!r}")
-    return bytes(parts)
+    return data
 
 
 def decode_ip(data: bytes, offset: int = 0) -> str:
     if len(data) < offset + 4:
         raise CodecError("truncated IPv4 address")
-    return ".".join(str(b) for b in data[offset : offset + 4])
+    return _ip_text(data[offset : offset + 4])
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _ip_text(data: bytes) -> str:
+    return ".".join(str(b) for b in data)
 
 
 class Reader:

@@ -207,3 +207,41 @@ class TestSharedDecodes:
                 decode_aodv(b"\x01\x00")
             with pytest.raises(CodecError):
                 decode_olsr_packet(b"\x01\x00")
+
+    @pytest.mark.parametrize(
+        "decode, wire",
+        [
+            (decode_hello_body, encode_hello_body(HelloBody(links={2: ["10.0.0.2"]}))),
+            (decode_tc_body, encode_tc_body(TcBody(ansn=4, neighbors=["10.0.0.2"]))),
+        ],
+        ids=["hello", "tc"],
+    )
+    def test_olsr_body_decode_is_shared_between_equal_bodies(self, decode, wire):
+        assert decode(wire) is decode(_copy(wire))
+
+    def test_decoded_olsr_bodies_are_read_only(self):
+        hello = decode_hello_body(
+            encode_hello_body(HelloBody(links={2: ["10.0.0.2"], 3: ["10.0.0.3"]}))
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hello.links = {}
+        with pytest.raises(TypeError):
+            hello.links[1] = ("10.0.0.9",)
+        assert all(isinstance(ips, tuple) for ips in hello.links.values())
+        tc = decode_tc_body(encode_tc_body(TcBody(ansn=4, neighbors=["10.0.0.2"])))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tc.ansn = 5
+        assert tc.neighbors == ("10.0.0.2",)
+
+    @pytest.mark.parametrize(
+        "decode, wire",
+        [
+            (decode_hello_body, b"\x00\x03\x02\x00\x00\x05"),  # five addresses announced
+            (decode_tc_body, b"\x00\x01\x00\x00\x0a\x00\x00\x02\x0a\x00"),  # one cut short
+        ],
+        ids=["hello", "tc"],
+    )
+    def test_malformed_olsr_bodies_raise_every_time(self, decode, wire):
+        for _ in range(2):
+            with pytest.raises(CodecError):
+                decode(wire)

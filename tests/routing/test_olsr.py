@@ -175,6 +175,11 @@ class TestMalformedPackets:
         [
             (OLSR_HELLO, b"\x00\x03\x02\x00\x00\x05"),  # five neighbours announced, none sent
             (OLSR_TC, b"\x00"),  # ANSN cut short
+            pytest.param(
+                OLSR_TC,
+                b"\x00\x01\x00\x00\x0a\x00\x00\x02\x0a\x00",  # second selector cut short
+                id="tc-address-cut-short",
+            ),
         ],
     )
     def test_malformed_message_body_is_dropped_and_counted(self, msg_type, body):

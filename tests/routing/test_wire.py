@@ -14,7 +14,21 @@ class TestIpCodec:
         assert decode_ip(encode_ip("0.0.0.0")) == "0.0.0.0"
         assert decode_ip(encode_ip("255.255.255.255")) == "255.255.255.255"
 
-    @pytest.mark.parametrize("bad", ["", "1.2.3", "1.2.3.4.5", "a.b.c.d", "300.1.1.1"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "",
+            "1.2.3",
+            "1.2.3.4.5",
+            "a.b.c.d",
+            "300.1.1.1",
+            "1_0.0.0.1",
+            "+1.2.3.4",
+            " 1.2.3.4",
+            "\uff11.2.3.4",  # full-width digit one
+            "01.002.3.4",
+        ],
+    )
     def test_invalid_addresses(self, bad):
         with pytest.raises(CodecError):
             encode_ip(bad)
