@@ -12,9 +12,12 @@ percentiles at the cost of a multi-megabyte file)::
     python benchmarks/run_bench.py --benchmark-save-data
     python benchmarks/run_bench.py -o my.json -- -k broadcast
 
-Arguments after ``--`` are forwarded to pytest verbatim. pytest writes into
-``<output>.partial``, which replaces the output only when the run succeeds:
-a failed run leaves an existing BENCH file untouched.
+Arguments after ``--`` are forwarded to pytest verbatim. After the
+micro-benchmarks, the end-to-end benchmark runs every workload at seed 1
+(``e2ebench/e2e.py --seed 1 --repeat 3``) and its metrics and digests are
+embedded under an ``e2ebench`` key. pytest writes into ``<output>.partial``,
+which replaces the output only when both runs succeed: a failed run leaves
+an existing BENCH file untouched.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+E2E_ARGS = ("--seed", "1", "--repeat", "3")
 
 
 def print_percentile_table(output: str) -> None:
@@ -141,6 +146,51 @@ def embed_metrics_summary(output: str) -> None:
     )
 
 
+def run_e2ebench(output: str) -> int:
+    """Run the end-to-end benchmark and embed its report; returns its exit code."""
+    with tempfile.TemporaryDirectory() as scratch:
+        report = os.path.join(scratch, "e2e.json")
+        command = [sys.executable, os.path.join("e2ebench", "e2e.py"), *E2E_ARGS, "-o", report]
+        print("+", " ".join(command))
+        result = subprocess.run(command, cwd=REPO_ROOT)
+        if result.returncode != 0:
+            return result.returncode
+        embed_e2ebench(output, report)
+    return 0
+
+
+def embed_e2ebench(output: str, report_path: str) -> None:
+    """Attach each workload's end-to-end metrics and digest to the JSON.
+
+    Per-layer metrics and folded stacks stay out: the trajectory follows
+    what users of the simulator wait for, and the digests show the runs
+    did the same work.
+    """
+    with open(report_path, encoding="utf-8") as fh:
+        results = json.load(fh)["results"]
+    section = {
+        "args": list(E2E_ARGS),
+        "workloads": {
+            result["workload"]: {
+                "digest": result["digest"],
+                "failed": result["failed"],
+                "attempted": result["attempted"],
+                "end_to_end": {
+                    name: {key: metric[key] for key in ("value", "q1", "q3", "n", "unit")}
+                    for name, metric in result["end_to_end"].items()
+                },
+            }
+            for result in results
+        },
+    }
+    with open(output, encoding="utf-8") as fh:
+        bench = json.load(fh)
+    bench["e2ebench"] = section
+    with open(output, "w", encoding="utf-8") as fh:
+        json.dump(bench, fh, indent=2)
+        fh.write("\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -197,6 +247,10 @@ def main(argv: list[str] | None = None) -> int:
         if not args.save_data:
             strip_round_data(partial)
         embed_metrics_summary(partial)
+        returncode = run_e2ebench(partial)
+        if returncode != 0:
+            print(f"e2ebench failed; {output} left untouched")
+            return returncode
         os.replace(partial, output)
     finally:
         if os.path.exists(partial):

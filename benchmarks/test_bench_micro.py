@@ -363,3 +363,83 @@ def test_olsr_route_table_throughput(benchmark, case):
         benchmark(corner.recompute_routes)
         route = corner.route_to(far)
     assert route.hop_count == _GRID_SIDE - 1  # diagonal steps (127 m) are in range
+
+
+# -- AODV flood reception -----------------------------------------------------
+#
+# SIPHoc lookups ride AODV route discoveries, so every neighbour of a flood
+# passes each RREQ copy through the SLP INPUT hook and then the AODV daemon.
+# Most copies a node receives belong to a flood it has already handled.
+
+import itertools
+
+from repro.core import ManetSlp, make_handler, query_extension
+from repro.routing import SLP_ANYCAST, Aodv
+from repro.routing.messages import RREQ_FLAG_DEST_ONLY, RREQ_FLAG_UNKNOWN_SEQ
+from repro.slp import SrvRqst
+
+_FLOOD_ROUNDS = 2000
+
+
+def _converged_aodv_chain():
+    """Three AODV nodes with MANET SLP, 100 m apart, routed end to end."""
+    sim = Simulator(seed=7)
+    medium = WirelessMedium(sim, tx_range=150.0)
+    nodes = []
+    for index in range(3):
+        node = Node(sim, index, manet_ip(index))
+        node.join_medium(medium)
+        ManetSlp(node, make_handler(Aodv(node).start())).start()
+        nodes.append(node)
+    place_chain(nodes, 100.0)
+    nodes[0].router.discover(nodes[2].ip)
+    sim.run(2.0)
+    return sim, nodes
+
+
+def _lookup_copy(origin, rreq_id):
+    """One copy of ``origin``'s SLP lookup flood, as its neighbours receive it."""
+    request = SrvRqst(
+        xid=rreq_id & 0xFFFF,
+        service_type="siphoc-sip",
+        predicate="(user=sip:bob@voicehoc.ch)",
+        requester=origin.ip,
+    )
+    rreq = Rreq(
+        rreq_id=rreq_id,
+        dest_ip=SLP_ANYCAST,
+        dest_seq=0,
+        orig_ip=origin.ip,
+        orig_seq=rreq_id,
+        flags=RREQ_FLAG_DEST_ONLY | RREQ_FLAG_UNKNOWN_SEQ,
+    )
+    data = encode_aodv(rreq, [query_extension(request)])
+    return Packet(origin.ip, BROADCAST, Datagram(Aodv.port, Aodv.port, data), Aodv.NET_DIAMETER)
+
+
+@pytest.mark.parametrize("case", ["first", "duplicate"])
+def test_aodv_flood_reception_throughput(benchmark, case):
+    """The middle node of a converged chain receives one lookup RREQ copy.
+
+    ``first``: a new flood, which the node forwards. ``duplicate``: a copy of
+    a flood the node has already handled. Between rounds, and untimed, the
+    ``first`` case runs the simulator one second on, which delivers the
+    forwarded copy and ages the duplicate-suppression tables.
+    """
+    sim, (origin, relay, _) = _converged_aodv_chain()
+    rreq_ids = itertools.count(1 << 24)
+    seen = _lookup_copy(origin, next(rreq_ids))
+    relay.receive_wireless(seen, origin.ip)
+    forwarded = relay.stats.count("aodv.rreq_forwarded")
+    rounds = []
+
+    def next_copy():
+        rounds.append(case)
+        if case == "duplicate":
+            return (seen, origin.ip), {}
+        sim.run(sim.now + 1.0)
+        return (_lookup_copy(origin, next(rreq_ids)), origin.ip), {}
+
+    benchmark.pedantic(relay.receive_wireless, setup=next_copy, rounds=_FLOOD_ROUNDS)
+    new_forwards = relay.stats.count("aodv.rreq_forwarded") - forwarded
+    assert new_forwards == (len(rounds) if case == "first" else 0)

@@ -33,8 +33,9 @@ from repro.core.extension import (
     query_extension,
     reply_extension,
 )
-from repro.errors import CodecError
+from repro.errors import CodecError, SlpError
 from repro.netsim.capture import Chain, Verdict
+from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.routing.aodv import SLP_ANYCAST, Aodv
 from repro.routing.messages import (
@@ -72,7 +73,8 @@ class RoutingHandler(abc.ABC):
 
     protocol_name = "generic"
 
-    def __init__(self) -> None:
+    def __init__(self, node: Node) -> None:
+        self.node = node
         self.slp: "ManetSlp | None" = None
         self._pending: dict[str, tuple[SlpMessage, int]] = {}
         self._seen_queries: dict[tuple[str, int], float] = {}
@@ -80,14 +82,6 @@ class RoutingHandler(abc.ABC):
 
     def attach(self, slp: "ManetSlp") -> None:
         self.slp = slp
-
-    @property
-    def node(self):
-        raise NotImplementedError
-
-    @property
-    def sim(self):
-        return self.node.sim
 
     # -- ManetSlp-facing API ---------------------------------------------------
     def advertise(self, entry: ServiceEntry) -> None:
@@ -139,11 +133,11 @@ class RoutingHandler(abc.ABC):
         """Dispatch an SLP payload extracted from a routing packet."""
         if self.slp is None:
             return
-        now = self.sim.now
+        now = self.node.sim.now
         if isinstance(message, SrvReg):
             try:
                 entry = message.entry.to_service_entry(now, origin=sender_ip)
-            except Exception:
+            except SlpError:
                 self.node.stats.increment("manetslp.bad_adverts")
                 return
             self.slp.on_remote_entry(entry)
@@ -155,7 +149,7 @@ class RoutingHandler(abc.ABC):
             for url_entry in message.entries:
                 try:
                     entry = url_entry.to_service_entry(now, origin=sender_ip)
-                except Exception:
+                except SlpError:
                     continue
                 self.slp.on_remote_entry(entry)
 
@@ -164,7 +158,7 @@ class RoutingHandler(abc.ABC):
         if not request.requester or request.requester == self.node.ip:
             return
         key = (request.requester, request.xid)
-        now = self.sim.now
+        now = self.node.sim.now
         if self._seen_queries.get(key, 0.0) > now:
             return
         self._seen_queries[key] = now + 30.0
@@ -184,8 +178,9 @@ class RoutingHandler(abc.ABC):
         )
         # Defer slightly so the routing daemon processes the carrier packet
         # (e.g. installs the reverse route) before the answer is sent.
-        delay = 0.005 + self.sim.rng.uniform(0, 0.01)
-        self.sim.schedule(delay, self.reply, response, request.requester)
+        sim = self.node.sim
+        delay = 0.005 + sim.rng.uniform(0, 0.01)
+        sim.schedule(delay, self.reply, response, request.requester)
 
 
 class AodvHandler(RoutingHandler):
@@ -195,19 +190,14 @@ class AodvHandler(RoutingHandler):
     REPLY_LIFETIME_MS = 60_000
 
     def __init__(self, routing: Aodv) -> None:
-        super().__init__()
+        super().__init__(routing.node)
         self.routing = routing
-        self._node = routing.node
-        self._node.hooks.register(
+        self.node.hooks.register(
             Chain.OUTPUT, {Aodv.port}, self._on_output, name="siphoc-slp-aodv-out"
         )
-        self._node.hooks.register(
+        self.node.hooks.register(
             Chain.INPUT, {Aodv.port}, self._on_input, name="siphoc-slp-aodv-in"
         )
-
-    @property
-    def node(self):
-        return self._node
 
     # -- hooks -------------------------------------------------------------------
     def _on_output(self, packet: Packet) -> tuple[Verdict, Packet]:
@@ -293,20 +283,15 @@ class OlsrHandler(RoutingHandler):
     protocol_name = "olsr"
 
     def __init__(self, routing: Olsr) -> None:
-        super().__init__()
+        super().__init__(routing.node)
         self.routing = routing
-        self._node = routing.node
         self._seen_messages: dict[tuple[str, int], float] = {}
-        self._node.hooks.register(
+        self.node.hooks.register(
             Chain.OUTPUT, {Olsr.port}, self._on_output, name="siphoc-slp-olsr-out"
         )
-        self._node.hooks.register(
+        self.node.hooks.register(
             Chain.INPUT, {Olsr.port}, self._on_input, name="siphoc-slp-olsr-in"
         )
-
-    @property
-    def node(self):
-        return self._node
 
     def _make_message(self, payload: SlpMessage, vtime: float = 60.0) -> OlsrMessage:
         return OlsrMessage(
@@ -343,7 +328,7 @@ class OlsrHandler(RoutingHandler):
             _, messages = decode_olsr_packet(packet.data)
         except CodecError:
             return (Verdict.ACCEPT, packet)
-        now = self.sim.now
+        now = self.node.sim.now
         for message in messages:
             if message.msg_type != OLSR_SLP or message.orig_ip == self.node.ip:
                 continue

@@ -55,15 +55,22 @@ class NetfilterHooks:
     different packet object rewrites the traffic. Hooks run in registration
     order; a DROP verdict short-circuits the chain.
 
-    ``input_ports`` and ``output_ports`` index which destination ports some
-    hook of each chain watches; the node skips :meth:`run` for any other
-    port, so traffic no hook matches never enters the chain.
+    Each chain keeps a dict from destination port to the tuple of hook
+    functions watching it, so :meth:`run` walks only the hooks of the
+    packet's port. ``input_ports`` and ``output_ports`` are those dicts'
+    key views; the node skips :meth:`run` for any other port, so traffic no
+    hook matches never enters the chain. The tuples fix two rules:
+
+    * a hook returns a packet with the ports it received
+      (:meth:`Packet.with_data` keeps them), since the tuple walked is the
+      one of the port the packet entered the chain with;
+    * a hook registered or removed during :meth:`run` takes effect from
+      the next packet.
     """
 
     def __init__(self) -> None:
         self._hooks: list[_Hook] = []
-        self.input_ports: frozenset[int] = frozenset()
-        self.output_ports: frozenset[int] = frozenset()
+        self._reindex()
 
     def register(
         self,
@@ -82,26 +89,27 @@ class NetfilterHooks:
         self._reindex()
 
     def _reindex(self) -> None:
-        def watched(chain: Chain) -> frozenset[int]:
-            return frozenset(
-                port for hook in self._hooks if hook.chain is chain for port in hook.ports
-            )
+        def by_port(chain: Chain) -> dict[int, tuple[HookFn, ...]]:
+            index: dict[int, tuple[HookFn, ...]] = {}
+            for hook in self._hooks:
+                if hook.chain is chain:
+                    for port in hook.ports:
+                        index[port] = index.get(port, ()) + (hook.fn,)
+            return index
 
-        self.input_ports = watched(Chain.INPUT)
-        self.output_ports = watched(Chain.OUTPUT)
+        self._input = by_port(Chain.INPUT)
+        self._output = by_port(Chain.OUTPUT)
+        self.input_ports = self._input.keys()
+        self.output_ports = self._output.keys()
 
     def run(self, chain: Chain, packet: Packet) -> Packet | None:
         """Run ``packet`` through ``chain``; None means the packet was dropped."""
-        current = packet
-        for hook in self._hooks:
-            if hook.chain is not chain:
-                continue
-            if current.dport not in hook.ports:
-                continue
-            verdict, current = hook.fn(current)
+        index = self._input if chain is Chain.INPUT else self._output
+        for fn in index.get(packet.dport, ()):
+            verdict, packet = fn(packet)
             if verdict is Verdict.DROP:
                 return None
-        return current
+        return packet
 
 
 @dataclass

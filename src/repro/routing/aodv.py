@@ -60,6 +60,7 @@ class Aodv(RoutingProtocol):
     HELLO_INTERVAL = 1.0
     ALLOWED_HELLO_LOSS = 2
     MAX_BUFFERED_PACKETS = 32
+    SEEN_LIMIT = 512  # RREQ duplicate-suppression entries before expired ones go
 
     def __init__(
         self,
@@ -207,7 +208,7 @@ class Aodv(RoutingProtocol):
 
     # -- control-plane receive ---------------------------------------------------------
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
-        if not self.started:
+        if not self._started:
             return
         try:
             message, extensions = decode_aodv(data)
@@ -224,12 +225,13 @@ class Aodv(RoutingProtocol):
     def _handle_rreq(
         self, rreq: Rreq, src_ip: str, extensions: tuple[Extension, ...]
     ) -> None:
-        self._update_neighbor(src_ip)
+        self._update_route(src_ip, src_ip, 1, 0, self.ACTIVE_ROUTE_TIMEOUT)
         if rreq.orig_ip == self.node.ip:
             return
         key = (rreq.orig_ip, rreq.rreq_id)
         now = self.sim.now
-        self._gc_seen(now)
+        if len(self._rreq_seen) > self.SEEN_LIMIT:
+            self._gc_seen(now)
         if key in self._rreq_seen:
             return
         self._mark_seen(*key)
@@ -434,38 +436,40 @@ class Aodv(RoutingProtocol):
             return
         now = self.sim.now
         existing = self.table.get(dest)
-        if existing is not None and existing.is_usable(now):
-            newer = seq_no > existing.seq_no
-            same_but_shorter = seq_no == existing.seq_no and hop_count < existing.hop_count
-            if not (newer or same_but_shorter or existing.seq_no == 0):
+        if existing is not None and existing.valid and now < existing.expires_at:
+            existing_seq = existing.seq_no
+            if not (
+                seq_no > existing_seq
+                or existing_seq == 0
+                or (seq_no == existing_seq and hop_count < existing.hop_count)
+            ):
                 # Keep the fresher/shorter route; just extend its life.
-                existing.expires_at = max(existing.expires_at, now + lifetime)
+                expires_at = now + lifetime
+                if expires_at > existing.expires_at:
+                    existing.expires_at = expires_at
                 return
-        precursors = existing.precursors if existing is not None else set()
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit(
                 "aodv.route_update", self.node.ip, dest=dest, next_hop=next_hop,
                 hop_count=hop_count, seq_no=seq_no,
             )
-        self.table.upsert(
-            Route(
-                destination=dest,
-                next_hop=next_hop,
-                hop_count=hop_count,
-                seq_no=seq_no,
-                expires_at=now + lifetime,
-                valid=True,
-                precursors=precursors,
-            )
-        )
+        if existing is None:
+            self.table.upsert(Route(dest, next_hop, hop_count, seq_no, now + lifetime))
+            return
+        # Refreshed in place, precursors kept: no caller holds an entry
+        # across events, so nothing can tell this from a replacement.
+        existing.next_hop = next_hop
+        existing.hop_count = hop_count
+        existing.seq_no = seq_no
+        existing.expires_at = now + lifetime
+        existing.valid = True
 
     # -- duplicate suppression -----------------------------------------------------------
     def _mark_seen(self, orig_ip: str, rreq_id: int) -> None:
         self._rreq_seen[(orig_ip, rreq_id)] = self.sim.now + self.PATH_DISCOVERY_TIME
 
     def _gc_seen(self, now: float) -> None:
-        if len(self._rreq_seen) > 512:
-            self._rreq_seen = {
-                key: expiry for key, expiry in self._rreq_seen.items() if expiry > now
-            }
+        self._rreq_seen = {
+            key: expiry for key, expiry in self._rreq_seen.items() if expiry > now
+        }

@@ -18,7 +18,11 @@ from repro.netsim.packet import Packet
 
 @dataclass
 class Route:
-    """One route-table entry."""
+    """One route-table entry.
+
+    AODV refreshes its entries in place, so read an entry within the event
+    that looked it up rather than keeping it.
+    """
 
     destination: str
     next_hop: str
@@ -37,10 +41,9 @@ class RouteTable:
 
     def __init__(self) -> None:
         self._routes: dict[str, Route] = {}
-
-    def get(self, destination: str) -> Route | None:
-        """The entry for ``destination`` regardless of validity, or None."""
-        return self._routes.get(destination)
+        #: ``get(destination)``: the entry regardless of validity, or None.
+        #: The dict's own method, bound once: it runs on every routing packet.
+        self.get = self._routes.get
 
     def lookup(self, destination: str, now: float) -> Route | None:
         """A *usable* route to ``destination``, or None."""

@@ -76,9 +76,10 @@ class UrlEntry:
     attributes: str = ""
 
     def to_service_entry(self, now: float, origin: str) -> ServiceEntry:
+        """A cache entry learned from ``origin``; raises SlpError on a bad URL."""
         return ServiceEntry(
-            url=ServiceUrl.parse(self.url),
-            attributes=parse_attributes(self.attributes),
+            url=_parse_url(self.url),
+            attributes=dict(_parse_attribute_items(self.attributes)),
             lifetime=float(self.lifetime),
             expires_at=now + self.lifetime,
             origin=origin,
@@ -91,6 +92,19 @@ class UrlEntry:
             lifetime=max(1, int(remaining)),
             attributes=format_attributes(entry.attributes),
         )
+
+
+# Every neighbour of a flood parses the same piggybacked adverts, so the parses
+# are memoized. ServiceUrl is frozen and may be shared; the attributes are
+# cached as pairs, so each ServiceEntry still gets a dict of its own.
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _parse_url(text: str) -> ServiceUrl:
+    return ServiceUrl.parse(text)
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _parse_attribute_items(text: str) -> tuple[tuple[str, str], ...]:
+    return tuple(parse_attributes(text).items())
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ from repro.core import (
 )
 from repro.core.handlers import AodvHandler, OlsrHandler
 from repro.netsim import (
+    BROADCAST,
+    Datagram,
     Node,
+    Packet,
     PacketCapture,
     Simulator,
     Stats,
@@ -27,8 +30,11 @@ from repro.routing import (
     OLSR_SLP,
     Aodv,
     Olsr,
+    Rrep,
+    Rreq,
     decode_aodv,
     decode_olsr_packet,
+    encode_aodv,
 )
 from repro.slp import SrvReg, SrvRply, SrvRqst, UrlEntry, decode_slp, encode_slp
 
@@ -163,6 +169,72 @@ class TestAodvPiggybacking:
         daemons[0].discover("192.168.0.77")
         sim.run(8.0)
         assert handler.pending_count() == 0
+
+
+NEIGHBOR = "192.168.0.9"
+GOOD_URL = f"service:siphoc-sip://{NEIGHBOR}:5060"
+
+
+def receive_aodv(node, message, extension, dst):
+    """Hand ``node`` one AODV packet from NEIGHBOR, as the medium would."""
+    data = encode_aodv(message, [extension])
+    node.receive_wireless(Packet(NEIGHBOR, dst, Datagram(Aodv.port, Aodv.port, data)), NEIGHBOR)
+
+
+def cache_snapshot(slp):
+    return {str(entry.url): entry for entry in slp.cached_services()}
+
+
+class TestAodvInputHook:
+    """Bad piggybacked adverts are counted or skipped at the INPUT hook."""
+
+    def rreq(self, rreq_id):
+        return Rreq(
+            rreq_id=rreq_id, dest_ip="192.168.0.77", dest_seq=0, orig_ip=NEIGHBOR,
+            orig_seq=rreq_id,
+        )
+
+    def test_srvreg_without_host_counts_a_bad_advert(self):
+        sim, stats, medium, nodes, daemons, slps = build("aodv", n=1)
+        good = SrvReg(xid=1, entry=UrlEntry(url=GOOD_URL, lifetime=60))
+        receive_aodv(nodes[0], self.rreq(1), advert_extension(good), BROADCAST)
+        before = cache_snapshot(slps[0])
+        assert list(before) == [GOOD_URL]
+        bad = SrvReg(xid=2, entry=UrlEntry(url="service:siphoc-sip://:5060", lifetime=60))
+        receive_aodv(nodes[0], self.rreq(2), advert_extension(bad), BROADCAST)
+        assert stats.count("manetslp.bad_adverts") == 1
+        assert cache_snapshot(slps[0]) == before
+
+    def test_other_errors_are_not_hidden_as_bad_adverts(self, monkeypatch):
+        sim, stats, medium, nodes, daemons, slps = build("aodv", n=1)
+
+        def broken(entry, now, origin):
+            raise KeyError("a bug, not a bad advert")
+
+        monkeypatch.setattr(UrlEntry, "to_service_entry", broken)
+        good = SrvReg(xid=1, entry=UrlEntry(url=GOOD_URL, lifetime=60))
+        with pytest.raises(KeyError):
+            receive_aodv(nodes[0], self.rreq(1), advert_extension(good), BROADCAST)
+        assert stats.count("manetslp.bad_adverts") == 0
+
+    def test_srvrply_learns_only_its_good_entries(self):
+        sim, stats, medium, nodes, daemons, slps = build("aodv", n=1)
+        reply = SrvRply(
+            xid=7,
+            entries=(
+                UrlEntry(url=f"service:siphoc-sip//{NEIGHBOR}:5061", lifetime=60),
+                UrlEntry(url=GOOD_URL, lifetime=60, attributes="(user=sip:bob@h)"),
+            ),
+        )
+        rrep = Rrep(
+            dest_ip=NEIGHBOR, dest_seq=3, orig_ip=nodes[0].ip, lifetime_ms=60_000,
+            hop_count=0,
+        )
+        receive_aodv(nodes[0], rrep, reply_extension(reply), nodes[0].ip)
+        learned = cache_snapshot(slps[0])
+        assert list(learned) == [GOOD_URL]
+        assert learned[GOOD_URL].attributes == {"user": "sip:bob@h"}
+        assert stats.count("manetslp.bad_adverts") == 0
 
 
 class TestOlsrPiggybacking:

@@ -131,6 +131,16 @@ class TestUrlEntryConversion:
         assert entry.attributes == {"user": "sip:bob@voicehoc.ch"}
         assert entry.origin == "192.168.0.5"
 
+    def test_entries_from_one_text_do_not_share_attributes(self):
+        # The parses are memoized; each ServiceEntry still gets its own dict.
+        url_entry = UrlEntry("service:siphoc-sip://192.168.0.5:5060", 60, "(user=a)")
+        first = url_entry.to_service_entry(now=0.0, origin="192.168.0.5")
+        second = url_entry.to_service_entry(now=1.0, origin="192.168.0.6")
+        assert first.attributes is not second.attributes
+        first.attributes["user"] = "mutated"
+        assert second.attributes == {"user": "a"}
+        assert url_entry.to_service_entry(now=2.0, origin="x").attributes == {"user": "a"}
+
     def test_from_service_entry_clamps_lifetime(self):
         from repro.slp import ServiceEntry, ServiceUrl
 
