@@ -443,3 +443,114 @@ def test_aodv_flood_reception_throughput(benchmark, case):
     benchmark.pedantic(relay.receive_wireless, setup=next_copy, rounds=_FLOOD_ROUNDS)
     new_forwards = relay.stats.count("aodv.rreq_forwarded") - forwarded
     assert new_forwards == (len(rounds) if case == "first" else 0)
+
+
+# -- one SIP call's messages and transactions ---------------------------------
+#
+# call_storm's SIP path: every element a call crosses parses the message it
+# receives, serializes the one it sends and runs a transaction per request.
+# The two messages were captured off a 3-hop AODV chain call (the end-to-end
+# call_storm workload, seed 1): the INVITE as the callee receives it, after
+# two proxies, and the 200 OK as the caller receives it.
+
+from repro.sip import SipRequest, SipResponse, SipTransport, TransactionLayer
+
+_SDP_OFFER = (
+    b"v=0\r\no=- 1 1 IN IP4 192.168.0.1\r\ns=-\r\nc=IN IP4 192.168.0.1\r\nt=0 0\r\n"
+    b"m=audio 16384 RTP/AVP 0\r\na=rtpmap:0 PCMU/8000\r\n"
+)
+_SDP_ANSWER = (
+    b"v=0\r\no=- 2 2 IN IP4 192.168.0.4\r\ns=-\r\nc=IN IP4 192.168.0.4\r\nt=0 0\r\n"
+    b"m=audio 16384 RTP/AVP 0\r\na=rtpmap:0 PCMU/8000\r\n"
+)
+_CAPTURED = {
+    "invite": (
+        b"INVITE sip:user3@192.168.0.4:5070 SIP/2.0\r\n"
+        b"From: <sip:user0@voicehoc.ch>;tag=tag000003\r\n"
+        b"To: <sip:user3@voicehoc.ch>\r\n"
+        b"Call-ID: cid00000003@192.168.0.1\r\n"
+        b"CSeq: 1 INVITE\r\n"
+        b"Max-Forwards: 68\r\n"
+        b"Contact: <sip:user0@192.168.0.1:5070>\r\n"
+        b"Content-Type: application/sdp\r\n"
+        b"Via: SIP/2.0/UDP 192.168.0.4:5060;branch=z9hG4bK-00000005\r\n"
+        b"Via: SIP/2.0/UDP 192.168.0.1:5060;branch=z9hG4bK-00000004\r\n"
+        b"Via: SIP/2.0/UDP 192.168.0.1:5070;branch=z9hG4bK-00000003\r\n"
+        b"Content-Length: 114\r\n"
+        b"Record-Route: <sip:192.168.0.4:5060;lr>\r\n"
+        b"Record-Route: <sip:192.168.0.1:5060;lr>\r\n\r\n" + _SDP_OFFER
+    ),
+    "ok": (
+        b"SIP/2.0 200 OK\r\n"
+        b"Via: SIP/2.0/UDP 192.168.0.1:5070;branch=z9hG4bK-00000003\r\n"
+        b"From: <sip:user0@voicehoc.ch>;tag=tag000003\r\n"
+        b"Call-ID: cid00000003@192.168.0.1\r\n"
+        b"CSeq: 1 INVITE\r\n"
+        b"Record-Route: <sip:192.168.0.4:5060;lr>\r\n"
+        b"Record-Route: <sip:192.168.0.1:5060;lr>\r\n"
+        b"To: <sip:user3@voicehoc.ch>;tag=tag000004\r\n"
+        b"Contact: <sip:user3@192.168.0.4:5070>\r\n"
+        b"Content-Type: application/sdp\r\n"
+        b"Content-Length: 114\r\n\r\n" + _SDP_ANSWER
+    ),
+}
+_SIP_ROUNDS = 2000
+
+
+@pytest.mark.parametrize("message", ["invite", "ok"])
+def test_captured_sip_parse_throughput(benchmark, message):
+    """A receiver's parse and header check; each line repeats, as on every hop."""
+    wire = _CAPTURED[message]
+
+    def receive():
+        parsed = parse_message(wire)
+        parsed.check_headers()
+        return parsed
+
+    parsed = benchmark(receive)
+    assert isinstance(parsed, SipRequest if message == "invite" else SipResponse)
+    assert parsed.serialize() == wire
+
+
+@pytest.mark.parametrize("message", ["invite", "ok"])
+def test_captured_sip_serialize_throughput(benchmark, message):
+    """The first serialize of a freshly parsed message (no wire-form memo hit)."""
+    wire = _CAPTURED[message]
+
+    def fresh():
+        return (parse_message(wire),), {}
+
+    out = benchmark.pedantic(lambda parsed: parsed.serialize(), setup=fresh, rounds=_SIP_ROUNDS)
+    assert out == wire
+
+
+def test_client_transaction_cycle_throughput(benchmark):
+    """One non-INVITE client transaction: start, final response, terminate.
+
+    Starting sends the request (a lone node drops it for want of a route)
+    and arms Timers E and F; the 200 arms Timer K; terminate cancels all
+    three and leaves the layer empty.
+    """
+    sim = Simulator(seed=1)
+    layer = TransactionLayer(SipTransport(Node(sim, 0, manet_ip(0)), 5060), sim)
+    destination = ("192.168.0.2", 5060)
+    wire = (
+        b"OPTIONS sip:bob@192.168.0.2 SIP/2.0\r\n"
+        b"From: <sip:alice@voicehoc.ch>;tag=a1\r\n"
+        b"To: <sip:bob@voicehoc.ch>\r\n"
+        b"Call-ID: cid-bench@192.168.0.1\r\n"
+        b"CSeq: 1 OPTIONS\r\n"
+        b"Max-Forwards: 70\r\n\r\n"
+    )
+    responses = []
+
+    def cycle():
+        request = parse_message(wire)
+        txn = layer.send_request(request, destination, responses.append)
+        txn.receive_response(request.create_response(200))
+        txn.terminate()
+
+    benchmark(cycle)
+    assert responses and all(response.status == 200 for response in responses)
+    assert layer.active_transactions == 0
+    assert sim.pending_events == 0

@@ -391,7 +391,7 @@ class SoftPhone:
         self.buddies.pop(target, None)
 
     def _update_own_presence(self) -> None:
-        busy = bool(self.ua.active_calls)
+        busy = self.ua.has_active_call()
         desired = ON_THE_PHONE if busy else AVAILABLE
         if self.ua.presence != desired:
             self.ua.set_presence(desired)

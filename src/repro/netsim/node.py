@@ -45,22 +45,31 @@ class Router(Protocol):
 
 
 class UdpSocket:
-    """A bound UDP socket on a node."""
+    """A bound UDP socket on a node.
+
+    A socket is closed once it has no handler. Closing it (or crashing its
+    node) drops the handler: the handler is usually a bound method of the
+    socket's owner, which holds the socket, and a closed socket that kept
+    it would leave the pair to the cyclic collector.
+    """
 
     def __init__(self, node: "Node", port: int, handler: DatagramHandler) -> None:
         self.node = node
         self.port = port
-        self.handler = handler
-        self.closed = False
+        self.handler: DatagramHandler | None = handler
+
+    @property
+    def closed(self) -> bool:
+        return self.handler is None
 
     def send(self, dst_ip: str, dport: int, data: bytes, ttl: int = DEFAULT_TTL) -> None:
-        if self.closed:
+        if self.handler is None:
             raise OSError(f"socket on port {self.port} is closed")
         self.node.send_udp(dst_ip, self.port, dport, data, ttl=ttl)
 
     def close(self) -> None:
-        if not self.closed:
-            self.closed = True
+        if self.handler is not None:
+            self.handler = None
             self.node._release_port(self.port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -367,8 +376,8 @@ class Node:
         A subsequently rebuilt stack can re-bind all well-known ports.
         """
         self.up = False
-        for socket in list(self._sockets.values()):
-            socket.closed = True
+        for socket in self._sockets.values():
+            socket.handler = None
         self._sockets.clear()
         self._default_routes.clear()
         self._extra_addresses.clear()
@@ -599,8 +608,9 @@ class Node:
 
     def _deliver(self, packet: Packet, from_ip: str | None = None) -> None:
         socket = self._sockets.get(packet.dport)
+        handler = None if socket is None else socket.handler
         tracer = self.sim.tracer
-        if socket is None or socket.closed:
+        if handler is None:
             self.stats.increment("udp.port_unreachable")
             if tracer is not None:
                 tracer.emit(
@@ -613,7 +623,7 @@ class Node:
                 "packet.rx", self.ip or self.wired_ip or "",
                 uid=packet.uid, src=packet.src, dport=packet.dport,
             )
-        socket.handler(packet.data, packet.src, packet.sport)
+        handler(packet.data, packet.src, packet.sport)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.hostname}, ip={self.ip or self.wired_ip})"

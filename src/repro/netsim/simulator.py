@@ -34,12 +34,18 @@ class EventHandle:
     The simulator builds these via ``__new__`` + direct stores — profiled
     ~35% faster than ``__init__`` dispatch, and this is the hottest
     allocation in the simulator.
+
+    A fired or cancelled handle drops its callback and args. Owners keep
+    handles to their own timers (a transaction, a periodic task), and the
+    callback is usually a bound method of that owner: a done handle that
+    kept it would tie the owner into a reference cycle, left for the
+    cyclic collector instead of freed when the owner goes.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "popped", "_sim")
     time: float
     seq: int
-    callback: Callable[..., None]
+    callback: Callable[..., None] | None
     args: tuple[Any, ...]
     cancelled: bool
     popped: bool
@@ -55,6 +61,8 @@ class EventHandle:
         if self.cancelled or self.popped:
             return
         self.cancelled = True
+        self.callback = None
+        self.args = ()
         self._sim._on_cancel()
 
 
@@ -314,7 +322,11 @@ class Simulator:
                 event.popped = True
                 self.now = time
                 processed += 1
-                event.callback(*event.args)
+                callback = event.callback
+                args = event.args
+                event.callback = None
+                event.args = ()
+                callback(*args)  # type: ignore[misc]
         finally:
             self.events_processed += processed
 

@@ -93,9 +93,22 @@ class Headers:
     """
 
     def __init__(self, items: Iterable[tuple[str, str]] = ()) -> None:
-        self._items: list[tuple[str, str]] = [
-            (canonical_header_name(name), value.strip()) for name, value in items
-        ]
+        self._adopt([(canonical_header_name(name), value.strip()) for name, value in items])
+
+    @classmethod
+    def from_fields(cls, fields: list[tuple[str, str]]) -> "Headers":
+        """Headers that take ``fields`` as they are, without a copy.
+
+        Each field must already be canonical: the name as
+        :func:`canonical_header_name` spells it, the value stripped. The
+        pairs are immutable and may be shared with other messages.
+        """
+        headers = cls.__new__(cls)
+        headers._adopt(fields)
+        return headers
+
+    def _adopt(self, fields: list[tuple[str, str]]) -> None:
+        self._items = fields
         self._version = 0
 
     @property
@@ -189,7 +202,7 @@ class Headers:
         return list(self._items)
 
     def copy(self) -> "Headers":
-        return Headers(self._items)
+        return Headers.from_fields(list(self._items))
 
     def __len__(self) -> int:
         return len(self._items)
@@ -493,6 +506,33 @@ class SipResponse(SipMessage):
         return f"SipResponse({self.status} {self.reason})"
 
 
+def _split_header_line(line: str) -> tuple[str, str]:
+    """``name: value`` split at the first colon; raises on a malformed line."""
+    name, colon, value = line.partition(":")
+    if not colon:
+        raise SipParseError(f"malformed header line: {line!r}")
+    if not name or name != name.strip():
+        raise SipParseError(f"malformed header name: {name!r}")
+    return name, value
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _header_field(line: str) -> tuple[str, str] | None:
+    """One header line read on its own, memoized: lines repeat across hops.
+
+    ``None`` for a blank line, ``("", text)`` for a folded continuation
+    line (leading space or tab; no header name is empty), else the
+    canonical ``(name, value)`` field that :class:`Headers` stores. Equal
+    lines share one field.
+    """
+    if not line.strip():
+        return None
+    if line[0] in " \t":
+        return ("", line.strip())
+    name, value = _split_header_line(line)
+    return (canonical_header_name(name), value.strip())
+
+
 def parse_message(data: bytes) -> SipRequest | SipResponse:
     """Parse wire bytes into a request or response.
 
@@ -512,20 +552,18 @@ def parse_message(data: bytes) -> SipRequest | SipResponse:
     start_line = lines[0]
     fields: list[tuple[str, str]] = []
     for line in lines[1:]:
-        if not line.strip():
+        field = _header_field(line)
+        if field is None:
             continue
-        if line[0] in " \t" and fields:
-            # Header line folding (obsolete but legal): append to previous.
-            name, value = fields[-1]
-            fields[-1] = (name, f"{value.strip()} {line.strip()}")
+        if field[0]:
+            fields.append(field)
             continue
-        name, colon, value = line.partition(":")
-        if not colon:
-            raise SipParseError(f"malformed header line: {line!r}")
-        if not name or name != name.strip():
-            raise SipParseError(f"malformed header name: {name!r}")
-        fields.append((name, value))
-    headers = Headers(fields)
+        if not fields:
+            _split_header_line(line)  # a first line cannot fold: raises
+        # Header line folding (obsolete but legal): append to previous.
+        name, previous = fields[-1]
+        fields[-1] = (name, f"{previous} {field[1]}".strip())
+    headers = Headers.from_fields(fields)
 
     length_text = headers.get("Content-Length")
     if length_text is not None:

@@ -17,6 +17,7 @@ double Record-Route so in-dialog requests traverse the correct interfaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +26,13 @@ from repro.netsim.packet import is_internet_address
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.transaction import ServerTransaction, TransactionLayer
 from repro.sip.transport import Address, SipTransport
-from repro.sip.uri import NameAddr, SipUri
+from repro.sip.uri import PARSE_CACHE_SIZE, NameAddr, SipUri
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _route_uri(host: str, port: int) -> SipUri:
+    """A leg's loose-routing URI, shared: every Record-Route reads it."""
+    return SipUri(user=None, host=host, port=port, params=(("lr", None),))
 
 
 class ProxyLeg:
@@ -48,7 +55,7 @@ class ProxyLeg:
 
     @property
     def route_uri(self) -> SipUri:
-        return SipUri(user=None, host=self.address, port=self.port).with_param("lr")
+        return _route_uri(self.address, self.port)
 
     def owns(self, uri: SipUri) -> bool:
         return uri.host == self.address and uri.effective_port() == self.port

@@ -80,18 +80,19 @@ class _Transaction:
             )
 
     def _after(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+        """Schedule ``callback`` as one of this transaction's timers.
+
+        Every pending timer is in ``_timers`` and :meth:`terminate` cancels
+        them all, so no timer fires on a terminated transaction.
+        """
         # Prune fired/cancelled handles first: a transaction on a lossy link
         # reschedules its retransmission timer dozens of times, and keeping
         # every dead handle until terminate() grows without bound.
         if len(self._timers) > 2:
             self._timers = [h for h in self._timers if not h.done]
-        handle = self.sim.schedule(delay, self._guarded, callback)
+        handle = self.sim.schedule(delay, callback)
         self._timers.append(handle)
         return handle
-
-    def _guarded(self, callback: Callable[[], None]) -> None:
-        if self.state is not TxnState.TERMINATED:
-            callback()
 
     def terminate(self) -> None:
         if self.state is TxnState.TERMINATED:
@@ -219,12 +220,10 @@ class ServerTransaction(_Transaction):
 
     role = "server"
 
-    def __init__(
-        self, layer: "TransactionLayer", request: SipRequest, source: Address
-    ) -> None:
+    def __init__(self, layer: "TransactionLayer", request: SipRequest) -> None:
+        # Keeps no reference to the request: Timers J/L/H hold a completed
+        # transaction for 32 s, and the request would live as long.
         super().__init__(layer, request.transaction_key())
-        self.request = request
-        self.source = source
         self.is_invite = request.method == "INVITE"
         self.last_response: SipResponse | None = None
         self.state = TxnState.PROCEEDING if self.is_invite else TxnState.TRYING
@@ -296,7 +295,7 @@ class TransactionLayer:
     ) -> ClientTransaction:
         """Create and start a client transaction (always pushes a fresh Via —
         every hop adds its own, RFC 3261 sections 8.1.1.7 and 16.6/8)."""
-        request.headers.insert_first("Via", str(self.transport.make_via(new_branch())))
+        request.headers.insert_first("Via", self.transport.via_text(new_branch()))
         txn = ClientTransaction(self, request, destination, on_response, on_timeout)
         self._client[txn.key] = txn
         txn.start()
@@ -327,7 +326,7 @@ class TransactionLayer:
             if self.on_request is not None:
                 self.on_request(message, None, source)
             return
-        txn = ServerTransaction(self, message, source)
+        txn = ServerTransaction(self, message)
         self._server[key] = txn
         if self.on_request is not None:
             self.on_request(message, txn, source)

@@ -12,7 +12,7 @@ from typing import Callable
 from repro.errors import SipParseError
 from repro.globalstate import registry
 from repro.netsim.node import Node
-from repro.sip.message import SipMessage, SipRequest, SipResponse, Via, parse_message
+from repro.sip.message import SipMessage, SipRequest, SipResponse, parse_message
 
 Address = tuple[str, int]
 ReceiverFn = Callable[[SipRequest | SipResponse, Address], None]
@@ -95,8 +95,13 @@ class SipTransport:
             return
         self.send(response, (via.host, via.port))
 
-    def make_via(self, branch: str) -> Via:
-        return Via(host=self.address, port=self.port, branch=branch)
+    def via_text(self, branch: str) -> str:
+        """This endpoint's Via value with ``branch``, formatted directly.
+
+        Equal to ``str(Via(host=self.address, port=self.port, branch=branch))``
+        without building the ``Via``: a new branch's Via exists only as text.
+        """
+        return f"SIP/2.0/UDP {self.address}:{self.port};branch={branch}"
 
     # -- receiving -----------------------------------------------------------
     def _on_datagram(self, data: bytes, src_ip: str, src_port: int) -> None:

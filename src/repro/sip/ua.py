@@ -9,11 +9,12 @@ on the same node — the paper's "out-of-the-box VoIP application" contract.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import random
 from typing import Callable
 
-from repro.errors import SipDialogError
+from repro.errors import SipDialogError, SipParseError
 from repro.globalstate import registry
 from repro.netsim.node import Node
 from repro.sip.auth import Credentials
@@ -29,13 +30,19 @@ from repro.sip.message import Headers, SipRequest, SipResponse
 from repro.sip.sdp import SessionDescription, parse_sdp
 from repro.sip.transaction import ServerTransaction, TransactionLayer
 from repro.sip.transport import Address, SipTransport
-from repro.sip.uri import NameAddr, SipUri
+from repro.sip.uri import PARSE_CACHE_SIZE, NameAddr, SipUri
 
 _rtp_ports = registry.counter("sip.ua.rtp_port", start=0)
 
 
 def _allocate_rtp_port() -> int:
     return 16384 + (_rtp_ports.next() % 8192) * 2
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _contact_uri(user: str | None, host: str, port: int) -> SipUri:
+    """A UA's contact URI, shared: every request and answer re-reads it."""
+    return SipUri(user=user, host=host, port=port)
 
 
 #: Alternate (multihomed) contact advertised alongside the dialog contact,
@@ -353,7 +360,6 @@ class OutgoingCall(Call):
         self.target = target
         self.is_call_id_owner = True
         self._invite: SipRequest | None = None
-        self._txn = None
 
     def cancel(self) -> None:
         """Abort the call before it is answered."""
@@ -410,7 +416,7 @@ class OutgoingCall(Call):
         assert self.dialog is not None and self._invite is not None
         cseq = self._invite.cseq
         ack = self.dialog.create_request("ACK", cseq_number=cseq.number if cseq else 1)
-        ack.headers.insert_first("Via", str(self.ua.transport.make_via(new_tag())))
+        ack.headers.insert_first("Via", self.ua.transport.via_text(new_tag()))
         self.ua.transactions.send_stateless(ack, self.dialog.next_hop())
 
 
@@ -589,9 +595,8 @@ class UserAgent:
 
     @property
     def contact_uri(self) -> SipUri:
-        return SipUri(
-            user=self.aor.user, host=self.transport.address, port=self.transport.port
-        )
+        transport = self.transport
+        return _contact_uri(self.aor.user, transport.address, transport.port)
 
     def _glare_delay(self, owner: bool) -> float:
         """RFC 3261 §14.1 retry delay in 10 ms multiples from the private RNG."""
@@ -623,53 +628,59 @@ class UserAgent:
         destination = registrar or self.outbound_proxy
         if destination is None:
             raise SipDialogError("no registrar or outbound proxy configured")
+        self._send_register(destination, expires, on_result, authorization=None)
 
-        def attempt(authorization: str | None, already_tried_auth: bool) -> None:
-            headers = Headers()
-            identity = NameAddr(
-                uri=self.aor.without_params(), display_name=self.display_name
-            )
-            headers.add("From", str(identity.with_tag(new_tag())))
-            headers.add("To", str(identity))
-            headers.add("Call-ID", new_call_id(self.transport.address))
-            headers.add("CSeq", f"{next(self._register_cseq)} REGISTER")
-            headers.add("Max-Forwards", "70")
-            headers.add("Contact", f"<{self.contact_uri}>")
-            headers.add("Expires", str(expires))
-            if authorization is not None:
-                headers.add("Authorization", authorization)
-            request = SipRequest(
-                "REGISTER", SipUri(user=None, host=self.aor.host), headers=headers
-            )
+    def _send_register(
+        self,
+        destination: Address,
+        expires: int,
+        on_result: RegistrationCallback | None,
+        authorization: str | None,
+    ) -> None:
+        """One REGISTER attempt; ``authorization`` answers a 401 challenge.
 
-            def on_response(response: SipResponse) -> None:
-                if (
-                    response.status == 401
-                    and not already_tried_auth
-                    and self.credentials is not None
-                ):
-                    challenge = response.headers.get("WWW-Authenticate")
-                    if challenge:
-                        answer = self.credentials.authorization_for(
-                            challenge, "REGISTER", str(request.uri)
-                        )
-                        if answer is not None:
-                            attempt(answer, True)
-                            return
-                self.registered = response.is_success and expires > 0
-                if response.is_success:
-                    self.registration_expires = self.sim.now + expires
-                if on_result is not None:
-                    on_result(response.is_success, response)
+        A method rather than a closure inside :meth:`register`: a closure
+        that re-sends itself refers to itself, a cycle per registration.
+        """
+        headers = Headers()
+        identity = NameAddr(uri=self.aor.without_params(), display_name=self.display_name)
+        headers.add("From", str(identity.with_tag(new_tag())))
+        headers.add("To", str(identity))
+        headers.add("Call-ID", new_call_id(self.transport.address))
+        headers.add("CSeq", f"{next(self._register_cseq)} REGISTER")
+        headers.add("Max-Forwards", "70")
+        headers.add("Contact", f"<{self.contact_uri}>")
+        headers.add("Expires", str(expires))
+        if authorization is not None:
+            headers.add("Authorization", authorization)
+        request = SipRequest("REGISTER", SipUri(user=None, host=self.aor.host), headers=headers)
 
-            def on_timeout() -> None:
-                self.registered = False
-                if on_result is not None:
-                    on_result(False, None)
+        def on_response(response: SipResponse) -> None:
+            if (
+                response.status == 401
+                and authorization is None
+                and self.credentials is not None
+            ):
+                challenge = response.headers.get("WWW-Authenticate")
+                if challenge:
+                    answer = self.credentials.authorization_for(
+                        challenge, "REGISTER", str(request.uri)
+                    )
+                    if answer is not None:
+                        self._send_register(destination, expires, on_result, answer)
+                        return
+            self.registered = response.is_success and expires > 0
+            if response.is_success:
+                self.registration_expires = self.sim.now + expires
+            if on_result is not None:
+                on_result(response.is_success, response)
 
-            self.transactions.send_request(request, destination, on_response, on_timeout)
+        def on_timeout() -> None:
+            self.registered = False
+            if on_result is not None:
+                on_result(False, None)
 
-        attempt(None, already_tried_auth=False)
+        self.transactions.send_request(request, destination, on_response, on_timeout)
 
     def unregister(self, on_result: RegistrationCallback | None = None) -> None:
         self.register(expires=0, on_result=on_result)
@@ -706,7 +717,7 @@ class UserAgent:
         call._invite = invite
         self._calls_by_id[call_id] = call
         call._set_state(CallState.CALLING)
-        call._txn = self.transactions.send_request(
+        self.transactions.send_request(
             invite,
             self._destination_for(target_uri),
             on_response=call._on_response,
@@ -988,3 +999,7 @@ class UserAgent:
     @property
     def active_calls(self) -> list[Call]:
         return [call for call in self._calls_by_id.values() if call.is_active]
+
+    def has_active_call(self) -> bool:
+        """``bool(self.active_calls)`` without building the list."""
+        return any(call.is_active for call in self._calls_by_id.values())

@@ -89,6 +89,11 @@ class SipUri:
         return SipUri(user=user, host=host.lower(), port=port, params=tuple(params), scheme=scheme)
 
     def __str__(self) -> str:
+        return self._text
+
+    @functools.cached_property
+    def _text(self) -> str:
+        """The rendered URI, kept: start lines and headers re-render it."""
         out = f"{self.scheme}:"
         if self.user:
             out += f"{self.user}@"

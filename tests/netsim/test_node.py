@@ -47,6 +47,24 @@ class TestSockets:
         with pytest.raises(OSError):
             socket.send(b.ip, 5000, b"x")
 
+    def test_closed_socket_drops_handler(self, sim, medium):
+        a, b = make_chain(sim, medium, 2, static_routes=True)
+        got = []
+        socket = b.bind(5000, lambda *args: got.append(args))
+        socket.close()
+        assert socket.handler is None
+        a.send_udp(b.ip, 4000, 5000, b"x")
+        sim.run(1.0)
+        assert got == []
+        assert b.stats.count("udp.port_unreachable") == 1
+
+    def test_crash_drops_socket_handlers(self, sim, medium):
+        (a,) = make_chain(sim, medium, 1)
+        socket = a.bind(5000, lambda *args: None)
+        a.crash()
+        assert socket.closed
+        assert socket.handler is None
+
     def test_ephemeral_ports_distinct(self, sim, medium):
         (a,) = make_chain(sim, medium, 1)
         s1 = a.bind_ephemeral(lambda *args: None)

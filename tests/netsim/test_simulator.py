@@ -89,6 +89,26 @@ class TestCancellation:
         handle.cancel()
         sim.run(1.0)
 
+    def test_fired_handle_drops_callback_and_args(self):
+        sim = Simulator()
+        fired = []
+        payload = object()
+        handle = sim.schedule(0.5, fired.append, payload)
+        sim.run(1.0)
+        assert fired == [payload]
+        assert handle.done
+        assert handle.callback is None
+        assert handle.args == ()
+
+    def test_cancelled_handle_drops_callback_and_args(self):
+        sim = Simulator()
+        handle = sim.schedule(0.5, print, object())
+        handle.cancel()
+        assert handle.callback is None
+        assert handle.args == ()
+        sim.run(1.0)  # the tombstone pops without firing
+        assert sim.pending_events == 0
+
 
 class TestQueueHygiene:
     def test_pending_events_counts_live_only(self):

@@ -134,6 +134,27 @@ class TestSubscribeNotify:
         sim.run(2.0)
         assert [r.status for r in responses] == [489]
 
+    def test_notify_with_malformed_pidf_keeps_last_status(self, sim, ua_pair):
+        a, b, alice, bob = ua_pair
+        from repro.sip import Headers, SipRequest
+
+        subscription = alice.subscribe(f"sip:bob@{b.ip}:5070")
+        sim.run(2.0)
+        status = subscription.status
+        assert subscription.active and status is not None
+        headers = Headers()
+        headers.add("From", "<sip:bob@voicehoc.ch>;tag=x")
+        headers.add("To", "<sip:alice@voicehoc.ch>;tag=y")
+        headers.add("Call-ID", subscription.call_id)
+        headers.add("CSeq", "9 NOTIFY")
+        headers.add("Event", "presence")
+        request = SipRequest("NOTIFY", f"sip:alice@{a.ip}:5070", headers=headers, body=b"<nope")
+        responses = []
+        bob.transactions.send_request(request, (a.ip, 5070), responses.append)
+        sim.run(4.0)
+        assert [r.status for r in responses] == [200]
+        assert subscription.status == status
+
     def test_stray_notify_481(self, sim, ua_pair):
         a, b, alice, bob = ua_pair
         from repro.sip import Headers, SipRequest
