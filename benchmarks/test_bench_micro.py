@@ -445,6 +445,70 @@ def test_aodv_flood_reception_throughput(benchmark, case):
     assert new_forwards == (len(rounds) if case == "first" else 0)
 
 
+# -- OLSR flood reception -----------------------------------------------------
+#
+# Under OLSR the SLP messages (type 130) ride the MPR backbone: every
+# neighbour of a relay passes each copy through the SLP INPUT hook and then
+# the OLSR daemon. Most copies a node receives repeat a message it has
+# already handled.
+
+
+def _converged_olsr_chain():
+    """Three OLSR nodes with MANET SLP, 100 m apart, with their MPRs selected."""
+    sim = Simulator(seed=7)
+    medium = WirelessMedium(sim, tx_range=150.0)
+    nodes = []
+    for index in range(3):
+        node = Node(sim, index, manet_ip(index))
+        node.join_medium(medium)
+        ManetSlp(node, make_handler(Olsr(node).start())).start()
+        nodes.append(node)
+    place_chain(nodes, 100.0)
+    sim.run(10.0)
+    return sim, nodes
+
+
+def _slp_copy(origin, seq):
+    """One copy of ``origin``'s flooded SLP lookup (an OLSR message of type 130)."""
+    request = SrvRqst(
+        xid=seq,
+        service_type="siphoc-sip",
+        predicate="(user=sip:bob@voicehoc.ch)",
+        requester=origin.ip,
+    )
+    message = OlsrMessage(OLSR_SLP, origin.ip, seq, encode_slp(request), 10.0, 255)
+    data = encode_olsr_packet(seq, (message,))
+    return Packet(origin.ip, BROADCAST, Datagram(Olsr.port, Olsr.port, data), 1)
+
+
+@pytest.mark.parametrize("case", ["first", "duplicate"])
+def test_olsr_flood_reception_throughput(benchmark, case):
+    """The middle node of a converged OLSR chain receives one SLP message copy.
+
+    ``first``: a new message, which the node relays for its MPR selector.
+    ``duplicate``: a copy of a message the node has already handled. Between
+    rounds, and untimed, the ``first`` case runs the simulator one second
+    on, which delivers the relayed copy and ages the duplicate tables.
+    """
+    sim, (origin, relay, _) = _converged_olsr_chain()
+    seqs = itertools.count(1 << 15)  # clear of the origin's own message seqs
+    seen = _slp_copy(origin, next(seqs))
+    relay.receive_wireless(seen, origin.ip)
+    forwarded = relay.stats.count("olsr.messages_forwarded")
+    rounds = []
+
+    def next_copy():
+        rounds.append(case)
+        if case == "duplicate":
+            return (seen, origin.ip), {}
+        sim.run(sim.now + 1.0)
+        return (_slp_copy(origin, next(seqs)), origin.ip), {}
+
+    benchmark.pedantic(relay.receive_wireless, setup=next_copy, rounds=_FLOOD_ROUNDS)
+    new_forwards = relay.stats.count("olsr.messages_forwarded") - forwarded
+    assert new_forwards == (len(rounds) if case == "first" else 0)
+
+
 # -- one SIP call's messages and transactions ---------------------------------
 #
 # call_storm's SIP path: every element a call crosses parses the message it

@@ -67,6 +67,9 @@ from repro.slp.service import ServiceEntry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.manet_slp import ManetSlp
 
+# Read per packet: on Python 3.11 an enum member load calls EnumType.__getattr__.
+_ACCEPT = Verdict.ACCEPT
+
 
 class RoutingHandler(abc.ABC):
     """Common plugin machinery: the pending-advert queue and SLP dispatch."""
@@ -202,35 +205,35 @@ class AodvHandler(RoutingHandler):
     # -- hooks -------------------------------------------------------------------
     def _on_output(self, packet: Packet) -> tuple[Verdict, Packet]:
         if not self._pending:
-            return (Verdict.ACCEPT, packet)
+            return (_ACCEPT, packet)
         try:
             message, extensions = decode_aodv(packet.data)
         except CodecError:
-            return (Verdict.ACCEPT, packet)
+            return (_ACCEPT, packet)
         carrier = isinstance(message, Rreq) or (
             isinstance(message, Rrep) and not message.is_hello()
         )
         if not carrier:
-            return (Verdict.ACCEPT, packet)
+            return (_ACCEPT, packet)
         budget = self.slp.config.piggyback_budget if self.slp else 3
         already = _advertised_urls(extensions)
         fresh = self.take_pending(budget, exclude=already)
         if not fresh:
-            return (Verdict.ACCEPT, packet)
+            return (_ACCEPT, packet)
         new_extensions = extensions + tuple(advert_extension(m) for m in fresh)
         self.node.stats.increment("manetslp.adverts_piggybacked", len(fresh))
-        return (Verdict.ACCEPT, packet.with_data(encode_aodv(message, new_extensions)))
+        return (_ACCEPT, packet.with_data(encode_aodv(message, new_extensions)))
 
     def _on_input(self, packet: Packet) -> tuple[Verdict, Packet]:
         try:
             _, extensions = decode_aodv(packet.data)
         except CodecError:
-            return (Verdict.ACCEPT, packet)
+            return (_ACCEPT, packet)
         for extension in extensions:
             slp_message = decode_extension(extension)
             if slp_message is not None:
                 self.handle_slp_message(slp_message, packet.src)
-        return (Verdict.ACCEPT, packet)
+        return (_ACCEPT, packet)
 
     # -- lookups ------------------------------------------------------------------------
     def query(self, request: SrvRqst) -> None:
@@ -306,20 +309,20 @@ class OlsrHandler(RoutingHandler):
     # -- hooks ---------------------------------------------------------------------
     def _on_output(self, packet: Packet) -> tuple[Verdict, Packet]:
         if not self._pending:
-            return (Verdict.ACCEPT, packet)
+            return (_ACCEPT, packet)
         try:
             packet_seq, messages = decode_olsr_packet(packet.data)
         except CodecError:
-            return (Verdict.ACCEPT, packet)
+            return (_ACCEPT, packet)
         budget = self.slp.config.piggyback_budget if self.slp else 3
         fresh = self.take_pending(budget)
         if not fresh:
-            return (Verdict.ACCEPT, packet)
+            return (_ACCEPT, packet)
         vtime = self.slp.config.advert_lifetime if self.slp else 60.0
         messages = messages + tuple(self._make_message(m, vtime=vtime) for m in fresh)
         self.node.stats.increment("manetslp.adverts_piggybacked", len(fresh))
         return (
-            Verdict.ACCEPT,
+            _ACCEPT,
             packet.with_data(encode_olsr_packet(packet_seq, messages)),
         )
 
@@ -327,26 +330,26 @@ class OlsrHandler(RoutingHandler):
         try:
             _, messages = decode_olsr_packet(packet.data)
         except CodecError:
-            return (Verdict.ACCEPT, packet)
+            return (_ACCEPT, packet)
         now = self.node.sim.now
+        me = self.node.ip
+        seen = self._seen_messages
         for message in messages:
-            if message.msg_type != OLSR_SLP or message.orig_ip == self.node.ip:
+            if message.msg_type != OLSR_SLP or message.orig_ip == me:
                 continue
             key = (message.orig_ip, message.seq)
-            if self._seen_messages.get(key, 0.0) > now:
+            if seen.get(key, 0.0) > now:
                 continue
-            self._seen_messages[key] = now + 60.0
+            seen[key] = now + 60.0
             try:
                 slp_message = decode_slp(message.body)
             except CodecError:
                 self.node.stats.increment("manetslp.bad_adverts")
                 continue
             self.handle_slp_message(slp_message, message.orig_ip)
-        if len(self._seen_messages) > 2048:
-            self._seen_messages = {
-                k: v for k, v in self._seen_messages.items() if v > now
-            }
-        return (Verdict.ACCEPT, packet)
+        if len(seen) > 2048:
+            self._seen_messages = {k: v for k, v in seen.items() if v > now}
+        return (_ACCEPT, packet)
 
     # -- lookups --------------------------------------------------------------------------
     def query(self, request: SrvRqst) -> None:

@@ -39,6 +39,10 @@ class Chain(enum.Enum):
 
 HookFn = Callable[[Packet], tuple[Verdict, Packet]]
 
+# Read per packet: on Python 3.11 an enum member load calls EnumType.__getattr__.
+_INPUT = Chain.INPUT
+_DROP = Verdict.DROP
+
 
 @dataclass
 class _Hook:
@@ -104,10 +108,10 @@ class NetfilterHooks:
 
     def run(self, chain: Chain, packet: Packet) -> Packet | None:
         """Run ``packet`` through ``chain``; None means the packet was dropped."""
-        index = self._input if chain is Chain.INPUT else self._output
+        index = self._input if chain is _INPUT else self._output
         for fn in index.get(packet.dport, ()):
             verdict, packet = fn(packet)
-            if verdict is Verdict.DROP:
+            if verdict is _DROP:
                 return None
         return packet
 

@@ -33,6 +33,10 @@ GatewaySendFn = Callable[[Packet], None]
 
 EPHEMERAL_PORT_BASE = 49152
 
+# Read per packet: on Python 3.11 an enum member load calls EnumType.__getattr__.
+_INPUT = Chain.INPUT
+_OUTPUT = Chain.OUTPUT
+
 
 class Router(Protocol):
     """Interface the IP layer expects from a MANET routing protocol.
@@ -469,7 +473,7 @@ class Node:
         packet = Packet(self._source_address(), dst_ip, Datagram(sport, dport, data), ttl)
         hooks = self.hooks
         if dport in hooks.output_ports:
-            mangled = hooks.run(Chain.OUTPUT, packet)
+            mangled = hooks.run(_OUTPUT, packet)
             if mangled is None:
                 return
             packet = mangled
@@ -571,7 +575,7 @@ class Node:
         if packet.dst == BROADCAST or self.is_local_address(packet.dst):
             hooks = self.hooks
             if packet.dport in hooks.input_ports:
-                mangled = hooks.run(Chain.INPUT, packet)
+                mangled = hooks.run(_INPUT, packet)
                 if mangled is None:
                     tracer = self.sim.tracer
                     if tracer is not None:
@@ -598,7 +602,7 @@ class Node:
         if self.is_local_address(packet.dst):
             hooks = self.hooks
             if packet.dport in hooks.input_ports:
-                mangled = hooks.run(Chain.INPUT, packet)
+                mangled = hooks.run(_INPUT, packet)
                 if mangled is None:
                     return
                 packet = mangled

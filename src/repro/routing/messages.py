@@ -13,9 +13,10 @@ piggyback SLP payloads onto routing traffic:
 bytes: the SLP INPUT hook, the daemon behind it and every neighbour of one
 broadcast share a single decode. ``decode_hello_body`` and
 ``decode_tc_body`` are memoized on the message body, which every receiver
-of one HELLO or TC shares. What they return is immutable (frozen messages,
-tuple sequences, read-only mappings); a caller that wants to change a
-message builds a new one.
+of one HELLO or TC shares, and ``hello_view`` on the body and its
+receiver, since a neighbour's HELLO repeats while its links hold. What
+they return is immutable (frozen messages, tuple sequences, read-only
+mappings); a caller that wants to change a message builds a new one.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from __future__ import annotations
 import functools
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.errors import CodecError
 from repro.routing.wire import DECODE_CACHE_SIZE, Reader, Writer, decode_ip, encode_ip
@@ -206,9 +208,14 @@ _OLSR_PACKET_HEADER = struct.Struct("!HH")
 _OLSR_MESSAGE_HEADER = struct.Struct("!BBH4sBBH")
 
 
-@dataclass(frozen=True)
-class OlsrMessage:
-    """Generic OLSR message envelope; ``body`` stays opaque at this layer."""
+class OlsrMessage(NamedTuple):
+    """Generic OLSR message envelope; ``body`` stays opaque at this layer.
+
+    A ``NamedTuple``, not a frozen dataclass: one is built for every message
+    decoded and every message forwarded, and a tuple builds in a third of
+    the time. Assigning a field raises ``FrozenInstanceError`` as on the
+    other decoded messages.
+    """
 
     msg_type: int
     orig_ip: str
@@ -221,6 +228,9 @@ class OlsrMessage:
     def key(self) -> tuple[str, int]:
         """Duplicate-suppression key used by the flooding algorithm."""
         return (self.orig_ip, self.seq)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -254,6 +264,7 @@ class TcBody:
         object.__setattr__(self, "neighbors", tuple(self.neighbors))
 
 
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def _encode_vtime(seconds: float) -> int:
     return max(0, min(255, int(seconds * 4)))
 
@@ -286,6 +297,38 @@ def decode_hello_body(data: bytes) -> HelloBody:
         count = reader.u16()
         links.setdefault(link_code, []).extend(reader.ip() for _ in range(count))
     return HelloBody(links=links, willingness=willingness)
+
+
+class HelloView(NamedTuple):
+    """What one HELLO body tells one receiver (see :func:`hello_view`)."""
+
+    #: The receiver appears under some link code: the link is symmetric.
+    listed: bool
+    #: The receiver appears under ``LINK_MPR``: the sender selected it.
+    selected: bool
+    #: The sender's symmetric neighbours other than the receiver.
+    two_hop: frozenset[str]
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def hello_view(data: bytes, receiver: str) -> HelloView:
+    """The facts an OLSR daemon at ``receiver`` reads from a HELLO body.
+
+    Memoized on both: a neighbour repeats its HELLO while its links hold,
+    and every reception then shares one view and one ``two_hop`` set. A
+    malformed body raises :class:`CodecError` on every call.
+    """
+    links = decode_hello_body(data).links
+    return HelloView(
+        listed=any(receiver in ips for ips in links.values()),
+        selected=receiver in links.get(LINK_MPR, ()),
+        two_hop=frozenset(
+            ip
+            for code in (LINK_SYM, LINK_MPR)
+            for ip in links.get(code, ())
+            if ip != receiver
+        ),
+    )
 
 
 def encode_tc_body(body: TcBody) -> bytes:
@@ -362,13 +405,8 @@ def decode_olsr_packet(data: bytes) -> tuple[int, tuple[OlsrMessage, ...]]:
             raise _truncated(body_len, total - offset)
         messages.append(
             OlsrMessage(
-                msg_type=msg_type,
-                orig_ip=decode_ip(orig_ip),
-                seq=seq,
-                body=data[offset : offset + body_len],
-                vtime=_decode_vtime(vtime),
-                ttl=ttl,
-                hops=hops,
+                msg_type, decode_ip(orig_ip), seq, data[offset : offset + body_len],
+                _decode_vtime(vtime), ttl, hops,
             )
         )
         offset += body_len

@@ -30,15 +30,18 @@ from repro.routing.messages import (
     HelloBody,
     OlsrMessage,
     TcBody,
-    decode_hello_body,
     decode_olsr_packet,
     decode_tc_body,
     encode_hello_body,
     encode_olsr_packet,
     encode_tc_body,
+    hello_view,
 )
 
 OLSR_PORT = 698
+
+#: The 2-hop entry of a neighbour never heard: no neighbours, long expired.
+_NO_TWO_HOP: tuple[frozenset[str], float] = (frozenset(), 0.0)
 
 
 @dataclass
@@ -71,6 +74,8 @@ class Olsr(RoutingProtocol):
     NEIGHB_HOLD_TIME = 3 * HELLO_INTERVAL
     TOP_HOLD_TIME = 3 * TC_INTERVAL
     DUP_HOLD_TIME = 30.0
+    #: The duplicate table is pruned of expired entries once it holds more.
+    DUP_TABLE_LIMIT = 2048
 
     def __init__(self, node: Node) -> None:
         super().__init__(node)
@@ -89,6 +94,11 @@ class Olsr(RoutingProtocol):
         # last rebuild used has expired since (``_valid_until``).
         self._stale = True
         self._valid_until = 0.0
+        # The MPR set likewise reads only the symmetric links and their 2-hop
+        # sets: reselect when one of those changed (``_mprs_stale``) or one
+        # the last selection read has expired since (``_mprs_valid_until``).
+        self._mprs_stale = True
+        self._mprs_valid_until = 0.0
         self._hello_task = None
         self._tc_task = None
         self._retried_uids: set[int] = set()
@@ -120,7 +130,7 @@ class Olsr(RoutingProtocol):
 
     # -- IP-layer interface ------------------------------------------------------
     def dispatch(self, packet: Packet) -> None:
-        if not self.started:
+        if not self._started:
             return
         self._recompute_if_dirty()
         route = self.table.lookup(packet.dst, self.sim.now)
@@ -139,7 +149,7 @@ class Olsr(RoutingProtocol):
         link = self._links.get(next_hop)
         if link is not None:
             if link.is_sym(self.sim.now):
-                self._stale = True
+                self._stale = self._mprs_stale = True
             link.sym_until = 0.0
             link.asym_until = 0.0
         tracer = self.sim.tracer
@@ -229,43 +239,40 @@ class Olsr(RoutingProtocol):
 
     # -- receive path ---------------------------------------------------------------------
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
-        if not self.started:
+        if not self._started:
             return
         try:
             _, messages = decode_olsr_packet(data)
         except CodecError:
             self.node.stats.increment("olsr.malformed")
             return
+        me = self.node.ip
+        now = self.sim.now
+        duplicates = self._duplicates
         forwarded: list[OlsrMessage] = []
         for message in messages:
-            if message.orig_ip == self.node.ip:
+            msg_type, orig_ip, seq, body, vtime, ttl, hops = message
+            if orig_ip == me:
                 continue
-            dup_key = (message.orig_ip, message.msg_type, message.seq)
-            now = self.sim.now
-            is_duplicate = self._duplicates.get(dup_key, 0.0) > now
-            self._duplicates[dup_key] = now + self.DUP_HOLD_TIME
-            if not is_duplicate:
-                self._process_message(message, src_ip)
-            if self._should_forward(message, src_ip, is_duplicate):
+            dup_key = (orig_ip, msg_type, seq)
+            is_duplicate = duplicates.get(dup_key, 0.0) > now
+            duplicates[dup_key] = now + self.DUP_HOLD_TIME
+            if is_duplicate:
+                continue  # handled and, if due, relayed on its first copy
+            self._process_message(message, src_ip)
+            if self._should_forward(message, src_ip):
                 forwarded.append(
-                    OlsrMessage(
-                        msg_type=message.msg_type,
-                        orig_ip=message.orig_ip,
-                        seq=message.seq,
-                        body=message.body,
-                        vtime=message.vtime,
-                        ttl=message.ttl - 1,
-                        hops=message.hops + 1,
-                    )
+                    OlsrMessage(msg_type, orig_ip, seq, body, vtime, ttl - 1, hops + 1)
                 )
         if forwarded:
             self.node.stats.increment("olsr.messages_forwarded", len(forwarded))
             self.send_packet(forwarded)
-        self._gc(self.sim.now)
+        if len(duplicates) > self.DUP_TABLE_LIMIT:
+            self._gc(now)
 
-    def _should_forward(self, message: OlsrMessage, src_ip: str, is_duplicate: bool) -> bool:
-        """RFC 3626 default forwarding: relay once, only for MPR selectors."""
-        if is_duplicate or message.ttl <= 1:
+    def _should_forward(self, message: OlsrMessage, src_ip: str) -> bool:
+        """RFC 3626 default forwarding of a first copy: only for MPR selectors."""
+        if message.ttl <= 1:
             return False
         if message.msg_type == OLSR_HELLO:
             return False
@@ -285,30 +292,25 @@ class Olsr(RoutingProtocol):
 
     def _process_hello(self, message: OlsrMessage, src_ip: str) -> None:
         try:
-            hello = decode_hello_body(message.body)
+            listed, selected, two_hop = hello_view(message.body, self.node.ip)
         except CodecError:
             self.node.stats.increment("olsr.malformed")
             return
         now = self.sim.now
-        me = self.node.ip
         expiry = now + self.NEIGHB_HOLD_TIME
-        link = self._links.setdefault(src_ip, _LinkInfo())
+        link = self._links.get(src_ip)
+        if link is None:
+            link = self._links[src_ip] = _LinkInfo()
         link.asym_until = expiry
-        if me in hello.all_neighbors():
+        if listed:
             if _alters_graph(None, link.sym_until, None, expiry, now):
-                self._stale = True
+                self._stale = self._mprs_stale = True
             link.sym_until = expiry
-        sym_neighbors = frozenset(
-            ip
-            for code in (LINK_SYM, LINK_MPR)
-            for ip in hello.links.get(code, ())
-            if ip != me
-        )
-        old_neighbors, old_expiry = self._two_hop.get(src_ip, (frozenset(), 0.0))
-        if _alters_graph(old_neighbors, old_expiry, sym_neighbors, expiry, now):
-            self._stale = True
-        self._two_hop[src_ip] = (sym_neighbors, expiry)
-        if me in hello.links.get(LINK_MPR, ()):
+        old_two_hop, old_expiry = self._two_hop.get(src_ip, _NO_TWO_HOP)
+        if _alters_graph(old_two_hop, old_expiry, two_hop, expiry, now):
+            self._stale = self._mprs_stale = True
+        self._two_hop[src_ip] = (two_hop, expiry)
+        if selected:
             self._selectors[src_ip] = expiry
         else:
             self._selectors.pop(src_ip, None)
@@ -321,10 +323,13 @@ class Olsr(RoutingProtocol):
         except CodecError:
             self.node.stats.increment("olsr.malformed")
             return
-        entry = self._topology.get(message.orig_ip)
-        if entry is not None and _seq_newer(entry.ansn, tc.ansn):
-            return  # stale ANSN
         now = self.sim.now
+        entry = self._topology.get(message.orig_ip)
+        if entry is not None and entry.expires_at > now and _seq_newer(entry.ansn, tc.ansn):
+            # A stale ANSN. Only a live entry rejects it (RFC 3626 §9.5: an
+            # expired tuple is gone), so a restarted originator's ANSN, which
+            # begins again at 1, is taken once its old entry expires.
+            return
         new = _TopologyEntry(
             ansn=tc.ansn, selectors=frozenset(tc.neighbors), expires_at=now + message.vtime
         )
@@ -336,13 +341,19 @@ class Olsr(RoutingProtocol):
 
     # -- MPR selection -----------------------------------------------------------------------
     def _select_mprs(self) -> None:
+        """Greedy MPR cover; a no-op while its inputs are unchanged."""
         now = self.sim.now
+        if not self._mprs_stale and now < self._mprs_valid_until:
+            return
         sym = set(self.symmetric_neighbors())
         coverage: dict[str, set[str]] = {}
+        valid_until = math.inf
         for neighbor in sorted(sym):
-            two_hop, expiry = self._two_hop.get(neighbor, (frozenset(), 0.0))
+            valid_until = min(valid_until, self._links[neighbor].sym_until)
+            two_hop, expiry = self._two_hop.get(neighbor, _NO_TWO_HOP)
             if expiry <= now:
                 continue
+            valid_until = min(valid_until, expiry)
             coverage[neighbor] = {
                 ip for ip in two_hop if ip != self.node.ip and ip not in sym
             }
@@ -375,6 +386,8 @@ class Olsr(RoutingProtocol):
                     old=sorted(self._mpr_set), new=sorted(mprs),
                 )
         self._mpr_set = mprs
+        self._mprs_stale = False
+        self._mprs_valid_until = valid_until
 
     # -- route calculation --------------------------------------------------------------------
     def _recompute_if_dirty(self) -> None:
@@ -451,10 +464,10 @@ class Olsr(RoutingProtocol):
 
     # -- housekeeping ------------------------------------------------------------------------
     def _gc(self, now: float) -> None:
-        if len(self._duplicates) > 2048:
-            self._duplicates = {
-                key: expiry for key, expiry in self._duplicates.items() if expiry > now
-            }
+        """Forget expired duplicate-table entries."""
+        self._duplicates = {
+            key: expiry for key, expiry in self._duplicates.items() if expiry > now
+        }
 
 
 def _alters_graph(

@@ -406,11 +406,23 @@ class ProxyCore:
             if self.inflight_forwards > self.inflight_peak:
                 self.inflight_peak = self.inflight_forwards
 
+        # A proxied INVITE can be cancelled until its first final response
+        # or timeout (RFC 3261 §16.10 cancels only pending branches).
+        branch, pending = "", None
+        if request.method == "INVITE":
+            branch = (request.top_via.branch if request.top_via else "") or ""
+            pending = _ProxiedInvite(forwarded, destination, out_leg)
+            self._proxied_invites[branch] = pending
+
         def settle() -> None:
-            nonlocal tracked
+            nonlocal tracked, pending
             if tracked:
                 tracked = False
                 self.inflight_forwards -= 1
+            if pending is not None:
+                if self._proxied_invites.get(branch) is pending:
+                    del self._proxied_invites[branch]
+                pending = None
 
         def on_response(response: SipResponse) -> None:
             if response.is_final:
@@ -424,13 +436,6 @@ class ProxyCore:
             server_txn.send_response(ctx.request.create_response(408))
 
         out_leg.transactions.send_request(forwarded, destination, on_response, on_timeout)
-        if request.method == "INVITE":
-            branch = request.top_via.branch if request.top_via else ""
-            self._proxied_invites[branch or ""] = _ProxiedInvite(
-                forwarded, destination, out_leg
-            )
-            if len(self._proxied_invites) > 256:
-                self._proxied_invites.pop(next(iter(self._proxied_invites)))
 
     def _relay_response(self, server_txn: ServerTransaction, response: SipResponse) -> None:
         if response.status == 100:

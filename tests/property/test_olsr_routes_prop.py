@@ -1,10 +1,12 @@
-"""The OLSR daemon reuses its route table only while a rebuild would match it.
+"""The OLSR daemon reuses its route table and MPR set only while they hold.
 
 One daemon receives random HELLOs, TCs and link failures while its clock
 steps past the hold times. A ``dispatch`` or ``route_to`` made while
 ``_dirty`` is set must leave a table equal to a from-scratch BFS over the
 live link state; one made while it is clear leaves the table as it was.
 The daemon traces one ``olsr.route_recompute`` per call of the first kind.
+After every HELLO its MPR set must equal a from-scratch greedy cover, and
+it traces one ``olsr.mpr_change`` each time that cover changed.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -86,6 +88,56 @@ ASYM_NEIGHBOURS = [
 ]
 
 
+#: The MPR set's inputs change while its 2-hop entries stay live and equal:
+#: a link turns symmetric, a symmetric link fails, and a symmetric link
+#: expires before a HELLO that changes nothing. A 2-hop set changes too.
+MPR_INPUTS = [
+    ("hello", "10.0.0.2", "asym", frozenset({"10.0.0.4"})),
+    ("hello", "10.0.0.2", "sym", frozenset({"10.0.0.4"})),
+    ("fail", "10.0.0.2", False),
+    ("hello", "10.0.0.2", "asym", frozenset({"10.0.0.4"})),
+    ("hello", "10.0.0.2", "sym", frozenset({"10.0.0.4"})),
+    ("hello", "10.0.0.2", "sym", frozenset()),
+    ("hello", "10.0.0.2", "sym", frozenset({"10.0.0.4"})),
+    ("step", 4.0),
+    ("hello", "10.0.0.3", "asym", frozenset()),
+    ("step", 4.0),
+    ("hello", "10.0.0.3", "asym", frozenset()),
+]
+
+
+def fresh_mprs(daemon: Olsr) -> set[str]:
+    """The greedy MPR cover of the live link state, selected from scratch."""
+    now = daemon.sim.now
+    sym = {ip for ip, link in daemon._links.items() if now < link.sym_until}
+    coverage: dict[str, set[str]] = {}
+    for neighbor in sorted(sym):
+        two_hop, expiry = daemon._two_hop.get(neighbor, (frozenset(), 0.0))
+        if expiry <= now:
+            continue
+        coverage[neighbor] = {ip for ip in two_hop if ip != ME and ip not in sym}
+    to_cover = set().union(*coverage.values()) if coverage else set()
+    mprs: set[str] = set()
+    covered: set[str] = set()
+    for target in sorted(to_cover):
+        providers = [n for n, cov in coverage.items() if target in cov]
+        if len(providers) == 1:
+            mprs.add(providers[0])
+    for mpr in sorted(mprs):
+        covered |= coverage.get(mpr, set())
+    while covered < to_cover:
+        best = max(
+            (n for n in coverage if n not in mprs),
+            key=lambda n: (len(coverage[n] - covered), n),
+            default=None,
+        )
+        if best is None or not (coverage[best] - covered):
+            break
+        mprs.add(best)
+        covered |= coverage[best]
+    return mprs
+
+
 def fresh_routes(daemon: Olsr) -> list[tuple[str, str, int]]:
     """(destination, next hop, hops) in BFS order over the live link state."""
     now = daemon.sim.now
@@ -138,6 +190,8 @@ class _Driver:
         self.ansn: dict[str, int] = {}
         self.selectors: dict[str, frozenset[str]] = {}
         self.dirty_calls = 0
+        self.mprs: set[str] = set()
+        self.mpr_changes = 0
 
     def receive(self, msg_type: int, origin: str, sender: str, body: bytes, vtime: float) -> None:
         self.seq += 1
@@ -152,6 +206,11 @@ class _Driver:
             links.setdefault(LINK_MPR if kind == "mpr" else LINK_SYM, []).append(ME)
         body = encode_hello_body(HelloBody(links=links))
         self.receive(OLSR_HELLO, sender, sender, body, Olsr.NEIGHB_HOLD_TIME)
+        mprs = fresh_mprs(self.daemon)
+        assert self.daemon._mpr_set == mprs
+        if mprs != self.mprs:
+            self.mprs = mprs
+            self.mpr_changes += 1
 
     def tc(self, origin: str, delta: int, selectors: frozenset[str] | None, vtime: float) -> None:
         ansn = (self.ansn.get(origin, 0) + delta) & 0xFFFF
@@ -193,6 +252,7 @@ class _Driver:
         assert len(recomputes) == self.dirty_calls
         if recomputes:
             assert recomputes[-1].detail["routes"] == len(self.daemon.table)
+        assert len(self.tracer.select(kind="olsr.mpr_change")) == self.mpr_changes
 
 
 class TestRouteTableReuse:
@@ -200,6 +260,7 @@ class TestRouteTableReuse:
     @given(scripts())
     @example(TC_CHANGES_THEN_SHRINKS)
     @example(ASYM_NEIGHBOURS)
+    @example(MPR_INPUTS)
     def test_table_matches_fresh_bfs_after_every_lookup(self, script):
         driver = _Driver()
         for action in script:

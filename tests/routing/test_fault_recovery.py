@@ -1,8 +1,9 @@
 """Route recovery under faults (ISSUE 4 satellite coverage).
 
-Three gaps the fault-injection work flushed out: AODV re-discovery after a
+Gaps the fault-injection work flushed out: AODV re-discovery after a
 route idles past ACTIVE_ROUTE_TIMEOUT, RERR propagation when a relay
-crashes mid-call, and OLSR topology repair after a relay crash.
+crashes mid-call, OLSR topology repair after a relay crash, and OLSR
+taking a restarted node's TCs.
 """
 
 from repro.faults import FaultPlan
@@ -94,4 +95,32 @@ class TestOlsrRelayCrash:
         assert scenario.stacks[0].routing.hop_count_to(scenario.nodes[4].ip) is not None
         record = scenario.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=3.0)
         assert record.established
+        scenario.stop()
+
+
+class TestOlsrRestart:
+    def test_restarted_originator_tcs_are_taken(self):
+        """Only a live topology entry rejects an older ANSN (RFC 3626 §9.5).
+
+        Node 2 sends six TCs, crashes at 40 s and restarts at 45 s with its
+        ANSN counting from 1 again. Node 0's entry for it expires at about
+        50 s; from then on node 0 must take the new TCs.
+        """
+        plan = FaultPlan().crash(40.0, 2).restart(45.0, 2)
+        scenario = ManetScenario(
+            ManetConfig(
+                n_nodes=5,
+                topology="chain",
+                routing="olsr",
+                spacing=90.0,
+                tx_range=100.0,
+                seed=4,
+                faults=plan,
+            )
+        )
+        scenario.start()
+        scenario.sim.run(60.0)
+        entry = scenario.stacks[0].routing._topology[scenario.nodes[2].ip]
+        assert entry.ansn == scenario.stacks[2].routing._ansn == 2
+        assert entry.expires_at > scenario.sim.now
         scenario.stop()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sip import CallState, ProxyCore, SipTransport, UserAgent
+from repro.netsim import PacketCapture
+from repro.sip import CallState, ProxyCore, SipRequest, SipTransport, UserAgent
 from tests.conftest import make_chain
 
 
@@ -134,6 +135,44 @@ class TestCancelPropagation:
         call.cancel()
         sim.run(6.0)
         assert CallState.TERMINATED in incoming_states
+
+    def test_answered_invite_is_not_cancelled_downstream(self, sim, medium, triangle):
+        a, p, b, alice, bob, proxy = triangle
+        bob.on_invite = auto_answer(sim)
+        call = alice.call("sip:bob@voicehoc.ch")
+        sim.run(3.0)
+        assert call.state is CallState.ESTABLISHED
+        assert not proxy._proxied_invites  # dropped at the 200 OK
+        assert _cancels_forwarded(sim, medium, alice, call, p) == 0
+
+    def test_timed_out_invite_is_not_cancelled_downstream(self, sim, medium, triangle):
+        a, p, b, alice, bob, proxy = triangle
+        bob.close()
+        call = alice.call("sip:bob@voicehoc.ch")
+        sim.run(60.0)
+        assert call.failure_status == 408
+        assert not proxy._proxied_invites  # dropped at the timeout
+        assert _cancels_forwarded(sim, medium, alice, call, p) == 0
+
+
+def _cancels_forwarded(sim, medium, alice, call, proxy_node) -> int:
+    """Send a CANCEL for ``call``'s INVITE to the proxy; count CANCELs it sends on.
+
+    The CANCEL is built as ``OutgoingCall.cancel`` builds it, which sends
+    nothing once the call has a final response.
+    """
+    invite = call._invite
+    cancel = SipRequest("CANCEL", invite.uri)
+    for name in ("Via", "From", "To", "Call-Id", "Max-Forwards"):
+        cancel.headers.add(name, invite.headers.get(name))
+    cancel.headers.add("CSeq", f"{invite.cseq.number} CANCEL")
+    capture = PacketCapture(port_filter={5060, 5070})
+    medium.add_sniffer(capture.on_frame)
+    alice.transactions.send_stateless(cancel, (proxy_node.ip, 5060))
+    sim.run(sim.now + 2.0)
+    cancels = [f for f in capture.frames if f.packet.data.startswith(b"CANCEL")]
+    assert [f.sender_ip for f in cancels][:1] == [alice.node.ip]  # the proxy got it
+    return sum(1 for f in cancels if f.sender_ip == proxy_node.ip)
 
 
 class TestLegs:
