@@ -232,7 +232,9 @@ class Aodv(RoutingProtocol):
         now = self.sim.now
         if len(self._rreq_seen) > self.SEEN_LIMIT:
             self._gc_seen(now)
-        if key in self._rreq_seen:
+        # An entry holds only until its PATH_DISCOVERY_TIME expiry (RFC 3561
+        # §6.3): a restarted daemon reuses its old RREQ ids.
+        if self._rreq_seen.get(key, 0.0) > now:
             return
         self._mark_seen(*key)
         hop_count = rreq.hop_count + 1

@@ -2,8 +2,9 @@
 
 Gaps the fault-injection work flushed out: AODV re-discovery after a
 route idles past ACTIVE_ROUTE_TIMEOUT, RERR propagation when a relay
-crashes mid-call, OLSR topology repair after a relay crash, and OLSR
-taking a restarted node's TCs.
+crashes mid-call, AODV relays answering a restarted node's lookups, OLSR
+topology repair after a relay crash, and OLSR taking a restarted node's
+TCs.
 """
 
 from repro.faults import FaultPlan
@@ -68,6 +69,39 @@ class TestAodvRelayCrash:
         # A second call must come up over the repaired route.
         second = scenario.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=3.0)
         assert second.established
+        scenario.stop()
+
+
+class TestAodvRestart:
+    def test_restarted_originator_lookups_are_answered(self):
+        """A neighbour forgets a RREQ id once PATH_DISCOVERY_TIME passes.
+
+        Node 3 calls node 0, crashes at 10 s and restarts at 25 s; its SLP
+        plugin numbers its lookups from the same first RREQ id again. The
+        relays must not drop them as duplicates: the next call succeeds.
+        """
+        plan = FaultPlan().crash(10.0, 3).restart(25.0, 3)
+        scenario = ManetScenario(
+            ManetConfig(
+                n_nodes=4,
+                topology="chain",
+                routing="aodv",
+                seed=5,
+                connection_provider=False,
+                faults=plan,
+            )
+        )
+        scenario.start()
+        scenario.add_phone(0, "user0")
+        scenario.add_phone(3, "user3")
+        scenario.sim.run(3.5)
+        first = scenario.call_and_wait("user3", "sip:user0@voicehoc.ch", duration=2.0)
+        assert first.established_at is not None
+        scenario.sim.run(26.5)
+        assert scenario.nodes[3].up
+        second = scenario.call_and_wait("user3", "sip:user0@voicehoc.ch", duration=2.0)
+        assert second.failure_status is None
+        assert second.established_at is not None
         scenario.stop()
 
 
