@@ -306,6 +306,69 @@ def test_unicast_hop_throughput(benchmark):
     assert len(received) % _HOP_FRAMES == 0  # a clean channel loses nothing
 
 
+from repro.rtp import AdaptivePlayoutPolicy, RtpSession
+
+_VOICE_ROUNDS = 2000
+
+
+class _KeepLastSocket:
+    """Stands in for a session's UDP socket: keeps the last datagram, sends nothing."""
+
+    last = b""
+
+    def send(self, dst_ip, dport, data):
+        self.last = data
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("case", ["send", "receive"])
+def test_voice_frame_throughput(benchmark, case):
+    """One RED-2 G.711 frame, as media_fade's calls carry them.
+
+    ``send``: ``RtpSession._send_frame`` packs it. ``receive``:
+    ``RtpSession._on_datagram`` reads it with adaptive playout; both
+    secondaries repeat frames that already arrived, as on a clean hop. The
+    sender's socket keeps what it is given, so neither case crosses the
+    network. Between rounds, and untimed, the clock moves one frame
+    interval on, and the ``receive`` case has the sender pack the next
+    frame.
+    """
+    sim = Simulator(seed=3)
+    alice, bob = Node(sim, 0, manet_ip(0)), Node(sim, 1, manet_ip(1))
+    sessions = [
+        RtpSession(
+            node, 16384, remote=(peer.ip, 16384), redundancy=2,
+            jitter_policy=AdaptivePlayoutPolicy(),
+        )
+        for node, peer in ((alice, bob), (bob, alice))
+    ]
+    sender, receiver = sessions
+    socket = sender._socket = _KeepLastSocket()
+    for _ in range(3):  # fill the redundancy history; the receiver sees it all
+        sender._send_frame()
+        receiver._on_datagram(socket.last, alice.ip, 16384)
+        sim.run(sim.now + G711.frame_interval)
+
+    received = [3]
+
+    def next_frame():
+        sim.run(sim.now + G711.frame_interval)
+        if case == "send":
+            return (), {}
+        sender._send_frame()
+        received[0] += 1
+        return (socket.last, alice.ip, 16384), {}
+
+    target = sender._send_frame if case == "send" else receiver._on_datagram
+    benchmark.pedantic(target, setup=next_frame, rounds=_VOICE_ROUNDS)
+    assert len(socket.last) == 12 + 2 * 4 + 1 + 3 * G711.frame_bytes
+    stats = receiver.jitter_buffer.stats
+    assert stats.received == stats.played == received[0]
+    assert stats.recovered == bob.stats.count("rtp.bad_packets") == 0
+
+
 # -- the OLSR control plane ---------------------------------------------------
 #
 # Every node of an OLSR mesh receives its neighbours' HELLOs every 2 s and the

@@ -227,56 +227,61 @@ class SiphocProxy:
             self.upstream_registrations[aor] = False
             self.node.stats.increment("siphoc.upstream_register_unroutable")
             return
+        self._send_upstream_register(leg, aor, destination, authorization=None)
+
+    def _send_upstream_register(
+        self,
+        leg: ProxyLeg,
+        aor: str,
+        destination: tuple[str, int],
+        authorization: str | None,
+    ) -> None:
+        """One upstream REGISTER attempt; ``authorization`` answers a 401 challenge.
+
+        A method rather than a closure inside :meth:`_register_upstream`: a
+        closure that re-sends itself refers to itself, a cycle per registration.
+        """
+        aor_uri = SipUri.parse(aor)
         account = self.accounts.get(aor)
         credentials = account.credentials if account is not None else None
+        headers = Headers()
+        identity = NameAddr(uri=aor_uri)
+        headers.add("From", str(identity.with_tag(new_tag())))
+        headers.add("To", str(identity))
+        headers.add("Call-ID", new_call_id(leg.address))
+        headers.add("CSeq", f"{next(self._register_cseq)} REGISTER")
+        headers.add("Max-Forwards", "70")
+        # The binding we push upstream is OUR tunnel-side endpoint, so
+        # Internet calls for this user land on the WAN leg and get
+        # relayed into the MANET.
+        wan_contact = SipUri(user=aor_uri.user, host=leg.address, port=leg.port)
+        headers.add("Contact", f"<{wan_contact}>")
+        headers.add("Expires", "3600")
+        if authorization is not None:
+            headers.add("Authorization", authorization)
+        request = SipRequest("REGISTER", SipUri(user=None, host=aor_uri.host), headers=headers)
 
-        def attempt(authorization: str | None, already_tried_auth: bool) -> None:
-            headers = Headers()
-            identity = NameAddr(uri=aor_uri)
-            headers.add("From", str(identity.with_tag(new_tag())))
-            headers.add("To", str(identity))
-            headers.add("Call-ID", new_call_id(leg.address))
-            headers.add("CSeq", f"{next(self._register_cseq)} REGISTER")
-            headers.add("Max-Forwards", "70")
-            # The binding we push upstream is OUR tunnel-side endpoint, so
-            # Internet calls for this user land on the WAN leg and get
-            # relayed into the MANET.
-            wan_contact = SipUri(user=aor_uri.user, host=leg.address, port=leg.port)
-            headers.add("Contact", f"<{wan_contact}>")
-            headers.add("Expires", "3600")
-            if authorization is not None:
-                headers.add("Authorization", authorization)
-            request = SipRequest(
-                "REGISTER", SipUri(user=None, host=aor_uri.host), headers=headers
-            )
+        def on_response(response: SipResponse) -> None:
+            if response.status == 401 and authorization is None and credentials is not None:
+                challenge = response.headers.get("WWW-Authenticate")
+                if challenge:
+                    answer = credentials.authorization_for(
+                        challenge, "REGISTER", str(request.uri)
+                    )
+                    if answer is not None:
+                        self._send_upstream_register(leg, aor, destination, answer)
+                        return
+            self.upstream_registrations[aor] = response.is_success
+            if response.is_success:
+                self.node.stats.increment("siphoc.upstream_register_ok")
+            else:
+                self.node.stats.increment("siphoc.upstream_register_rejected")
 
-            def on_response(response: SipResponse) -> None:
-                if (
-                    response.status == 401
-                    and not already_tried_auth
-                    and credentials is not None
-                ):
-                    challenge = response.headers.get("WWW-Authenticate")
-                    if challenge:
-                        answer = credentials.authorization_for(
-                            challenge, "REGISTER", str(request.uri)
-                        )
-                        if answer is not None:
-                            attempt(answer, True)
-                            return
-                self.upstream_registrations[aor] = response.is_success
-                if response.is_success:
-                    self.node.stats.increment("siphoc.upstream_register_ok")
-                else:
-                    self.node.stats.increment("siphoc.upstream_register_rejected")
+        def on_timeout() -> None:
+            self.upstream_registrations[aor] = False
+            self.node.stats.increment("siphoc.upstream_register_timeout")
 
-            def on_timeout() -> None:
-                self.upstream_registrations[aor] = False
-                self.node.stats.increment("siphoc.upstream_register_timeout")
-
-            leg.transactions.send_request(request, destination, on_response, on_timeout)
-
-        attempt(None, already_tried_auth=False)
+        leg.transactions.send_request(request, destination, on_response, on_timeout)
 
     def _provider_destination(self, domain: str, aor: str | None = None) -> tuple[str, int] | None:
         """Resolve where to reach the Internet provider for ``domain``.

@@ -39,19 +39,20 @@ from repro.rtp.codecs import (
     RED_PAYLOAD_TYPE,
     TELEPHONE_EVENT_PAYLOAD_TYPE,
 )
-from repro.rtp.jitter import DUPLICATE, JitterBuffer, JitterPolicy, _seq_delta
+from repro.rtp.jitter import DUPLICATE, JitterBuffer, JitterPolicy
 from repro.rtp.packet import (
     DTMF_EVENTS,
     RED_MAX_BLOCK_BYTES,
-    RtpPacket,
+    RTP_HEADER_BYTES,
     decode_dtmf_payload,
-    decode_red,
-    decode_rtp,
-    encode_red,
     extract_send_time,
     make_comfort_noise_payload,
     make_dtmf_payload,
-    make_voice_payload,
+    pack_header,
+    read_header,
+    red_headers,
+    voice_frame,
+    walk_red,
 )
 from repro.rtp.quality import CallQuality, score_stream
 
@@ -114,6 +115,9 @@ class RtpSession:
         self.codec = codec
         # Read once: the codec is fixed for the session's life.
         self._ts_increment = codec.timestamp_increment
+        self._sample_rate = codec.sample_rate
+        self._payload_type = codec.payload_type
+        self._pack_voice = voice_frame(codec.frame_bytes).pack
         self.local_port = local_port
         self.remote = remote
         self.redundancy = redundancy
@@ -214,29 +218,24 @@ class RtpSession:
             return
         units = int(duration * self.codec.sample_rate)
         self._transmit(
-            TELEPHONE_EVENT_PAYLOAD_TYPE,
-            make_dtmf_payload(digit, units, end=True),
-            marker=True,
+            TELEPHONE_EVENT_PAYLOAD_TYPE, True, make_dtmf_payload(digit, units, end=True)
         )
 
     def _send_frame(self) -> None:
         assert self.remote is not None
         now = self.sim.now
-        self._update_spurt(now)
+        if self.vad:
+            self._update_spurt(now)
         if self._talking:
             self._send_voice(now)
         elif self._cn_due:
             self._cn_due = False
-            self._transmit(
-                COMFORT_NOISE_PAYLOAD_TYPE, make_comfort_noise_payload(), marker=False
-            )
+            self._transmit(COMFORT_NOISE_PAYLOAD_TYPE, False, make_comfort_noise_payload())
         # The RTP timestamp tracks the sampling clock, so it advances every
         # frame interval even across suppressed (silent) frames.
         self._timestamp = (self._timestamp + self._ts_increment) & 0xFFFFFFFF
 
     def _update_spurt(self, now: float) -> None:
-        if not self.vad:
-            return
         while now >= self._phase_until:
             start = self._phase_until
             self._talking = not self._talking
@@ -254,10 +253,10 @@ class RtpSession:
                 )
 
     def _send_voice(self, now: float) -> None:
-        payload = make_voice_payload(self.codec.frame_bytes, now)
+        payload = self._pack_voice(now)
         marker = self._marker_pending
         self._marker_pending = False
-        payload_type = self.codec.payload_type
+        payload_type = self._payload_type
         if self.redundancy > 0:
             timestamp = self._timestamp
             blocks = [
@@ -266,30 +265,31 @@ class RtpSession:
             ]
             blocks.append((payload_type, 0, payload))
             self._red_history.append((timestamp, payload))
-            self._transmit(RED_PAYLOAD_TYPE, encode_red(blocks), marker)
+            self._transmit(
+                RED_PAYLOAD_TYPE, marker, red_headers(blocks), *[block[2] for block in blocks]
+            )
         else:
-            self._transmit(payload_type, payload, marker)
+            self._transmit(payload_type, marker, payload)
 
-    def _transmit(self, payload_type: int, payload: bytes, marker: bool) -> None:
+    def _transmit(self, payload_type: int, marker: bool, *parts: bytes) -> None:
+        """Send one packet: the RTP header and ``parts``, joined once."""
         assert self.remote is not None
-        packet = RtpPacket(
-            payload_type=payload_type,
-            sequence=self._sequence,
-            timestamp=self._timestamp,
-            ssrc=self.ssrc,
-            payload=payload,
-            marker=marker,
-        )
+        header = pack_header(payload_type, self._sequence, self._timestamp, self.ssrc, marker)
         self._sequence = (self._sequence + 1) & 0xFFFF
         self.packets_sent += 1
-        self._socket.send(self.remote[0], self.remote[1], packet.encode())
+        self._socket.send(self.remote[0], self.remote[1], b"".join((header, *parts)))
 
     # -- receiver -----------------------------------------------------------------
+    #
+    # A datagram is read in place: the header once, then, by payload type,
+    # the RFC 2198 block headers, the send stamp or the telephone event at
+    # their offsets in ``data``. No payload is copied.
+
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
         if self.closed:
             return
         try:
-            packet = decode_rtp(data)
+            payload_type, marker, sequence, timestamp, _ = read_header(data)
         except CodecError:
             self.node.stats.increment("rtp.bad_packets")
             return
@@ -299,77 +299,88 @@ class RtpSession:
             if gap > self.max_rx_gap:
                 self.max_rx_gap = gap
         self.last_rx_at = now
-        if packet.payload_type == RED_PAYLOAD_TYPE:
-            self._receive_red(packet, now)
-        elif packet.payload_type == COMFORT_NOISE_PAYLOAD_TYPE:
-            self._receive_cn(packet, now)
-        elif packet.payload_type == TELEPHONE_EVENT_PAYLOAD_TYPE:
-            self._receive_dtmf(packet, now)
+        if payload_type == RED_PAYLOAD_TYPE:
+            self._receive_red(data, sequence, timestamp, marker, now)
+        elif payload_type == COMFORT_NOISE_PAYLOAD_TYPE:
+            self._receive_cn(sequence, now)
+        elif payload_type == TELEPHONE_EVENT_PAYLOAD_TYPE:
+            self._receive_dtmf(data, sequence, now)
         else:
-            self._receive_voice(packet, packet.payload, now)
+            self._receive_voice(data, RTP_HEADER_BYTES, sequence, timestamp, marker, now)
 
-    def _receive_red(self, packet: RtpPacket, now: float) -> None:
+    def _receive_red(
+        self, data: bytes, sequence: int, timestamp: int, marker: bool, now: float
+    ) -> None:
         try:
-            blocks = decode_red(packet.payload)
+            secondaries, _, primary_at = walk_red(data, RTP_HEADER_BYTES)
         except CodecError:
             self.node.stats.increment("rtp.bad_packets")
             return
-        self._receive_voice(packet, blocks[-1].payload, now)
+        self._receive_voice(data, primary_at, sequence, timestamp, marker, now)
         increment = self._ts_increment
-        for _, ts_offset, _ in blocks[:-1]:
+        for _, ts_offset, _ in secondaries:
             if increment <= 0 or ts_offset <= 0:
                 continue
             steps = round(ts_offset / increment)
-            sequence = (packet.sequence - steps) & 0xFFFF
-            if self.jitter_buffer.on_recovered(sequence, now):
+            recovered = (sequence - steps) & 0xFFFF
+            if self.jitter_buffer.on_recovered(recovered, now):
                 self.node.stats.increment("rtp.recovered")
                 tracer = self.sim.tracer
                 if tracer is not None:
                     tracer.emit(
-                        "rtp.recovered", self.node.ip, port=self.local_port, seq=sequence
+                        "rtp.recovered", self.node.ip, port=self.local_port, seq=recovered
                     )
 
-    def _receive_voice(self, packet: RtpPacket, payload: bytes, now: float) -> None:
-        self._note_sequence(packet.sequence)
-        delay_before = self.jitter_buffer.playout_delay
-        outcome = self.jitter_buffer.classify(
-            packet.sequence, now, jitter=self._jitter, marker=packet.marker
-        )
-        if self.jitter_buffer.playout_delay != delay_before:
+    def _receive_voice(
+        self,
+        data: bytes,
+        payload_at: int,
+        sequence: int,
+        timestamp: int,
+        marker: bool,
+        now: float,
+    ) -> None:
+        """A voice frame whose payload starts at ``data[payload_at]``."""
+        self._note_sequence(sequence)
+        jitter_buffer = self.jitter_buffer
+        delay_before = jitter_buffer.playout_delay
+        outcome = jitter_buffer.classify(sequence, now, self._jitter, marker)
+        if jitter_buffer.playout_delay != delay_before:
             tracer = self.sim.tracer
             if tracer is not None:
                 tracer.emit(
                     "rtp.retarget",
                     self.node.ip,
                     port=self.local_port,
-                    playout_delay=self.jitter_buffer.playout_delay,
+                    playout_delay=jitter_buffer.playout_delay,
                 )
         if outcome == DUPLICATE:
             return
         try:
-            send_time = extract_send_time(payload)
+            send_time = extract_send_time(data, payload_at)
         except CodecError:
             send_time = now
-        self.delays.append(max(0.0, now - send_time))
+        delay = now - send_time
+        self.delays.append(delay if delay > 0.0 else 0.0)
         # RFC 3550 interarrival jitter estimate (unique receipts only).
-        transit = now - packet.timestamp / self.codec.sample_rate
+        transit = now - timestamp / self._sample_rate
         if self._last_transit is not None:
             deviation = abs(transit - self._last_transit)
             self._jitter += (deviation - self._jitter) / 16.0
         self._last_transit = transit
 
-    def _receive_cn(self, packet: RtpPacket, now: float) -> None:
-        self._note_sequence(packet.sequence)
-        if self.jitter_buffer.classify(packet.sequence, now, jitter=self._jitter) != DUPLICATE:
+    def _receive_cn(self, sequence: int, now: float) -> None:
+        self._note_sequence(sequence)
+        if self.jitter_buffer.classify(sequence, now, jitter=self._jitter) != DUPLICATE:
             self.cn_received += 1
             self.node.stats.increment("rtp.cn_frames")
 
-    def _receive_dtmf(self, packet: RtpPacket, now: float) -> None:
-        self._note_sequence(packet.sequence)
-        if self.jitter_buffer.classify(packet.sequence, now, jitter=self._jitter) == DUPLICATE:
+    def _receive_dtmf(self, data: bytes, sequence: int, now: float) -> None:
+        self._note_sequence(sequence)
+        if self.jitter_buffer.classify(sequence, now, jitter=self._jitter) == DUPLICATE:
             return
         try:
-            digit, end, _duration = decode_dtmf_payload(packet.payload)
+            digit, end, _duration = decode_dtmf_payload(data, RTP_HEADER_BYTES)
         except CodecError:
             self.node.stats.increment("rtp.bad_packets")
             return
@@ -382,11 +393,13 @@ class RtpSession:
 
     def _note_sequence(self, sequence: int) -> None:
         """Track the received sequence range in extended (unwrapped) form."""
-        if self._ext_high is None:
+        high = self._ext_high
+        if high is None:
             self._first_ext = self._ext_high = sequence
             return
-        ext = self._ext_high + _seq_delta(sequence, self._ext_high & 0xFFFF)
-        if ext > self._ext_high:
+        delta = (sequence - high) & 0xFFFF  # jitter._seq_delta, inlined
+        ext = high + (delta - 0x10000 if delta >= 0x8000 else delta)
+        if ext > high:
             self._ext_high = ext
         assert self._first_ext is not None
         if ext < self._first_ext:

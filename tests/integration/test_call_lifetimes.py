@@ -4,11 +4,14 @@ A call's transactions, timers, RTP session and call object must be freed
 by reference counting once the call and its transactions end, and no SIP
 transaction or timer may outlive the RFC 3261 timers that keep it. A short
 call storm (the end-to-end ``call_storm`` workload in miniature: one phone
-calling another over a warm 3-hop AODV chain) drives both checks.
+calling another over a warm 3-hop AODV chain) drives both checks. The
+SIPHoc proxy's upstream REGISTER through an Internet gateway must leave no
+cyclic garbage either.
 """
 
 import gc
 
+from repro.core import SipAccount
 from repro.netsim.simulator import Simulator
 from repro.scenarios import ManetConfig, ManetScenario
 from repro.sip import SipRequest, SipTransport, TransactionLayer
@@ -74,6 +77,32 @@ def test_call_storm_leaves_no_cyclic_garbage():
         gc.enable()
     records = scenario.call_records()
     assert sum(record.established_at is not None for record in records) == 2 * CALLS
+    assert freed == 0
+    scenario.stop()
+
+
+def test_upstream_registration_leaves_no_cyclic_garbage():
+    """The SIPHoc proxy registers a phone with its provider through a gateway."""
+    scenario = ManetScenario(
+        ManetConfig(
+            n_nodes=3,
+            topology="chain",
+            routing="aodv",
+            seed=1,
+            internet_gateways=1,
+            providers=("siphoc.ch",),
+        )
+    )
+    scenario.start()
+    gc.collect()
+    gc.disable()
+    try:
+        scenario.add_phone(0, "alice", account=SipAccount(username="alice", domain="siphoc.ch"))
+        scenario.sim.run(45.0)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert scenario.stacks[0].proxy.upstream_registrations == {"sip:alice@siphoc.ch": True}
     assert freed == 0
     scenario.stop()
 
