@@ -246,9 +246,9 @@ class SiphocProxy:
         credentials = account.credentials if account is not None else None
         headers = Headers()
         identity = NameAddr(uri=aor_uri)
-        headers.add("From", str(identity.with_tag(new_tag())))
+        headers.add("From", str(identity.with_tag(new_tag(self.sim))))
         headers.add("To", str(identity))
-        headers.add("Call-ID", new_call_id(leg.address))
+        headers.add("Call-ID", new_call_id(self.sim, leg.address))
         headers.add("CSeq", f"{next(self._register_cseq)} REGISTER")
         headers.add("Max-Forwards", "70")
         # The binding we push upstream is OUR tunnel-side endpoint, so

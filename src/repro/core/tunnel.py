@@ -16,7 +16,7 @@ packets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.errors import CodecError, GatewayError, PortInUseError
 from repro.netsim.internet import InternetCloud
@@ -45,7 +45,13 @@ def encode_inner_packet(packet: Packet) -> bytes:
     return writer.getvalue()
 
 
-def decode_inner_packet(data: bytes) -> Packet:
+def decode_inner_packet(data: bytes, uids: Iterator[int] | None = None) -> Packet:
+    """Parse an encapsulated packet.
+
+    A gateway or client re-injects it into the run under a fresh uid drawn
+    from ``uids``, its simulator's ``packet_uids``; without one (a
+    dissector) the packet has uid 0.
+    """
     reader = Reader(data)
     src = reader.ip()
     dst = reader.ip()
@@ -54,7 +60,8 @@ def decode_inner_packet(data: bytes) -> Packet:
     dport = reader.u16()
     length = reader.u16()
     payload = reader.raw(length)
-    return Packet(src=src, dst=dst, ttl=ttl, payload=Datagram(sport, dport, payload))
+    uid = 0 if uids is None else next(uids)
+    return Packet(src=src, dst=dst, ttl=ttl, payload=Datagram(sport, dport, payload), uid=uid)
 
 
 def _encode_ctrl(msg_type: int, address: str = "0.0.0.0", lease: int = 0) -> bytes:
@@ -226,7 +233,7 @@ class TunnelServer:
         if self.closed:
             return
         try:
-            inner = decode_inner_packet(data)
+            inner = decode_inner_packet(data, self.sim.packet_uids)
         except CodecError:
             self.node.stats.increment("tunnel.bad_frames")
             return
@@ -396,7 +403,7 @@ class TunnelClient:
         if self.closed or src_ip != self.gateway_ip:
             return
         try:
-            inner = decode_inner_packet(data)
+            inner = decode_inner_packet(data, self.sim.packet_uids)
         except CodecError:
             self.node.stats.increment("tunnel.bad_frames")
             return

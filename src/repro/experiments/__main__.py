@@ -141,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--metrics-interval",
-        type=float,
+        type=metrics.interval_arg,
         default=1.0,
         metavar="SECONDS",
         help="sim-seconds between metric snapshots (default: 1.0)",

@@ -1,22 +1,27 @@
 """Gate workloads: seeded runs whose canonical text is pinned by a digest.
 
-The reproduction's contract is that a seeded run is byte-identical across
-fresh interpreters. :data:`GATES` names the workloads that hold the code to
-it. Each gate is a zero-argument function that runs one seeded workload and
-returns canonical text; a gate may also carry a check that lists the
-invariants the text fails to show. :func:`run_fresh` runs one gate in a new
-interpreter (protocol identifiers come from process-global counters, so a
-fresh process needs no ``registry.reset_all()``), and
-``tests/netsim/test_golden.py`` compares the sha256 of that text with the
-committed ``tests/netsim/golden.json`` and applies the gate's check.
+The reproduction's contract is that a seeded run depends on its seed
+alone: byte-identical across fresh interpreters and whatever ran before
+it in the same one. :data:`GATES` names the workloads that hold the code
+to it. Each gate is a zero-argument function that runs one seeded workload
+and returns canonical text; a gate may also carry a check that lists the
+invariants the text fails to show. :func:`run_fresh` runs a list of gates,
+in order, in one new interpreter and returns each gate's sha256 digest and
+check failures; ``tests/netsim/test_golden.py`` compares the digests with
+the committed ``tests/netsim/golden.json``.
 
-Run one gate by hand::
+Print gates' digests by hand (no name prints the list)::
 
-    PYTHONPATH=src python -m repro.experiments.gates chaos_run | sha256sum
+    PYTHONPATH=src python -m repro.experiments.gates chaos_run legacy_call
+
+Each line reads ``<sha256>  <gate>``, as ``sha256sum`` prints, followed by
+one ``FAIL <gate>: <failure>`` line per failed check; the exit status is 1
+when a check failed. ``GATES[name].run()`` returns a gate's text.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -24,7 +29,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import MetricsError
 from repro.experiments.handover import HandoverTrial, run_handover_trial
@@ -32,7 +37,6 @@ from repro.experiments.media import run_media_point
 from repro.faults.channel import GilbertElliottChannel, TimedGilbertElliottChannel
 from repro.faults.harness import default_chaos_plan, run_chaos
 from repro.faults.plan import FaultPlan
-from repro.globalstate import registry
 from repro.metrics.registry import render_prometheus
 from repro.metrics.scraper import load_jsonl
 from repro.overload.harness import MODE_CONTROLLED, MODE_UNCONTROLLED, run_sweep, smoke_config
@@ -401,7 +405,6 @@ def media_knobs_off() -> str:
     """The E5 schedule with the media knobs omitted, then set to their off values."""
     halves = []
     for explicit_off in (False, True):
-        registry.reset_all()
         halves.append(_e5_schedule(explicit_off))
     return _KNOBS_OMITTED + halves[0] + _KNOBS_OFF + halves[1]
 
@@ -494,22 +497,42 @@ GATES: dict[str, Gate] = {
 }
 
 
-def run_fresh(name: str) -> str:
-    """Run gate ``name`` in a new interpreter and return its canonical text."""
+@dataclass(frozen=True)
+class GateResult:
+    """One gate's outcome in a :func:`run_fresh` interpreter."""
+
+    digest: str
+    failures: tuple[str, ...]
+
+
+def run_fresh(names: Sequence[str], hash_seed: int = 0) -> dict[str, GateResult]:
+    """Run the gates ``names`` in order in one new interpreter, with no reset
+    between them, under ``PYTHONHASHSEED=hash_seed``."""
     src = str(Path(__file__).resolve().parents[2])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments.gates", name],
+        [sys.executable, "-m", "repro.experiments.gates", *names],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        timeout=300,
+        env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": str(hash_seed)},
+        timeout=600,
     )
-    if result.returncode != 0:
+    digests: dict[str, str] = {}
+    failures: dict[str, list[str]] = {}
+    for line in result.stdout.decode("utf-8").splitlines():
+        if line.startswith("FAIL "):
+            name, _, failure = line.removeprefix("FAIL ").partition(": ")
+            failures.setdefault(name, []).append(failure)
+        else:
+            digest, _, name = line.partition("  ")
+            digests[name] = digest
+    if sorted(digests) != sorted(names):
         raise RuntimeError(
-            f"gate {name!r} exited {result.returncode}:\n"
+            f"gates {list(names)!r} exited {result.returncode}:\n"
             + result.stderr.decode("utf-8", "replace")[-2000:]
         )
-    return result.stdout.decode("utf-8")
+    return {
+        name: GateResult(digests[name], tuple(failures.get(name, ()))) for name in names
+    }
 
 
 def smoke(name: str) -> int:
@@ -523,15 +546,23 @@ def smoke(name: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or argv[0] not in GATES:
+    if not argv or any(name not in GATES for name in argv):
         print(
-            "usage: python -m repro.experiments.gates NAME\n"
+            "usage: python -m repro.experiments.gates NAME [NAME ...]\n"
             f"gates: {', '.join(GATES)}",
             file=sys.stderr,
         )
         return 2
-    sys.stdout.buffer.write(GATES[argv[0]].run().encode("utf-8"))
-    return 0
+    failed = False
+    for name in argv:
+        gate = GATES[name]
+        text = gate.run()
+        print(f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {name}")
+        for failure in gate.check(text):
+            failed = True
+            print(f"FAIL {name}: {' '.join(failure.split())}")
+        sys.stdout.flush()
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

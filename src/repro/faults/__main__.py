@@ -14,7 +14,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.faults.harness import default_chaos_plan, run_chaos
+from repro.faults.harness import MIN_CHAOS_HOPS, default_chaos_plan, run_chaos
+
+
+def _chaos_hops(text: str) -> int:
+    hops = int(text)
+    if hops < MIN_CHAOS_HOPS:
+        raise argparse.ArgumentTypeError(
+            f"the chaos chain needs at least {MIN_CHAOS_HOPS} hops, got {text}"
+        )
+    return hops
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -48,12 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_plan = sub.add_parser("plan", help="print the canonical fault plan as JSONL")
-    p_plan.add_argument("--hops", type=int, default=4, help="chain length (default 4)")
+    p_plan.add_argument("--hops", type=_chaos_hops, default=4, help="chain length (default 4)")
     p_plan.add_argument("--routing", choices=("aodv", "olsr"), default="aodv")
     p_plan.set_defaults(fn=_cmd_plan)
 
     p_run = sub.add_parser("run", help="run the chaos workload, print recovery report")
-    p_run.add_argument("--hops", type=int, default=4, help="chain length (default 4)")
+    p_run.add_argument("--hops", type=_chaos_hops, default=4, help="chain length (default 4)")
     p_run.add_argument("--routing", choices=("aodv", "olsr"), default="aodv")
     p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument("--out", help="also write the trace JSONL to this path")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.softphone import CallRecord
+from repro.errors import ConfigError
 from repro.faults.metrics import RecoveryReport, analyze_recovery
 from repro.faults.plan import FaultPlan
 from repro.scenarios import ManetConfig, ManetScenario
@@ -26,6 +27,10 @@ from repro.scenarios import ManetConfig, ManetScenario
 #: Node spacing that puts *two* chain neighbors inside the default 150 m
 #: transmit range — the redundancy that makes single-node crashes survivable.
 REDUNDANT_SPACING = 70.0
+
+#: Shortest chain whose middle relay (node ``(hops + 1) // 2``) is neither a
+#: phone's endpoint nor one of the two gateways on the last two nodes.
+MIN_CHAOS_HOPS = 4
 
 
 @dataclass
@@ -73,9 +78,12 @@ def build_chaos_scenario(
 
     alice sits at node 0, bob at node ``hops``, and carol rides the middle
     relay (so its crash/restart exercises phone re-registration too); the
-    last two nodes carry wired Internet attachments. Needs ``hops >= 3`` so
-    the crashed relay is neither an endpoint phone node nor a gateway.
+    last two nodes carry wired Internet attachments. Raises
+    :class:`ConfigError` unless ``hops >= MIN_CHAOS_HOPS`` (4): on a shorter
+    chain the crashed relay is also the primary gateway or a phone's node.
     """
+    if hops < MIN_CHAOS_HOPS:
+        raise ConfigError(f"the chaos chain needs hops >= {MIN_CHAOS_HOPS}, got {hops}")
     n_nodes = hops + 1
     t0 = 12.0 if routing == "olsr" else 3.0
     scenario = ManetScenario(

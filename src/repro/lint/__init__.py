@@ -30,13 +30,14 @@ FAULT001  wall-clock or ``random.*`` (even seeded) under ``faults/``
 OVR001    unbounded queues in ``netsim/`` and ``core/`` hot paths
 ========  ====================================================================
 
-Findings are suppressed per line with ``# lint: disable=RULEID`` (comma
-separated ids, or bare ``# lint: disable`` for every rule).
+Each rule reads one module at a time, so a file's findings do not depend
+on what else is linted with it. Findings are suppressed per line with
+``# lint: disable=RULEID`` (comma separated ids, or bare
+``# lint: disable`` for every rule).
 """
 
 from repro.lint.core import (
     Finding,
-    LintEngine,
     Rule,
     RuleVisitor,
     analyze_file,
@@ -50,7 +51,6 @@ from repro.lint.rules import ALL_RULES, get_rules
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "LintEngine",
     "Rule",
     "RuleVisitor",
     "analyze_file",

@@ -2,50 +2,32 @@
 
 Options::
 
-    --format text|json|sarif   report format (default: text)
-    --select IDS               comma-separated rule ids to run
-    --changed                  report only findings in files whose content
-                               changed since the cached run (whole-program
-                               analysis still covers every file)
-    --no-cache                 ignore and do not write .lint_cache/
-    --cache-dir DIR            cache location (default: .lint_cache)
-    --baseline FILE            grandfathered-findings file
-                               (default: lint_baseline.json if present)
-    --write-baseline           write current findings to the baseline file
-    --list-rules               print the rule registry and exit
+    --format text|json   report format (default: text)
+    --select IDS         comma-separated rule ids to run
+    --list-rules         print the rule registry and exit
 
-Exits 0 when every checked file is clean (net of the baseline), 1 when
-there are findings, and 2 on usage errors (unknown rule id, no files).
+Exits 0 when every checked file is clean, 1 when there are findings, and
+2 on usage errors (unknown rule id, no files).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from repro.lint.core import (
-    ProjectAnalyzer,
-    apply_baseline,
-    iter_python_files,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.core import iter_python_files, run_paths
+from repro.lint.reporters import render_json, render_text
 from repro.lint.rules import ALL_RULES, get_rules
 
-DEFAULT_BASELINE = "lint_baseline.json"
-DEFAULT_CACHE_DIR = ".lint_cache"
-
-_RENDERERS = {"text": render_text, "json": render_json, "sarif": render_sarif}
+_RENDERERS = {"text": render_text, "json": render_json}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Determinism, cache-coherence & shard-safety static "
-        "analyzer for the SIPHoc reproduction (whole-program).",
+        description="Determinism and cache-coherence static analyzer for the "
+        "SIPHoc reproduction (one module at a time).",
     )
     parser.add_argument(
         "paths",
@@ -65,34 +47,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="comma-separated rule ids to run (default: all rules)",
     )
     parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="report only findings in files changed since the cached run",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the summary cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=DEFAULT_CACHE_DIR,
-        help=f"summary-cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=f"baseline file of grandfathered findings (default: "
-        f"{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule registry and exit",
@@ -100,11 +54,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        seen: set[str] = set()
         for rule in ALL_RULES:
-            marker = "*" if rule.id in seen else " "
-            seen.add(rule.id)
-            print(f"{rule.id:9}{marker} {rule.title}")
+            print(f"{rule.id:9} {rule.title}")
         return 0
 
     try:
@@ -118,31 +69,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"no python files under: {', '.join(args.paths)}", file=sys.stderr)
         return 2
 
-    cache_dir = None if args.no_cache else args.cache_dir
-    analyzer = ProjectAnalyzer(rules, cache_dir=cache_dir)
-    result = analyzer.analyze_paths(files, use_cache=not args.no_cache)
-    findings = result.findings
-
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).is_file():
-        baseline_path = DEFAULT_BASELINE
-
-    if args.write_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        write_baseline(findings, target)
-        print(f"baseline: wrote {len(findings)} findings to {target}")
-        return 0
-
-    baselined = 0
-    if baseline_path is not None:
-        findings, baselined = apply_baseline(findings, load_baseline(baseline_path))
-
-    if args.changed:
-        changed = set(result.changed_paths)
-        findings = [finding for finding in findings if finding.path in changed]
-
-    renderer = _RENDERERS[args.format]
-    print(renderer(findings, files_checked=result.files_checked, baselined=baselined))
+    findings = run_paths(files, rules)
+    print(_RENDERERS[args.format](findings, files_checked=len(files)))
     return 1 if findings else 0
 
 

@@ -1,8 +1,7 @@
-"""Finding reporters: human text, machine JSON, and SARIF 2.1.0.
+"""Finding reporters: human text and machine JSON.
 
-All three are deterministic: findings arrive pre-sorted from the engine
-and every document is emitted with sorted keys, so cold-cache and
-warm-cache runs are byte-identical and CI can diff reports directly.
+Both are deterministic: findings arrive pre-sorted from the engine and the
+JSON document is emitted with sorted keys, so CI can diff reports directly.
 """
 
 from __future__ import annotations
@@ -13,21 +12,10 @@ from typing import Sequence
 
 from repro.lint.core import Finding
 
-#: The SARIF version emitted; tools/sarif_schema.json vendors the matching
-#: minimal schema used by the check.sh gate.
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
-
-def render_text(
-    findings: Sequence[Finding], files_checked: int, baselined: int = 0
-) -> str:
+def render_text(findings: Sequence[Finding], files_checked: int) -> str:
     """GCC-style ``path:line:col: RULE message`` lines plus a summary."""
     lines = [finding.format() for finding in findings]
-    suffix = f" ({baselined} baselined)" if baselined else ""
     if findings:
         by_rule = Counter(finding.rule_id for finding in findings)
         breakdown = ", ".join(f"{rule}: {count}" for rule, count in sorted(by_rule.items()))
@@ -35,94 +23,18 @@ def render_text(
         lines.append(
             f"{len(findings)} finding{'s' if len(findings) != 1 else ''} "
             f"in {files_checked} file{'s' if files_checked != 1 else ''} "
-            f"({breakdown}){suffix}"
+            f"({breakdown})"
         )
     else:
-        lines.append(f"clean: 0 findings in {files_checked} files{suffix}")
+        lines.append(f"clean: 0 findings in {files_checked} files")
     return "\n".join(lines)
 
 
-def render_json(
-    findings: Sequence[Finding], files_checked: int, baselined: int = 0
-) -> str:
+def render_json(findings: Sequence[Finding], files_checked: int) -> str:
     """Stable JSON document (sorted keys) for CI consumption."""
     document = {
         "files_checked": files_checked,
         "count": len(findings),
-        "baselined": baselined,
         "findings": [finding.to_dict() for finding in findings],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-def render_sarif(
-    findings: Sequence[Finding], files_checked: int, baselined: int = 0
-) -> str:
-    """Minimal SARIF 2.1.0 run, one result per finding.
-
-    Emits the subset GitHub code scanning and IDE SARIF viewers need:
-    driver metadata with the rule index, and one ``result`` per finding
-    carrying ruleId, message and a physical location. URIs are the paths
-    the engine was invoked with, made forward-slashed.
-    """
-    from repro.lint.rules import ALL_RULES
-
-    seen: set[str] = set()
-    rules = []
-    for rule in ALL_RULES:
-        if rule.id in seen:
-            continue
-        seen.add(rule.id)
-        rules.append(
-            {
-                "id": rule.id,
-                "name": rule.id,
-                "shortDescription": {"text": rule.title},
-                "fullDescription": {"text": rule.rationale},
-            }
-        )
-    rule_index = {rule["id"]: index for index, rule in enumerate(rules)}
-    results = []
-    for finding in findings:
-        result = {
-            "ruleId": finding.rule_id,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col,
-                        },
-                    }
-                }
-            ],
-        }
-        if finding.rule_id in rule_index:
-            result["ruleIndex"] = rule_index[finding.rule_id]
-        results.append(result)
-    document = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.lint",
-                        "informationUri": "https://example.invalid/repro.lint",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-                "properties": {
-                    "filesChecked": files_checked,
-                    "baselinedFindings": baselined,
-                },
-            }
-        ],
     }
     return json.dumps(document, indent=2, sort_keys=True)

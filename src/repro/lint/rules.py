@@ -1,11 +1,9 @@
-"""The project rule set.
+"""The project rule set: DET001–DET003, CACHE001–CACHE002, SIM001, FAULT001,
+OBS001 and OVR001.
 
-Per-file rules: DET001–DET003, CACHE001–CACHE002, SIM001, FAULT001,
-OBS001, OVR001. Whole-program rules: the SHARD family (shard-safety for
-region-sharded logical processes) and the cross-call DET002 sweep. Every
-rule guards an invariant the simulator's determinism, PR 1's caching
-layer or the sharding roadmap item depends on; DESIGN.md §5c/§5h document
-the rationale for each.
+Every rule guards an invariant the simulator's determinism or PR 1's
+caching layer depends on, and reads one module at a time; DESIGN.md §5c
+documents the rationale for each.
 """
 
 from __future__ import annotations
@@ -16,8 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.core import FileContext, ProgramRule, ProgramReporter, Rule, RuleVisitor
-from repro.lint.graph import ModuleSummary, ProjectGraph
+from repro.lint.core import FileContext, Rule, RuleVisitor
 
 # ---------------------------------------------------------------------------
 # DET001, FAULT001, OBS001 — path-scoped bans on the wall clock and random.*
@@ -677,239 +674,12 @@ class UnboundedQueueRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SHARD family — whole-program shard-safety for region-split logical
-# processes. These run over the ProjectGraph, not per file.
-# ---------------------------------------------------------------------------
-
-#: Modules the SHARD family certifies. Everything the sharded kernel will
-#: fork into worker processes lives here; lint/, trace/, experiments/,
-#: faults/, overload/ and the other harnesses stay host-side.
-_SHARD_SCOPE_PREFIXES = (
-    "repro.netsim.",
-    "repro.core.",
-    "repro.sip.",
-    "repro.routing.",
-    "repro.slp.",
-    "repro.rtp.",
-)
-_SHARD_SCOPE_MODULES = frozenset(
-    {
-        "repro.scenarios",
-        "repro.netsim",
-        "repro.core",
-        "repro.sip",
-        "repro.routing",
-        "repro.slp",
-        "repro.rtp",
-    }
-)
-
-
-def _shard_in_scope(module: str) -> bool:
-    """Scope by dotted module name; bare-named modules (fixtures) are in."""
-    if module == "repro" or module.startswith("repro."):
-        return module in _SHARD_SCOPE_MODULES or module.startswith(_SHARD_SCOPE_PREFIXES)
-    return True
-
-
-def _scoped(graph: ProjectGraph):
-    for summary in graph:
-        if _shard_in_scope(summary.module):
-            yield summary
-
-
-class ShardGlobalStateRule(ProgramRule):
-    id = "SHARD001"
-    title = "no unregistered module-level mutable state in shardable modules"
-    rationale = (
-        "Region-sharded logical processes fork the kernel into workers; any "
-        "module-global counter/dict/list written at runtime silently forks "
-        "with them and diverges per process. Registering the binding with "
-        "repro.globalstate.registry gives sharding one choke point to "
-        "enumerate, reset and partition per-process state."
-    )
-
-    def check_program(self, graph: ProjectGraph, report: ProgramReporter) -> None:
-        for summary in _scoped(graph):
-            for binding in summary.flow.mutable_globals:
-                if binding["registered"]:
-                    continue
-                writes = graph.global_writes_to(summary.module, binding["name"])
-                if not writes:
-                    continue
-                writers = sorted({write["from"] for write in writes})
-                report(
-                    summary,
-                    binding["line"],
-                    binding["col"],
-                    f"module-level mutable {binding['kind']} "
-                    f"{binding['name']!r} is written at runtime "
-                    f"(by {', '.join(writers)}): register it with "
-                    "repro.globalstate.registry so region shards can "
-                    "enumerate and reset per-process state",
-                )
-
-
-class ShardClosureEscapeRule(ProgramRule):
-    id = "SHARD002"
-    title = "no simulator-capturing closures escaping to module-global state"
-    rationale = (
-        "A closure over a Simulator/WirelessMedium/kernel reference pins one "
-        "region's event loop; parking it in module-global state hands every "
-        "future shard a pointer into another shard's kernel, and closures "
-        "do not pickle across the multiprocessing hand-off. Handlers that "
-        "stay on the owning simulator (sim.schedule(...)) are fine."
-    )
-
-    def check_program(self, graph: ProjectGraph, report: ProgramReporter) -> None:
-        for summary in _scoped(graph):
-            for fn in summary.flow.functions:
-                for escape in fn.closure_escapes:
-                    captures = ", ".join(escape["captures"])
-                    report(
-                        summary,
-                        escape["line"],
-                        escape["col"],
-                        f"closure {escape['closure']!r} capturing simulator "
-                        f"reference(s) {captures} escapes to module-global "
-                        f"state via {escape['via']}: it would cross a region "
-                        "boundary and cannot pickle into a shard worker",
-                    )
-
-
-class ShardRngShareRule(ProgramRule):
-    id = "SHARD003"
-    title = "no seeded RNG shared by independently-schedulable components"
-    rationale = (
-        "Two components that each arm their own events but draw from one "
-        "seeded random.Random interleave their draws through the event "
-        "order; split them across regions and the interleaving — hence the "
-        "whole run — changes. Each schedulable component must own an RNG "
-        "derived from its own (sub)seed. Generalizes DET002 across module "
-        "boundaries via the call graph."
-    )
-
-    def check_program(self, graph: ProjectGraph, report: ProgramReporter) -> None:
-        for summary in _scoped(graph):
-            for fn in summary.flow.functions:
-                for flow in fn.rng_flows:
-                    components: dict[str, dict] = {}
-                    for sink in flow["sinks"]:
-                        resolved = graph.resolve_class(
-                            sink["callee"], from_module=summary.module
-                        )
-                        if resolved is not None and resolved.cls.schedulable:
-                            components.setdefault(resolved.dotted, sink)
-                    if len(components) >= 2:
-                        names = ", ".join(sorted(components))
-                        report(
-                            summary,
-                            flow["line"],
-                            flow["col"],
-                            f"seeded RNG {flow['name']!r} flows into "
-                            f"{len(components)} independently-schedulable "
-                            f"components ({names}): each must own an RNG from "
-                            "its own subseed or region sharding reorders "
-                            "their interleaved draws",
-                        )
-
-
-class ShardUnpicklableRule(ProgramRule):
-    id = "SHARD004"
-    title = "no unpicklable state reachable from Node/scenario objects"
-    rationale = (
-        "Region sharding hands Node and scenario state to worker processes "
-        "via pickle; an open file, lambda or generator stored anywhere in "
-        "the composition closure of Node/ManetScenario turns the hand-off "
-        "into a runtime TypeError. The reachability set comes from the "
-        "whole-program class-composition graph."
-    )
-
-    #: Composition-closure roots: what multiprocessing will serialize.
-    ROOT_CLASS_NAMES = frozenset({"Node", "ManetScenario"})
-
-    def check_program(self, graph: ProjectGraph, report: ProgramReporter) -> None:
-        reachable = graph.reachable_classes(set(self.ROOT_CLASS_NAMES))
-        for summary in _scoped(graph):
-            for fn in summary.flow.functions:
-                for record in fn.unpicklable_attr_assigns:
-                    dotted = self._owner_class(graph, summary, fn.qualname, record)
-                    if dotted is None or dotted not in reachable:
-                        continue
-                    report(
-                        summary,
-                        record["line"],
-                        record["col"],
-                        f"{record['kind']} stored on {dotted}.{record['attr']}: "
-                        "reachable from Node/scenario state, so the "
-                        "multiprocessing hand-off to a region shard cannot "
-                        "pickle it; store picklable state (bound methods via "
-                        "functools.partial, named functions, plain data)",
-                    )
-
-    @staticmethod
-    def _owner_class(
-        graph: ProjectGraph, summary: ModuleSummary, qualname: str, record: dict
-    ) -> str | None:
-        owner = record["owner"]
-        if owner == "self":
-            if "." not in qualname:
-                return None
-            return f"{summary.module}.{qualname.split('.')[0]}"
-        resolved = graph.resolve_class(owner, from_module=summary.module)
-        return resolved.dotted if resolved is not None else None
-
-
-class GlobalRandomIndirectionRule(ProgramRule):
-    """DET002, one call level deep: the global ``random`` module smuggled in
-    as an "rng" argument. The per-file rule sees ``rng.random()`` inside the
-    callee and trusts it; the call graph exposes call sites that bind that
-    parameter to the process-global ``random`` module itself."""
-
-    id = "DET002"
-    title = "no global random module passed as an rng argument"
-    rationale = GlobalRandomRule.rationale
-
-    def check_program(self, graph: ProjectGraph, report: ProgramReporter) -> None:
-        for summary in graph:
-            for fn in summary.flow.functions:
-                for record in fn.random_module_args:
-                    resolved = graph.resolve_function(
-                        record["callee"], from_module=summary.module
-                    )
-                    if resolved is None:
-                        continue
-                    param = self._bound_param(resolved.fn.params, record)
-                    if param is None or param not in resolved.fn.rng_consuming_params:
-                        continue
-                    report(
-                        summary,
-                        record["line"],
-                        record["col"],
-                        f"passes the process-global random module to "
-                        f"{resolved.dotted}() whose parameter {param!r} draws "
-                        "from it: randomness must flow from the simulator's "
-                        "seeded Simulator.rng, even through indirection",
-                    )
-
-    @staticmethod
-    def _bound_param(params: list[str], record: dict) -> str | None:
-        if record["keyword"] is not None:
-            return record["keyword"] if record["keyword"] in params else None
-        position = record["arg_position"]
-        if position is not None and position < len(params):
-            return params[position]
-        return None
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
 ALL_RULES: tuple[Rule, ...] = (
     ScopedBanRule(SCOPED_BANS["DET001"]),
     GlobalRandomRule(),
-    GlobalRandomIndirectionRule(),
     SetIterationRule(),
     CacheStateRule(),
     PositionWriteRule(),
@@ -917,30 +687,20 @@ ALL_RULES: tuple[Rule, ...] = (
     ScopedBanRule(SCOPED_BANS["FAULT001"]),
     ScopedBanRule(SCOPED_BANS["OBS001"]),
     UnboundedQueueRule(),
-    ShardGlobalStateRule(),
-    ShardClosureEscapeRule(),
-    ShardRngShareRule(),
-    ShardUnpicklableRule(),
 )
 
-_RULES_BY_ID: dict[str, list[Rule]] = {}
-for _rule in ALL_RULES:
-    _RULES_BY_ID.setdefault(_rule.id, []).append(_rule)
+_RULES_BY_ID: dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
 
 
 def get_rules(ids: Sequence[str] | None = None) -> tuple[Rule, ...]:
-    """The full registry, or the subset named by ``ids`` (case-insensitive).
-
-    An id shared by a per-file rule and its whole-program generalization
-    (DET002) selects both.
-    """
+    """The full registry, or the subset named by ``ids`` (case-insensitive)."""
     if ids is None:
         return ALL_RULES
     selected: list[Rule] = []
     for raw in ids:
-        rules = _RULES_BY_ID.get(raw.strip().upper())
-        if rules is None:
+        rule = _RULES_BY_ID.get(raw.strip().upper())
+        if rule is None:
             known = ", ".join(sorted(_RULES_BY_ID))
             raise KeyError(f"unknown rule id {raw!r} (known: {known})")
-        selected.extend(rules)
+        selected.append(rule)
     return tuple(selected)

@@ -33,6 +33,7 @@ from repro.metrics.scraper import (
     disable_default,
     enable_default,
     export_registered,
+    interval_arg,
     load_jsonl,
     register,
     registered,
@@ -53,6 +54,7 @@ __all__ = [
     "enable_default",
     "export_registered",
     "install_scenario_instruments",
+    "interval_arg",
     "load_jsonl",
     "register",
     "registered",

@@ -9,7 +9,6 @@ instruments cost nothing and the simulation cannot tell they exist.
 
 Gauge callbacks are ``functools.partial`` bindings of module-level
 functions (never lambdas or bound closures stored on the scenario): the
-shard-safety analysis treats partials of pure readers as inert, and the
 callbacks survive :meth:`ManetScenario.restart_node` because they iterate
 ``scenario.stacks`` / ``scenario.phones`` at call time instead of
 capturing the component objects that a restart replaces.
@@ -35,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ROUTE_BUCKETS = (0.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
-# -- aggregation helpers (module-level so partials stay picklable/inert) ----
+# -- aggregation helpers (module-level, so each gauge is a plain partial) ----
 
 def _txqueue_depth_sum(scenario: "ManetScenario") -> int:
     return sum(

@@ -24,6 +24,7 @@ itself without plumbing a registry through each call site.
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import math
@@ -218,9 +219,19 @@ _registered: list[MetricsScraper] = []
 def enable_default(interval: float = 1.0) -> None:
     """Make every scenario built from now on scrape itself at ``interval``."""
     global _default_interval
-    if interval <= 0:
-        raise MetricsError(f"scrape interval must be positive, got {interval}")
+    if not (interval > 0 and math.isfinite(interval)):
+        raise MetricsError(f"scrape interval must be positive and finite, got {interval}")
     _default_interval = float(interval)
+
+
+def interval_arg(text: str) -> float:
+    """The ``--metrics-interval`` argparse type: positive, finite sim-seconds."""
+    interval = float(text)
+    if not (interval > 0 and math.isfinite(interval)):
+        raise argparse.ArgumentTypeError(
+            f"metrics interval must be a positive, finite number of seconds, got {text}"
+        )
+    return interval
 
 
 def disable_default() -> None:

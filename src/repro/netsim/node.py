@@ -470,7 +470,10 @@ class Node:
         """Originate a UDP datagram from this node."""
         if not self.up:
             return
-        packet = Packet(self._source_address(), dst_ip, Datagram(sport, dport, data), ttl)
+        packet = Packet(
+            self._source_address(), dst_ip, Datagram(sport, dport, data), ttl,
+            next(self.sim.packet_uids),
+        )
         hooks = self.hooks
         if dport in hooks.output_ports:
             mangled = hooks.run(_OUTPUT, packet)

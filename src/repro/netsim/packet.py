@@ -9,8 +9,6 @@ that overhead measurements are honest.
 
 from __future__ import annotations
 
-from repro.globalstate import registry
-
 BROADCAST = "255.255.255.255"
 
 # Well-known ports used throughout the system.
@@ -28,8 +26,6 @@ UDP_HEADER_BYTES = 8
 FRAMING_BYTES = MAC_HEADER_BYTES + IP_HEADER_BYTES + UDP_HEADER_BYTES
 
 DEFAULT_TTL = 64
-
-_packet_ids = registry.counter("netsim.packet.uid", start=1)
 
 
 class Datagram:
@@ -58,7 +54,9 @@ class Packet:
     """An IPv4 packet carrying a UDP datagram.
 
     ``uid`` identifies the original packet across hops; forwarded copies keep
-    the uid, which lets capture tooling correlate multihop transit.
+    the uid, which lets capture tooling correlate multihop transit. A node
+    that originates a packet draws its uid from the run's
+    ``Simulator.packet_uids``; a packet built outside a run has uid 0.
 
     ``size`` (on-air bytes, including MAC/IP/UDP framing) and the ports are
     read once from the datagram at construction: payload bytes are
@@ -74,13 +72,13 @@ class Packet:
         dst: str,
         payload: Datagram,
         ttl: int = DEFAULT_TTL,
-        uid: int | None = None,
+        uid: int = 0,
     ) -> None:
         self.src = src
         self.dst = dst
         self.payload = payload
         self.ttl = ttl
-        self.uid = _packet_ids.next() if uid is None else uid
+        self.uid = uid
         self.sport = payload.sport
         self.dport = payload.dport
         self.data = payload.data

@@ -17,6 +17,7 @@ scenarios, so any change to the event order shows up there.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from typing import Any, Callable, Iterable
 
@@ -116,7 +117,10 @@ class Simulator:
 
     ``now`` (current virtual time), ``seq`` (the last sequence number handed
     out, i.e. events ever scheduled) and ``events_processed`` are plain
-    attributes for speed; only the event loop writes them.
+    attributes for speed; only the event loop writes them. The identifier
+    streams (``packet_uids``, ``call_ids``, ``tags``, ``branches``,
+    ``rtp_ports``, ``ssrcs``) are ``itertools.count`` iterators that the
+    layers above draw from with ``next()``.
 
     Compaction fires only once tombstones both reach :attr:`COMPACT_MIN`
     *and* outnumber live events two to one. The floor is the hysteresis: a
@@ -146,6 +150,16 @@ class Simulator:
         # Optional repro.metrics.profiler.KernelProfiler, set by
         # attach_profiler(); kept for introspection/uninstall.
         self.profiler = None
+        # The run's identifier streams. Every node mints its own Call-IDs,
+        # tags and Via branches (RFC 3261 section 8.1.1), RTP ports and
+        # SSRCs; one stream per run keeps them unique within the run and
+        # makes them a function of the seed alone, whatever ran before.
+        self.packet_uids = itertools.count(1)
+        self.call_ids = itertools.count(1)
+        self.tags = itertools.count(1)
+        self.branches = itertools.count(1)
+        self.rtp_ports = itertools.count(0)
+        self.ssrcs = itertools.count(0x1000)
 
     @property
     def pending_events(self) -> int:

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 
+from repro.metrics.scraper import interval_arg
 from repro.overload.harness import OverloadConfig, run_sweep
 
 
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--metrics-interval",
-        type=float,
+        type=interval_arg,
         default=1.0,
         metavar="SECONDS",
         help="sim-seconds between metric snapshots (default: 1.0)",

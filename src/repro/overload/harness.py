@@ -10,10 +10,9 @@ the collapse the paper's overload story is about and the graceful knee the
 
 Everything is deterministic: call arrivals are a fixed lattice (no RNG),
 per-point scenarios are freshly built from one seed, and the report is
-rendered with fixed-width formatting so two same-seed runs in fresh
-interpreters match byte for byte (protocol identifiers come from
-process-global counters, so — as everywhere else in this repo — the
-byte-identity contract is between fresh processes, not in-process reruns).
+rendered with fixed-width formatting so two same-seed runs match byte for
+byte, in one process or in fresh interpreters (each scenario's simulator
+owns its protocol identifier streams).
 
 Kept out of ``repro.overload.__init__`` on purpose: this module imports
 ``repro.scenarios``; keeping it off the package namespace mirrors

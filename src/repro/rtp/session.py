@@ -30,7 +30,6 @@ import random
 from collections import deque
 
 from repro.errors import CodecError, ConfigError
-from repro.globalstate import registry
 from repro.netsim.node import Node
 from repro.rtp.codecs import (
     COMFORT_NOISE_PAYLOAD_TYPE,
@@ -55,8 +54,6 @@ from repro.rtp.packet import (
     walk_red,
 )
 from repro.rtp.quality import CallQuality, score_stream
-
-_ssrc_counter = registry.counter("rtp.session.ssrc", start=0x1000)
 
 #: Most secondary encodings one packet may carry (bandwidth sanity bound).
 MAX_REDUNDANCY = 4
@@ -122,7 +119,7 @@ class RtpSession:
         self.remote = remote
         self.redundancy = redundancy
         self.vad = vad
-        self.ssrc = _ssrc_counter.next()
+        self.ssrc = next(node.sim.ssrcs)
         self._socket = node.bind(local_port, self._on_datagram)
         self._send_task = None
         self._sequence = _session_rng(node, local_port, 0).randrange(0, 0x8000)

@@ -10,11 +10,8 @@ side issues nonces and verifies responses.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
-
-from repro.globalstate import registry
-
-_nonce_counter = registry.counter("sip.auth.nonce", start=1)
 
 
 def _md5(text: str) -> str:
@@ -103,7 +100,11 @@ class Credentials:
 
 
 class DigestAuthenticator:
-    """Server-side digest verification with nonce lifecycle."""
+    """Server-side digest verification with nonce lifecycle.
+
+    Nonces are unique per authenticator: each provider or proxy that
+    challenges draws from its own counter.
+    """
 
     NONCE_LIFETIME = 300.0
 
@@ -111,6 +112,7 @@ class DigestAuthenticator:
         self.realm = realm
         self._passwords: dict[str, str] = {}
         self._nonces: dict[str, float] = {}
+        self._nonce_ids = itertools.count(1)
 
     def add_user(self, username: str, password: str) -> None:
         self._passwords[username.lower()] = password
@@ -123,7 +125,7 @@ class DigestAuthenticator:
 
     def challenge(self, now: float) -> str:
         """Issue a fresh nonce and build the WWW-Authenticate value."""
-        nonce = f"n{_nonce_counter.next():08x}"
+        nonce = f"n{next(self._nonce_ids):08x}"
         self._nonces[nonce] = now + self.NONCE_LIFETIME
         if len(self._nonces) > 1024:
             self._nonces = {n: t for n, t in self._nonces.items() if t > now}

@@ -11,23 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SipDialogError
-from repro.globalstate import registry
+from repro.netsim.simulator import Simulator
 from repro.sip.message import Headers, SipRequest, SipResponse
 from repro.sip.uri import NameAddr, SipUri
 
-# Tags and call-ids only need process-lifetime uniqueness, so the counters
-# are process-global — registered so repro.globalstate.registry.reset_all()
-# (parity harnesses) and future region shards have one choke point.
-_tag_counter = registry.counter("sip.dialog.tag", start=1)
-_call_id_counter = registry.counter("sip.dialog.call_id", start=1)
+
+def new_tag(sim: Simulator) -> str:
+    """A From/To tag, unique within ``sim``'s run (RFC 3261 section 19.3)."""
+    return f"tag{next(sim.tags):06x}"
 
 
-def new_tag() -> str:
-    return f"tag{_tag_counter.next():06x}"
-
-
-def new_call_id(host: str) -> str:
-    return f"cid{_call_id_counter.next():08x}@{host}"
+def new_call_id(sim: Simulator, host: str) -> str:
+    """A Call-ID, unique within ``sim``'s run (RFC 3261 section 8.1.1.4)."""
+    return f"cid{next(sim.call_ids):08x}@{host}"
 
 
 DialogKey = tuple[str, str, str]

@@ -295,7 +295,7 @@ class TransactionLayer:
     ) -> ClientTransaction:
         """Create and start a client transaction (always pushes a fresh Via —
         every hop adds its own, RFC 3261 sections 8.1.1.7 and 16.6/8)."""
-        request.headers.insert_first("Via", self.transport.via_text(new_branch()))
+        request.headers.insert_first("Via", self.transport.via_text(new_branch(self.sim)))
         txn = ClientTransaction(self, request, destination, on_response, on_timeout)
         self._client[txn.key] = txn
         txn.start()

@@ -10,21 +10,19 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import SipParseError
-from repro.globalstate import registry
 from repro.netsim.node import Node
+from repro.netsim.simulator import Simulator
 from repro.sip.message import SipMessage, SipRequest, SipResponse, parse_message
 
 Address = tuple[str, int]
 ReceiverFn = Callable[[SipRequest | SipResponse, Address], None]
 
-_branch_counter = registry.counter("sip.transport.branch", start=1)
-
 BRANCH_MAGIC = "z9hG4bK"
 
 
-def new_branch() -> str:
-    """Allocate a globally unique RFC 3261 branch parameter."""
-    return f"{BRANCH_MAGIC}-{_branch_counter.next():08x}"
+def new_branch(sim: Simulator) -> str:
+    """An RFC 3261 branch parameter, unique within ``sim``'s run."""
+    return f"{BRANCH_MAGIC}-{next(sim.branches):08x}"
 
 
 class SipTransport:

@@ -15,8 +15,8 @@ import random
 from typing import Callable
 
 from repro.errors import SipDialogError, SipParseError
-from repro.globalstate import registry
 from repro.netsim.node import Node
+from repro.netsim.simulator import Simulator
 from repro.sip.auth import Credentials
 from repro.sip.dialog import Dialog, DialogKey, new_call_id, new_tag
 from repro.sip.pidf import (
@@ -32,11 +32,9 @@ from repro.sip.transaction import ServerTransaction, TransactionLayer
 from repro.sip.transport import Address, SipTransport
 from repro.sip.uri import PARSE_CACHE_SIZE, NameAddr, SipUri
 
-_rtp_ports = registry.counter("sip.ua.rtp_port", start=0)
-
-
-def _allocate_rtp_port() -> int:
-    return 16384 + (_rtp_ports.next() % 8192) * 2
+def _allocate_rtp_port(sim: Simulator) -> int:
+    """An even RTP port from the 8,192-port pool, cycling through the run."""
+    return 16384 + (next(sim.rtp_ports) % 8192) * 2
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
@@ -416,7 +414,10 @@ class OutgoingCall(Call):
         assert self.dialog is not None and self._invite is not None
         cseq = self._invite.cseq
         ack = self.dialog.create_request("ACK", cseq_number=cseq.number if cseq else 1)
-        ack.headers.insert_first("Via", self.ua.transport.via_text(new_tag()))
+        # Known defect: this branch comes from the tag stream and lacks the
+        # z9hG4bK cookie of RFC 3261 section 8.1.1.7. new_branch() here would
+        # move the golden digests, so that fix is a behaviour change of its own.
+        ack.headers.insert_first("Via", self.ua.transport.via_text(new_tag(self.ua.sim)))
         self.ua.transactions.send_stateless(ack, self.dialog.next_hop())
 
 
@@ -429,7 +430,7 @@ class IncomingCall(Call):
         super().__init__(ua, request.call_id or "")
         self.request = request
         self._txn = txn
-        self.local_tag = new_tag()
+        self.local_tag = new_tag(self.ua.sim)
         from_ = request.from_
         self.caller = from_.uri if from_ is not None else None
         self._adopt_alt_contact(request.headers.get(ALT_CONTACT_HEADER))
@@ -449,10 +450,11 @@ class IncomingCall(Call):
     def answer(self, sdp: SessionDescription | None = None) -> None:
         """Send 200 OK with an SDP answer; established once ACK arrives."""
         if sdp is None:
+            address, port = self.ua.transport.address, _allocate_rtp_port(self.ua.sim)
             if self.remote_sdp is not None:
-                sdp = self.remote_sdp.answer(self.ua.transport.address, _allocate_rtp_port())
+                sdp = self.remote_sdp.answer(address, port)
             else:
-                sdp = SessionDescription.offer(self.ua.transport.address, _allocate_rtp_port())
+                sdp = SessionDescription.offer(address, port)
         self.local_sdp = sdp
         self.dialog = Dialog.from_request(
             self.request, self.local_tag, self.ua.contact_uri
@@ -497,7 +499,7 @@ class Subscription:
         self.ua = ua
         self.target = target
         self.expires = expires
-        self.call_id = new_call_id(ua.transport.address)
+        self.call_id = new_call_id(ua.sim, ua.transport.address)
         self.dialog: Dialog | None = None
         self.active = False
         self.terminated = False
@@ -644,9 +646,9 @@ class UserAgent:
         """
         headers = Headers()
         identity = NameAddr(uri=self.aor.without_params(), display_name=self.display_name)
-        headers.add("From", str(identity.with_tag(new_tag())))
+        headers.add("From", str(identity.with_tag(new_tag(self.sim))))
         headers.add("To", str(identity))
-        headers.add("Call-ID", new_call_id(self.transport.address))
+        headers.add("Call-ID", new_call_id(self.sim, self.transport.address))
         headers.add("CSeq", f"{next(self._register_cseq)} REGISTER")
         headers.add("Max-Forwards", "70")
         headers.add("Contact", f"<{self.contact_uri}>")
@@ -694,16 +696,16 @@ class UserAgent:
     ) -> OutgoingCall:
         """Place a call to ``target`` (an AOR such as ``sip:bob@voicehoc.ch``)."""
         target_uri = SipUri.parse(target) if isinstance(target, str) else target
-        call_id = new_call_id(self.transport.address)
+        call_id = new_call_id(self.sim, self.transport.address)
         call = OutgoingCall(self, call_id, target_uri)
         call.on_state = on_state
         if sdp is None:
-            sdp = SessionDescription.offer(self.transport.address, _allocate_rtp_port())
+            sdp = SessionDescription.offer(self.transport.address, _allocate_rtp_port(self.sim))
         call.local_sdp = sdp
 
         headers = Headers()
         identity = NameAddr(uri=self.aor.without_params(), display_name=self.display_name)
-        headers.add("From", str(identity.with_tag(new_tag())))
+        headers.add("From", str(identity.with_tag(new_tag(self.sim))))
         headers.add("To", str(NameAddr(uri=target_uri.without_params())))
         headers.add("Call-ID", call_id)
         headers.add("CSeq", "1 INVITE")
@@ -755,7 +757,7 @@ class UserAgent:
 
         headers = Headers()
         identity = NameAddr(uri=self.aor.without_params(), display_name=self.display_name)
-        headers.add("From", str(identity.with_tag(new_tag())))
+        headers.add("From", str(identity.with_tag(new_tag(self.sim))))
         headers.add("To", str(NameAddr(uri=target_uri.without_params())))
         headers.add("Call-ID", subscription.call_id)
         headers.add("CSeq", "1 SUBSCRIBE")
@@ -814,7 +816,7 @@ class UserAgent:
                 if txn is not None:
                     txn.send_response(request.create_response(200))
             return
-        local_tag = new_tag()
+        local_tag = new_tag(self.sim)
         dialog = Dialog.from_request(request, local_tag, self.contact_uri)
         watcher = _Watcher(dialog=dialog, expires_at=self.sim.now + max(1, expires))
         self._watchers[request.call_id or ""] = watcher
@@ -879,9 +881,9 @@ class UserAgent:
         target_uri = SipUri.parse(target) if isinstance(target, str) else target
         headers = Headers()
         identity = NameAddr(uri=self.aor.without_params(), display_name=self.display_name)
-        headers.add("From", str(identity.with_tag(new_tag())))
+        headers.add("From", str(identity.with_tag(new_tag(self.sim))))
         headers.add("To", str(NameAddr(uri=target_uri.without_params())))
-        headers.add("Call-ID", new_call_id(self.transport.address))
+        headers.add("Call-ID", new_call_id(self.sim, self.transport.address))
         headers.add("CSeq", "1 MESSAGE")
         headers.add("Max-Forwards", "70")
         headers.add("Content-Type", "text/plain")

@@ -11,7 +11,9 @@ rerun must reproduce the identical fault schedule and applied-event log.
 import pytest
 
 from repro.faults import GilbertElliottChannel, FaultPlan, analyze_recovery
-from repro.faults.harness import default_chaos_plan, run_chaos
+from repro.errors import ConfigError
+from repro.faults.__main__ import main
+from repro.faults.harness import build_chaos_scenario, default_chaos_plan, run_chaos
 from repro.scenarios import ManetConfig, ManetScenario
 
 
@@ -83,3 +85,20 @@ class TestScenarioIntegration:
         report = analyze_recovery([], records)
         assert report.calls_placed == len(records) > 0
         assert report.calls_established >= 2
+
+
+class TestShortChains:
+    """Below four hops the crashed relay is the primary gateway or a phone's node."""
+
+    @pytest.mark.parametrize("hops", [0, 3])
+    def test_builder_rejects_short_chain(self, hops):
+        with pytest.raises(ConfigError):
+            build_chaos_scenario(hops=hops)
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("hops", ["0", "3"])
+    def test_cli_rejects_short_chain(self, command, hops, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--hops", hops])
+        assert excinfo.value.code == 2
+        assert "needs at least 4 hops" in capsys.readouterr().err

@@ -1,48 +1,15 @@
-"""Engine-level tests: incremental cache, --changed, baselines, reporters,
-and logical-line suppression folding.
-
-The cache contract under test is *output transparency*: a warm run must be
-byte-identical to a cold run (proved in a fresh subprocess each, so no
-in-process memoization can fake it) while skipping the per-file work (proved
-by the >=3x wall-clock speedup assertion, and structurally by cache_hits).
-"""
+"""Engine-level tests: reporters and logical-line suppression folding."""
 
 import json
-import subprocess
-import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.lint.__main__ import main
-from repro.lint.core import (
-    Finding,
-    ProjectAnalyzer,
-    Suppressions,
-    apply_baseline,
-    engine_fingerprint,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.reporters import SARIF_VERSION, render_json, render_sarif
-from repro.lint.rules import ALL_RULES
+from repro.lint.core import Finding, Suppressions
+from repro.lint.reporters import render_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-def run_cli(args, cwd):
-    """Run ``python -m repro.lint`` in a fresh interpreter, capture stdout."""
-    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
-    return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
 
 
 class TestSuppressionFolding:
@@ -88,127 +55,17 @@ class TestSuppressionFolding:
         assert not sup.is_suppressed(2, "DET001")
 
 
-class TestCacheDeterminism:
-    def test_cold_then_warm_byte_identical_fresh_processes(self, tmp_path):
-        cache = tmp_path / "cache"
-        args = ["--cache-dir", str(cache), "--format", "json", str(FIXTURES)]
-        cold = run_cli(args, cwd=Path.cwd())
-        assert (cache / "summaries.json").is_file(), cold.stderr
-        warm = run_cli(args, cwd=Path.cwd())
-        assert cold.stdout == warm.stdout
-        assert cold.returncode == warm.returncode == 1
-
-    def test_warm_run_is_at_least_3x_faster(self, tmp_path):
-        analyzer = ProjectAnalyzer(cache_dir=tmp_path / "cache")
-        paths = [SRC / "repro"]
-        start = time.perf_counter()
-        cold = analyzer.analyze_paths(paths)
-        cold_elapsed = time.perf_counter() - start
-
-        warm_analyzer = ProjectAnalyzer(cache_dir=tmp_path / "cache")
-        start = time.perf_counter()
-        warm = warm_analyzer.analyze_paths(paths)
-        warm_elapsed = time.perf_counter() - start
-
-        assert cold.findings == warm.findings
-        assert warm.cache_hits == warm.files_checked
-        assert cold_elapsed >= 3 * warm_elapsed, (
-            f"warm {warm_elapsed:.3f}s not 3x faster than cold {cold_elapsed:.3f}s"
-        )
-
-    def test_cache_invalidated_by_content_change(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("import time\nx = time.time()\n")
-        analyzer = ProjectAnalyzer(cache_dir=tmp_path / "cache")
-        first = analyzer.analyze_paths([target])
-        assert first.changed_paths == [str(target)]
-
-        target.write_text("import time\nx = time.time()\ny = time.monotonic()\n")
-        again = ProjectAnalyzer(cache_dir=tmp_path / "cache").analyze_paths([target])
-        assert again.changed_paths == [str(target)]
-        assert len(again.findings) == 2
-
-    def test_cache_not_shared_across_rule_selections(self, tmp_path):
-        """A --select run must not serve (or poison) the full-rule cache."""
-        target = tmp_path / "mod.py"
-        target.write_text("import time\nx = time.time()\n")
-        cache = tmp_path / "cache"
-        full = ProjectAnalyzer(cache_dir=cache).analyze_paths([target])
-        assert [f.rule_id for f in full.findings] == ["DET001"]
-
-        from repro.lint.rules import get_rules
-
-        narrowed = ProjectAnalyzer(get_rules(["CACHE002"]), cache_dir=cache)
-        result = narrowed.analyze_paths([target])
-        assert result.findings == []
-        assert result.cache_hits == 0, "full-rule cache must miss under --select"
-
-    def test_changed_flag_reports_only_changed_files(self, tmp_path, capsys):
-        a = tmp_path / "a.py"
-        b = tmp_path / "b.py"
-        a.write_text("import time\nx = time.time()\n")
-        b.write_text("import time\ny = time.monotonic()\n")
-        cache = tmp_path / "cache"
-        base_args = ["--cache-dir", str(cache), str(tmp_path)]
-
-        assert main(base_args) == 1
-        capsys.readouterr()
-
-        b.write_text("import time\ny = time.monotonic()\nz = time.time()\n")
-        assert main(["--changed", *base_args]) == 1
-        out = capsys.readouterr().out
-        assert "b.py" in out and "a.py" not in out
-
-    def test_engine_fingerprint_stable_within_process(self):
-        assert engine_fingerprint() == engine_fingerprint()
-        assert len(engine_fingerprint()) == 64
-
-
-class TestBaseline:
-    def test_roundtrip_and_apply(self, tmp_path):
-        findings = [
-            Finding("src/x.py", 3, 1, "DET001", "wall-clock call time.time()"),
-            Finding("src/y.py", 8, 1, "SHARD001", "unregistered state"),
-        ]
-        path = tmp_path / "baseline.json"
-        write_baseline(findings, path)
-        baseline = load_baseline(path)
-        assert len(baseline) == 2
-
-        drifted = [
-            Finding("src/x.py", 99, 1, "DET001", "wall-clock call time.time()"),
-            Finding("src/z.py", 1, 1, "DET001", "wall-clock call time.time()"),
-        ]
-        fresh, baselined = apply_baseline(drifted, baseline)
-        assert baselined == 1, "line drift must not un-baseline a finding"
-        assert [f.path for f in fresh] == ["src/z.py"]
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == set()
-
-    def test_cli_write_then_clean(self, tmp_path, capsys):
-        target = tmp_path / "mod.py"
-        target.write_text("import time\nx = time.time()\n")
-        baseline = tmp_path / "baseline.json"
-        args = ["--no-cache", "--baseline", str(baseline), str(target)]
-        assert main(["--write-baseline", *args]) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-
 class TestReporters:
     def findings(self):
         return [
             Finding("src/a.py", 10, 5, "DET001", "wall-clock call"),
-            Finding("src/b.py", 2, 1, "SHARD004", "lambda stored on Node.cb"),
+            Finding("src/b.py", 2, 1, "OVR001", "unbounded collections.deque()"),
         ]
 
     def test_json_schema(self):
-        document = json.loads(render_json(self.findings(), files_checked=7, baselined=1))
-        assert set(document) == {"baselined", "count", "files_checked", "findings"}
+        document = json.loads(render_json(self.findings(), files_checked=7))
+        assert set(document) == {"count", "files_checked", "findings"}
         assert document["count"] == 2 and document["files_checked"] == 7
-        assert document["baselined"] == 1
         first = document["findings"][0]
         assert set(first) == {"path", "line", "col", "rule", "message"}
         assert first == {
@@ -219,42 +76,10 @@ class TestReporters:
             "message": "wall-clock call",
         }
 
-    def test_sarif_structure(self):
-        document = json.loads(render_sarif(self.findings(), files_checked=7))
-        assert document["version"] == SARIF_VERSION
-        (run,) = document["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro.lint"
-        declared = {rule["id"] for rule in driver["rules"]}
-        assert declared == {rule.id for rule in ALL_RULES}
-        assert len(run["results"]) == 2
-        result = run["results"][0]
-        assert result["ruleId"] == "DET001"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/a.py"
-        assert location["region"] == {"startLine": 10, "startColumn": 5}
-        index = result["ruleIndex"]
-        assert driver["rules"][index]["id"] == "DET001"
 
-    def test_sarif_validates_against_vendored_schema(self):
-        sys.path.insert(0, str(SRC.parent / "tools"))
-        try:
-            from validate_sarif import validate_sarif_text
-        finally:
-            sys.path.pop(0)
-        assert validate_sarif_text(render_sarif(self.findings(), files_checked=7)) == []
-        assert validate_sarif_text(render_sarif([], files_checked=0)) == []
-
-    def test_sarif_cli_round_trip(self, capsys):
-        assert main(["--no-cache", "--format", "sarif", str(FIXTURES)]) == 1
-        document = json.loads(capsys.readouterr().out)
-        rule_ids = {result["ruleId"] for result in document["runs"][0]["results"]}
-        assert {rule.id for rule in ALL_RULES} <= rule_ids
-
-
-@pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_all_formats_deterministic_in_process(fmt, tmp_path, capsys):
-    args = ["--no-cache", "--format", fmt, str(FIXTURES)]
+    args = ["--format", fmt, str(FIXTURES)]
     main(args)
     first = capsys.readouterr().out
     main(args)

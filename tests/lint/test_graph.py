@@ -1,204 +1,16 @@
-"""Unit tests for the whole-program layer: import-graph resolution,
-cross-module write attribution, composition reachability, and the
-dataflow facts the SHARD rules consume."""
+"""The engine reads one module at a time: a file's findings do not depend on
+which other files are linted with it."""
 
-import ast
-
-from repro.lint.core import ProjectAnalyzer
-from repro.lint.dataflow import analyze_module
-from repro.lint.graph import ProjectGraph, module_name_for_path
 from pathlib import Path
 
+from repro.lint import analyze_file, iter_python_files, run_paths
 
-def summarize(sources: dict[str, str]) -> ProjectGraph:
-    """Build a ProjectGraph from {module_name: source} pairs."""
-    analyzer = ProjectAnalyzer()
-    summaries = [
-        analyzer.summarize_source(source, f"{name.replace('.', '/')}.py")
-        for name, source in sources.items()
-    ]
-    return ProjectGraph(summaries)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
-class TestModuleNames:
-    def test_src_relative_dotted(self):
-        assert (
-            module_name_for_path(Path("src/repro/netsim/packet.py"))
-            == "repro.netsim.packet"
-        )
-
-    def test_package_init(self):
-        assert module_name_for_path(Path("src/repro/sip/__init__.py")) == "repro.sip"
-
-    def test_outside_src_falls_back_to_stem(self):
-        assert module_name_for_path(Path("tests/lint/fixtures/x.py")) == "x"
-
-
-class TestResolution:
-    def test_class_resolves_through_reexport(self):
-        graph = summarize(
-            {
-                "impl": "class Thing:\n    def start(self):\n        self.sim.schedule(0, self.start)\n",
-                "api": "from impl import Thing\n",
-                "user": "from api import Thing\ndef build(sim):\n    return Thing()\n",
-            }
-        )
-        resolved = graph.resolve_class("Thing", from_module="user")
-        assert resolved is not None
-        assert resolved.module == "impl"
-        assert resolved.cls.schedulable
-
-    def test_function_resolves_in_same_module(self):
-        graph = summarize({"m": "def helper(rng):\n    return rng.random()\n"})
-        resolved = graph.resolve_function("helper", from_module="m")
-        assert resolved is not None
-        assert resolved.fn.rng_consuming_params == ["rng"]
-
-    def test_unknown_name_resolves_to_none(self):
-        graph = summarize({"m": "x = 1\n"})
-        assert graph.resolve_class("Ghost", from_module="m") is None
-        assert graph.resolve_function("ghost", from_module="m") is None
-
-
-class TestCrossModuleWrites:
-    def test_writer_in_another_module_is_attributed(self):
-        graph = summarize(
-            {
-                "state_owner": "_ids = {}\n",
-                "writer": (
-                    "import state_owner\n"
-                    "def record(key):\n"
-                    "    state_owner._ids[key] = True\n"
-                ),
-            }
-        )
-        writes = graph.global_writes_to("state_owner", "_ids")
-        assert {write["from"] for write in writes} == {"writer"}
-
-    def test_local_write_is_attributed_to_self(self):
-        graph = summarize(
-            {"m": "_log = []\ndef add(x):\n    _log.append(x)\n"}
-        )
-        writes = graph.global_writes_to("m", "_log")
-        assert {write["from"] for write in writes} == {"m"}
-
-    def test_unwritten_binding_has_no_writes(self):
-        graph = summarize({"m": "_table = {1: 'a'}\ndef get(k):\n    return _table[k]\n"})
-        assert graph.global_writes_to("m", "_table") == []
-
-
-class TestReachability:
-    def test_composition_closure_includes_nested_and_subclasses(self):
-        graph = summarize(
-            {
-                "parts": "class Antenna:\n    pass\n",
-                "radio": (
-                    "from parts import Antenna\n"
-                    "class Radio:\n"
-                    "    def __init__(self):\n"
-                    "        self.antenna = Antenna()\n"
-                ),
-                "node": (
-                    "from radio import Radio\n"
-                    "class Node:\n"
-                    "    def __init__(self):\n"
-                    "        self.radio = Radio()\n"
-                    "class RelayNode(Node):\n"
-                    "    pass\n"
-                ),
-                "island": "class Island:\n    pass\n",
-            }
-        )
-        reachable = graph.reachable_classes({"Node"})
-        assert "node.Node" in reachable
-        assert "node.RelayNode" in reachable, "subclasses ship with the root"
-        assert "radio.Radio" in reachable
-        assert "parts.Antenna" in reachable, "composition is transitive"
-        assert "island.Island" not in reachable
-
-    def test_container_growth_is_a_composition_edge(self):
-        graph = summarize(
-            {
-                "m": (
-                    "class Stack:\n"
-                    "    pass\n"
-                    "class Node:\n"
-                    "    def __init__(self):\n"
-                    "        self.stacks = []\n"
-                    "    def add(self):\n"
-                    "        self.stacks.append(Stack())\n"
-                )
-            }
-        )
-        assert "m.Stack" in graph.reachable_classes({"Node"})
-
-
-class TestDataflow:
-    def analyze(self, source: str):
-        tree = ast.parse(source)
-        import_map = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    import_map[alias.asname or alias.name] = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    import_map[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-        return analyze_module(tree, import_map)
-
-    def test_seeded_rng_flow_records_sinks(self):
-        flow = self.analyze(
-            "import random\n"
-            "def build(sim, seed):\n"
-            "    rng = random.Random(seed)\n"
-            "    a = Alpha(sim, rng)\n"
-            "    b = Beta(rng=rng)\n"
-        )
-        (fn,) = [f for f in flow.functions if f.qualname == "build"]
-        (rng_flow,) = fn.rng_flows
-        assert rng_flow["name"] == "rng"
-        assert {sink["callee"] for sink in rng_flow["sinks"]} == {"Alpha", "Beta"}
-
-    def test_annotated_param_attribute_store_is_owned(self):
-        flow = self.analyze(
-            "def attach(call: IncomingCall):\n"
-            "    call.on_state = lambda c: None\n"
-        )
-        (fn,) = [f for f in flow.functions if f.qualname == "attach"]
-        (record,) = fn.unpicklable_attr_assigns
-        assert record["owner"] == "IncomingCall"
-        assert record["attr"] == "on_state"
-        assert record["kind"] == "lambda"
-
-    def test_schedulable_detection(self):
-        flow = self.analyze(
-            "class A:\n"
-            "    def start(self, sim):\n"
-            "        sim.schedule(1.0, self.start)\n"
-            "class B:\n"
-            "    def idle(self):\n"
-            "        pass\n"
-        )
-        by_name = {cls.name: cls for cls in flow.classes}
-        assert by_name["A"].schedulable
-        assert not by_name["B"].schedulable
-
-    def test_global_declaration_write_detected(self):
-        flow = self.analyze(
-            "_mode = {}\n"
-            "def set_mode(m):\n"
-            "    global _mode\n"
-            "    _mode = m\n"
-        )
-        (fn,) = [f for f in flow.functions if f.qualname == "set_mode"]
-        assert [write["name"] for write in fn.global_writes] == ["_mode"]
-
-    def test_mutable_global_registration_flag(self):
-        flow = self.analyze(
-            "from repro.globalstate import registry\n"
-            "_good = registry.mapping('x')\n"
-            "_bad = {}\n"
-        )
-        by_name = {binding["name"]: binding for binding in flow.mutable_globals}
-        assert by_name["_good"]["registered"]
-        assert not by_name["_bad"]["registered"]
+def test_each_fixture_alone_matches_the_corpus_run():
+    corpus = run_paths([FIXTURES])
+    assert corpus
+    for path in iter_python_files([FIXTURES]):
+        alone = analyze_file(path)
+        assert alone == [finding for finding in corpus if finding.path == str(path)], path

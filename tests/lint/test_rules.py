@@ -48,16 +48,6 @@ EXPECTED = {
     "netsim/ovr001_ok.py": [],
     "ovr001_unscoped.py": [],
     "suppressed.py": ["DET001"],
-    "det002_indirect_bad.py": ["DET002"] * 2,
-    "det002_indirect_ok.py": [],
-    "shard001_bad.py": ["SHARD001"] * 3,
-    "shard001_ok.py": [],
-    "shard002_bad.py": ["SHARD002"] * 3,
-    "shard002_ok.py": [],
-    "shard003_bad.py": ["SHARD003"],
-    "shard003_ok.py": [],
-    "shard004_bad.py": ["SHARD004"] * 4,
-    "shard004_ok.py": [],
 }
 
 

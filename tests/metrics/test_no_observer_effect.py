@@ -3,17 +3,13 @@
 These are the in-process halves of the ``metrics_export`` gate
 (``repro.experiments.gates``): same-seed runs with metrics on and off
 must agree on every Stats counter and on the exact event schedule, and
-same-seed instrumented runs must export byte-identical JSONL (after
-resetting the process-global identifier streams that in-process reruns
-would otherwise advance).
+same-seed instrumented runs must export byte-identical JSONL.
 """
 
-from repro.globalstate import registry as global_registry
 from repro.scenarios import ManetConfig, ManetScenario
 
 
 def run_workload(metrics_on: bool, n_nodes: int = 3, seed: int = 11, duration: float = 2.0):
-    global_registry.reset_all()
     scenario = ManetScenario(
         ManetConfig(
             n_nodes=n_nodes,

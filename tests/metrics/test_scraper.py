@@ -162,8 +162,9 @@ class TestProcessDefault:
         assert scraper_mod.default_interval() is None
 
     def test_enable_rejects_bad_interval(self):
-        with pytest.raises(MetricsError):
-            scraper_mod.enable_default(0.0)
+        for interval in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(MetricsError):
+                scraper_mod.enable_default(interval)
 
     def test_export_registered_concatenates_sections(self):
         first = MetricsScraper(interval=1.0, label="a")

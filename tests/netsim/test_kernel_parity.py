@@ -14,17 +14,12 @@ Two equivalences are pinned here:
 - ``Simulator.schedule_batch`` is one ``schedule`` call per entry. The
   per-neighbour path is built from outside by shadowing ``schedule_batch``
   on the instance with exactly that loop.
-
-Identifier counters (call-ids, branches, packet uids, ...) are process-
-global, so in-process reruns reset them via the global-state registry's
-``reset_all``.
 """
 
 import pytest
 
 from repro.faults.channel import GilbertElliottChannel
 from repro.faults.plan import FaultPlan
-from repro.globalstate import registry
 from repro.scenarios import ManetConfig, ManetScenario
 
 #: How the final 15 s of the scenario are advanced: "heap" in one run()
@@ -56,7 +51,6 @@ def schedule_per_neighbor(sim):
 
 
 def run_scenario(kernel: str, batch_delivery: bool = True) -> tuple[dict, int, int, str]:
-    registry.reset_all()
     scenario = ManetScenario(
         ManetConfig(
             n_nodes=25,

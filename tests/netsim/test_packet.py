@@ -5,8 +5,12 @@ import pytest
 from repro.netsim import (
     BROADCAST,
     FRAMING_BYTES,
+    Chain,
     Datagram,
+    Node,
     Packet,
+    Simulator,
+    Verdict,
     internet_ip,
     is_internet_address,
     is_manet_address,
@@ -52,9 +56,21 @@ class TestPacket:
         assert packet.is_broadcast()
 
     def test_uids_unique(self):
-        a = Packet("1.1.1.1", "2.2.2.2", Datagram(1, 2, b""))
-        b = Packet("1.1.1.1", "2.2.2.2", Datagram(1, 2, b""))
-        assert a.uid != b.uid
+        # A node draws each packet's uid from its run's stream.
+        node = Node(Simulator(seed=1), 0, manet_ip(0))
+        uids = []
+
+        def capture(packet):
+            uids.append(packet.uid)
+            return Verdict.DROP, packet
+
+        node.hooks.register(Chain.OUTPUT, {2}, capture)
+        node.send_udp(manet_ip(1), 1, 2, b"")
+        node.send_udp(manet_ip(1), 1, 2, b"")
+        assert len(uids) == 2 and uids[0] != uids[1]
+
+    def test_packet_built_outside_a_run_has_uid_zero(self):
+        assert Packet("1.1.1.1", "2.2.2.2", Datagram(1, 2, b"")).uid == 0
 
 
 class TestAddressing:

@@ -175,3 +175,12 @@ class TestCli:
             main(["sweep", "--loads", "1", load])
         assert excinfo.value.code == 2
         assert "offered load must be a positive rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["0", "-0.5", "inf", "nan"])
+    def test_sweep_rejects_bad_metrics_interval(self, interval, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--metrics", str(out), "--metrics-interval", interval])
+        assert excinfo.value.code == 2
+        assert "metrics interval must be a positive, finite" in capsys.readouterr().err
+        assert not out.exists()

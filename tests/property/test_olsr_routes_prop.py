@@ -223,7 +223,9 @@ class _Driver:
 
     def fail(self, neighbor: str, data: bool) -> None:
         port = 9000 if data else Olsr.port
-        self.daemon._on_link_failure(neighbor, Packet(ME, FAR[0], Datagram(port, port, b"x")))
+        # A fresh lost packet, with its own uid from the run as a node gives it.
+        packet = Packet(ME, FAR[0], Datagram(port, port, b"x"), uid=next(self.sim.packet_uids))
+        self.daemon._on_link_failure(neighbor, packet)
         if data:  # the daemon retries the packet with _dirty set
             self.dirty_calls += 1
             assert table_routes(self.daemon) == fresh_routes(self.daemon)

@@ -67,6 +67,15 @@ class TestCli:
         assert "F3: call flow steps" in out
         assert "[F3:" in out
 
+    @pytest.mark.parametrize("interval", ["0", "-1", "inf", "nan"])
+    def test_bad_metrics_interval_is_a_usage_error(self, interval, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["E5", "--metrics", str(out), "--metrics-interval", interval])
+        assert excinfo.value.code == 2
+        assert "metrics interval must be a positive, finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_artifact_registry_complete(self):
         # Every quick config must be a subset of what the function accepts.
         for key, (description, quick, full, fn) in ARTIFACTS.items():

@@ -1,80 +1,72 @@
-"""Unit tests for the process-global state registry (repro.globalstate).
+"""Each run owns its identifier streams.
 
-The registry is the single choke point SHARD001 certifies: every
-module-level counter/mapping/sequence the runtime mutates registers here so
-test harnesses (and, later, region-shard workers) can enumerate and reset
-per-process state in one deterministic sweep.
+Every SIPHoc node mints its own Call-IDs, tags, Via branches, RTP ports and
+SSRCs, and the simulator holds one stream of each per run, plus the packet
+uids; a digest authenticator numbers its own nonces. So no identifier
+depends on what ran before in the same process. The golden gates see only
+call-ids, branches and packet uids, so these tests draw every stream through
+the code that allocates it.
 """
 
-import pytest
+from repro.netsim import Chain, Node, Simulator, Verdict, manet_ip
+from repro.rtp.session import RtpSession
+from repro.sip.auth import DigestAuthenticator
+from repro.sip.dialog import new_call_id, new_tag
+from repro.sip.transport import new_branch
+from repro.sip.ua import _allocate_rtp_port
 
-from repro.globalstate import GlobalStateRegistry, registry
+#: What a new simulator hands out first: packet uid, Call-ID, tag, branch,
+#: RTP port and SSRC.
+FIRST = (1, "cid00000001@host.invalid", "tag000001", "z9hG4bK-00000001", 16384, 0x1000)
 
 
-class TestRegistryBasics:
-    def test_counter_sequence_and_reset(self):
-        reg = GlobalStateRegistry()
-        ids = reg.counter("t.ids", start=5)
-        assert [ids.next(), ids.next(), ids.next()] == [5, 6, 7]
-        reg.reset_all()
-        assert ids.next() == 5, "reset must restart from the declared origin"
+def _sent_uid(node: Node) -> int:
+    """The uid of one datagram ``node`` originates (dropped at OUTPUT)."""
+    uids = []
 
-    def test_mapping_and_sequence_reset_to_empty(self):
-        reg = GlobalStateRegistry()
-        table = reg.mapping("t.table")
-        log = reg.sequence("t.log")
-        table["k"] = 1
-        log.extend([1, 2, 3])
-        reg.reset_all()
-        assert table == {} and log == []
+    def capture(packet):
+        uids.append(packet.uid)
+        return Verdict.DROP, packet
 
-    def test_duplicate_name_rejected(self):
-        reg = GlobalStateRegistry()
-        reg.counter("t.ids")
-        with pytest.raises(ValueError):
-            reg.counter("t.ids")
+    hook = node.hooks.register(Chain.OUTPUT, {9}, capture)
+    node.send_udp(manet_ip(1), 9, 9, b"")
+    node.hooks.unregister(hook)
+    return uids[0]
 
-    def test_custom_reset_hook(self):
-        reg = GlobalStateRegistry()
-        state = {"armed": True}
-        reg.register("t.custom", lambda: state.update(armed=False))
-        reg.reset_all()
-        assert state["armed"] is False
 
-    def test_names_enumerates_sorted(self):
-        reg = GlobalStateRegistry()
-        reg.counter("b")
-        reg.mapping("a")
-        assert reg.names() == ["a", "b"]
-        assert len(reg) == 2
+def draw_identifiers(sim: Simulator) -> tuple:
+    """One identifier from each of ``sim``'s six streams, through their users."""
+    node = Node(sim, 0, manet_ip(0))
+    session = RtpSession(node, 16384)
+    session.close()
+    return (
+        _sent_uid(node),
+        new_call_id(sim, "host.invalid"),
+        new_tag(sim),
+        new_branch(sim),
+        _allocate_rtp_port(sim),
+        session.ssrc,
+    )
 
 
 class TestProcessRegistry:
-    """The real module-level registry wired into sip/rtp/netsim."""
-
-    EXPECTED = {
-        "netsim.packet.uid",
-        "rtp.session.ssrc",
-        "sip.auth.nonce",
-        "sip.dialog.call_id",
-        "sip.dialog.tag",
-        "sip.transport.branch",
-        "sip.ua.rtp_port",
-    }
+    def test_reset_all_restarts_identifier_streams(self):
+        # Nothing to reset: each new simulator starts every stream afresh.
+        assert draw_identifiers(Simulator(seed=1)) == FIRST
+        assert draw_identifiers(Simulator(seed=1)) == FIRST
+        nonces = [DigestAuthenticator("voicehoc.ch").challenge(0.0) for _ in range(2)]
+        assert nonces[0] == nonces[1]
+        assert 'nonce="n00000001"' in nonces[0]
 
     def test_runtime_counters_are_registered(self):
-        import repro.netsim.packet  # noqa: F401
-        import repro.rtp.session  # noqa: F401
-        import repro.sip.dialog  # noqa: F401
-        import repro.sip.transport  # noqa: F401
-        import repro.sip.ua  # noqa: F401
-
-        assert self.EXPECTED <= set(registry.names())
-
-    def test_reset_all_restarts_identifier_streams(self):
-        from repro.sip.dialog import new_call_id, new_tag
-
-        registry.reset_all()
-        first_tag, first_call = new_tag(), new_call_id("host.invalid")
-        registry.reset_all()
-        assert (new_tag(), new_call_id("host.invalid")) == (first_tag, first_call)
+        # Drawing from one live simulator never advances another.
+        busy, idle = Simulator(seed=1), Simulator(seed=1)
+        assert draw_identifiers(busy) == FIRST
+        second = draw_identifiers(busy)
+        assert all(a != b for a, b in zip(second, FIRST))
+        assert draw_identifiers(idle) == FIRST
+        assert draw_identifiers(busy) not in (FIRST, second)
+        issuer, bystander = DigestAuthenticator("voicehoc.ch"), DigestAuthenticator("voicehoc.ch")
+        issued = issuer.challenge(0.0)
+        assert issuer.challenge(0.0) != issued
+        assert bystander.challenge(0.0) == issued
