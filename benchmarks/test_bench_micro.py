@@ -572,6 +572,48 @@ def test_olsr_flood_reception_throughput(benchmark, case):
     assert new_forwards == (len(rounds) if case == "first" else 0)
 
 
+# -- SLP matching --------------------------------------------------------------
+#
+# Every node a lookup flood reaches matches the query against its local
+# registration, and every advert copy it hears is checked against the
+# lookups it has pending. A run asks a few dozen distinct predicates, one
+# per callee, over and over.
+
+from repro.slp import SERVICE_SIP_CONTACT, UrlEntry
+
+
+def _slp_node_with_pending_lookup():
+    """A node whose proxy registered alice and which is looking up bob."""
+    sim = Simulator(seed=7)
+    node = Node(sim, 0, manet_ip(0))
+    node.join_medium(WirelessMedium(sim))
+    slp = ManetSlp(node, make_handler(Aodv(node).start())).start()
+    slp.register(
+        f"service:{SERVICE_SIP_CONTACT}://{node.ip}:5060", {"user": "sip:alice@voicehoc.ch"}
+    )
+    slp.find_services(SERVICE_SIP_CONTACT, "(user=sip:bob@voicehoc.ch)")
+    return sim, slp
+
+
+@pytest.mark.parametrize("case", ["lookup", "advert"])
+def test_slp_match_throughput(benchmark, case):
+    """``lookup``: one flooded query for bob against the local registration.
+    ``advert``: one repeated advert for carol while the bob lookup is pending."""
+    sim, slp = _slp_node_with_pending_lookup()
+    if case == "lookup":
+        matches = benchmark(slp.local_matches, SERVICE_SIP_CONTACT, "(user=sip:bob@voicehoc.ch)")
+        assert matches == []
+        return
+    advert = UrlEntry(
+        url=f"service:{SERVICE_SIP_CONTACT}://{manet_ip(9)}:5060",
+        lifetime=120,
+        attributes="(user=sip:carol@voicehoc.ch)",
+    ).to_service_entry(sim.now, origin=manet_ip(9))
+    benchmark(slp.on_remote_entry, advert)
+    assert slp.cache_size == 1
+    assert slp.lookup_cached(SERVICE_SIP_CONTACT, "(user=sip:bob@voicehoc.ch)") == []
+
+
 # -- one SIP call's messages and transactions ---------------------------------
 #
 # call_storm's SIP path: every element a call crosses parses the message it

@@ -268,26 +268,27 @@ class ManetSlp:
 
     def on_remote_entry(self, entry: ServiceEntry) -> None:
         """A piggybacked advert or reply arrived: update cache, feed lookups."""
-        if entry.origin == self.node.ip or entry.key() in self._local:
+        key = entry.key()
+        if entry.origin == self.node.ip or key in self._local:
             return
         if entry.lifetime <= 0:
-            self._cache.pop(entry.key(), None)
+            self._cache.pop(key, None)
             return
-        existing = self._cache.get(entry.key())
+        existing = self._cache.get(key)
         if existing is None or entry.expires_at >= existing.expires_at:
-            self._cache[entry.key()] = entry
+            self._cache[key] = entry
         self.node.stats.increment("manetslp.entries_learned")
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit(
-                "slp.entry_learned", self.node.ip, url=entry.key(),
+                "slp.entry_learned", self.node.ip, url=key,
                 origin=entry.origin,
             )
         for pending in list(self._pending.values()):
             if pending.done:
                 continue
             if entry.matches(pending.service_type, pending.predicate):
-                pending.results[entry.key()] = entry
+                pending.results[key] = entry
                 if self.config.resolve_on_first:
                     self._finish_lookup(pending.xid)
 

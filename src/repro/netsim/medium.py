@@ -271,7 +271,8 @@ class WirelessMedium:
         surviving neighbor one jitter draw — all from the simulator RNG,
         interleaved exactly as written here. The surviving receptions are
         then scheduled with one :meth:`Simulator.schedule_batch` call, which
-        assigns sequence numbers in collection order.
+        assigns sequence numbers in collection order and builds no event
+        handles.
         """
         self.stats.record_transmission(packet.dport, packet.size)
         sender_ip = sender.ip
@@ -449,4 +450,5 @@ class WirelessMedium:
         # jitter * random() is uniform(0, jitter) bit for bit (see broadcast).
         delay = attempts * tx_time + self.jitter * sim.rng.random()
         assert receiver is not None
-        sim.schedule(delay, receiver.receive_wireless, packet, sender_ip)
+        # A delivery needs no cancellation handle (see Simulator.schedule_batch).
+        sim.schedule_batch(((delay, receiver.receive_wireless, (packet, sender_ip)),))

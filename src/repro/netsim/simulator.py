@@ -5,13 +5,23 @@ The simulator is single-threaded and fully deterministic: events fire in
 ``random.Random`` instance owned by the simulator. All higher layers (radio
 medium, routing daemons, SIP timers, RTP schedules) are driven by this clock.
 
-Pending events live in one binary heap of ``(time, seq, event)`` tuples.
-``seq`` is unique, so tuple comparison is done in C and never reaches the
-callback. Cancellation leaves a tombstone that the loop skips; the heap is
-compacted lazily, with hysteresis (:attr:`Simulator.COMPACT_MIN`), so heavy
-timer churn stays bounded in memory. Compaction never changes the pop
-order. ``tests/netsim/test_golden.py`` pins the fingerprints of seeded
-scenarios, so any change to the event order shows up there.
+Pending events live in one binary heap of ``(time, seq, target, args)``
+tuples. ``seq`` is unique, so tuple comparison is done in C and never
+reaches the callback. An entry is one of two kinds:
+
+- ``(time, seq, callback, args)``: a frame delivery or any other
+  :meth:`Simulator.schedule_batch` entry, which nothing can cancel and so
+  carries no handle;
+- ``(time, seq, handle, None)``: a :meth:`Simulator.schedule` or
+  :meth:`Simulator.schedule_at` event, whose :class:`EventHandle` holds the
+  callback and args.
+
+Cancellation leaves a tombstone (a cancelled handle) that the loop skips;
+the heap is compacted lazily, with hysteresis
+(:attr:`Simulator.COMPACT_MIN`), so heavy timer churn stays bounded in
+memory. Compaction never changes the pop order.
+``tests/netsim/test_golden.py`` pins the fingerprints of seeded scenarios,
+so any change to the event order shows up there.
 """
 
 from __future__ import annotations
@@ -32,9 +42,10 @@ BatchEntry = tuple[float, Callable[..., None], tuple[Any, ...]]
 class EventHandle:
     """A scheduled event and its cancellation handle (one object, no wrapper).
 
-    The simulator builds these via ``__new__`` + direct stores — profiled
-    ~35% faster than ``__init__`` dispatch, and this is the hottest
-    allocation in the simulator.
+    :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` return one;
+    :meth:`Simulator.schedule_batch` entries (frame deliveries) get none,
+    since nothing cancels them. The simulator builds these via ``__new__`` +
+    direct stores, profiled ~35% faster than ``__init__`` dispatch.
 
     A fired or cancelled handle drops its callback and args. Owners keep
     handles to their own timers (a transaction, a periodic task), and the
@@ -138,7 +149,7 @@ class Simulator:
         self.now = 0.0
         self.seq = 0
         self.events_processed = 0
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[tuple[float, int, Any, tuple[Any, ...] | None]] = []
         self._tombstones = 0  # cancelled events still in the heap
         self._compactions = 0
         # Optional repro.trace.TraceCollector; None means tracing is off and
@@ -193,7 +204,7 @@ class Simulator:
         event.cancelled = False
         event.popped = False
         event._sim = self
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, event, None))
         return event
 
     def schedule_at(
@@ -213,41 +224,38 @@ class Simulator:
         event.cancelled = False
         event.popped = False
         event._sim = self
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, event, None))
         return event
 
     def schedule_batch(self, entries: Iterable[BatchEntry]) -> int:
         """Schedule ``(delay, callback, args)`` entries in order; returns the count.
 
-        Equivalent to one :meth:`schedule` call per entry — the same
-        sequence numbers, so the same pop order — but the entries are
-        pushed here directly. Profilers and tracers shadow ``schedule`` and
-        ``schedule_batch`` on the instance; going through the shadowed
-        ``schedule`` would wrap every callback twice.
+        Fires like one :meth:`schedule` call per entry, with the same
+        sequence numbers and so the same pop order, but returns no handles:
+        each entry goes on the heap as a bare ``(time, seq, callback,
+        args)`` tuple, which is what makes a frame delivery cheap. ``args``
+        must be a tuple. If an entry raises, the ones before it stay
+        scheduled and ``seq`` counts exactly those.
+
+        Every frame delivery comes through here, never straight onto the
+        heap: profilers and tracers shadow ``schedule``, ``schedule_at`` and
+        ``schedule_batch`` on the instance to see every event, and this
+        method pushes directly rather than calling the (possibly shadowed)
+        ``schedule``, which would wrap every callback twice.
         """
         now = self.now
-        seq = self.seq
+        seq = start = self.seq
         heap = self._heap
         push = heapq.heappush
-        count = 0
         try:
             for delay, callback, args in entries:
                 if delay < 0:
                     raise SimulationError(f"cannot schedule into the past (delay={delay})")
                 seq += 1
-                event = EventHandle.__new__(EventHandle)
-                event.time = time = now + delay
-                event.seq = seq
-                event.callback = callback
-                event.args = args
-                event.cancelled = False
-                event.popped = False
-                event._sim = self
-                push(heap, (time, seq, event))
-                count += 1
+                push(heap, (now + delay, seq, callback, args))
         finally:
             self.seq = seq
-        return count
+        return seq - start
 
     def schedule_periodic(
         self,
@@ -280,7 +288,7 @@ class Simulator:
         In place, because an event loop that is running holds the list.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[3] is not None or not entry[2].cancelled]
         heapq.heapify(heap)
         self._tombstones = 0
         self._compactions += 1
@@ -324,23 +332,22 @@ class Simulator:
         processed = 0
         try:
             while heap:
-                entry = heap[0]
-                time = entry[0]
-                if time > until:
+                if heap[0][0] > until:
                     break
-                pop(heap)
-                event = entry[2]
-                if event.cancelled:
-                    self._tombstones -= 1
-                    continue
-                event.popped = True
+                time, _, target, args = pop(heap)
+                if args is None:  # a handle: it may be a tombstone
+                    if target.cancelled:
+                        self._tombstones -= 1
+                        continue
+                    target.popped = True
+                    args = target.args
+                    callback = target.callback
+                    target.callback = None
+                    target.args = ()
+                    target = callback
                 self.now = time
                 processed += 1
-                callback = event.callback
-                args = event.args
-                event.callback = None
-                event.args = ()
-                callback(*args)  # type: ignore[misc]
+                target(*args)
         finally:
             self.events_processed += processed
 

@@ -352,7 +352,9 @@ class SipMessage:
         if raw is None:
             return None
         value = raw.split(";", 1)[0].split("(", 1)[0].strip()
-        if not value.isdigit():
+        # isdigit() alone also takes digits int() rejects ("²") or reads in
+        # another script ("٣"); delta-seconds is ASCII (RFC 3261 25.1).
+        if not (value.isascii() and value.isdigit()):
             return None
         return int(value)
 

@@ -12,6 +12,7 @@ conjunctions like ``(&(user=sip:bob@voicehoc.ch)(transport=udp))``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.errors import SlpError
@@ -43,15 +44,23 @@ class ServiceUrl:
         host = address
         if ":" in address:
             host, port_text = address.rsplit(":", 1)
-            try:
-                port = int(port_text)
-            except ValueError as exc:
-                raise SlpError(f"invalid port in service URL: {text!r}") from exc
+            # int() would also take signs, underscores, spaces and non-ASCII
+            # digits; a port is 1-5 ASCII digits.
+            if not (port_text.isascii() and port_text.isdigit() and len(port_text) <= 5):
+                raise SlpError(f"invalid port in service URL: {text!r}")
+            port = int(port_text)
+            if not 0 < port < 65536:
+                raise SlpError(f"port out of range in service URL: {text!r}")
         if not host:
             raise SlpError(f"service URL missing host: {text!r}")
         return cls(service_type=service_type, host=host, port=port)
 
     def __str__(self) -> str:
+        return self._text
+
+    @functools.cached_property
+    def _text(self) -> str:
+        """The rendered URL, kept: it is every cache and lookup key."""
         out = f"service:{self.service_type}://{self.host}"
         if self.port is not None:
             out += f":{self.port}"
@@ -116,19 +125,52 @@ def parse_attributes(text: str) -> dict[str, str]:
     return attributes
 
 
+#: Distinct predicate texts whose compiled form is kept. A run asks a few
+#: dozen (one per callee); a remote query's text costs one entry.
+PREDICATE_CACHE_SIZE = 1024
+
+
 def evaluate_predicate(predicate: str, attributes: dict[str, str]) -> bool:
     """Evaluate an LDAP-style filter against attributes.
 
     Supports ``(key=value)``, trailing-``*`` wildcards, and conjunction
     ``(&(a=b)(c=d))``. Unknown syntax evaluates to False (fail closed).
+    Each distinct text is parsed once (:func:`_compile_predicate`).
+    """
+    terms = _compile_predicate(predicate)
+    if terms is None:
+        return False
+    for key, value, prefix in terms:
+        actual = attributes.get(key)
+        if actual is None:
+            return False
+        if prefix:
+            if not actual.startswith(value):
+                return False
+        elif actual != value:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=PREDICATE_CACHE_SIZE)
+def _compile_predicate(predicate: str) -> tuple[tuple[str, str, bool], ...] | None:
+    """The predicate as the conjunction of its ``(key, value, prefix)`` terms.
+
+    A term matches an attribute equal to ``value`` or, with ``prefix`` set
+    (a trailing ``*``), one starting with it. Nested ``&`` flattens, since a
+    conjunction of conjunctions is one conjunction; the empty predicate is
+    the empty conjunction. Malformed text compiles to ``None``, which
+    matches nothing.
     """
     predicate = predicate.strip()
     if not predicate:
-        return True
+        return ()
     expr, remaining = _parse_expression(predicate)
     if expr is None or remaining.strip():
-        return False
-    return _evaluate(expr, attributes)
+        return None
+    terms: list[tuple[str, str, bool]] = []
+    _flatten(expr, terms)
+    return tuple(terms)
 
 
 def _parse_expression(text: str):
@@ -157,14 +199,13 @@ def _parse_expression(text: str):
     return ("eq", key.strip(), value), text[end + 1 :]
 
 
-def _evaluate(expr, attributes: dict[str, str]) -> bool:
-    kind = expr[0]
-    if kind == "and":
-        return all(_evaluate(child, attributes) for child in expr[1])
+def _flatten(expr, terms: list[tuple[str, str, bool]]) -> None:
+    if expr[0] == "and":
+        for child in expr[1]:
+            _flatten(child, terms)
+        return
     _, key, value = expr
-    actual = attributes.get(key)
-    if actual is None:
-        return False
     if value.endswith("*"):
-        return actual.startswith(value[:-1])
-    return actual == value
+        terms.append((key, value[:-1], True))
+    else:
+        terms.append((key, value, False))

@@ -54,11 +54,10 @@ def _transaction_layers(scenario: ManetScenario) -> list[TransactionLayer]:
 
 
 def _pending_transaction_timers(sim: Simulator) -> int:
-    return sum(
-        1
-        for _, _, event in sim._heap
-        if not event.cancelled and isinstance(getattr(event.callback, "__self__", None), _Transaction)
-    )
+    # A heap entry is (time, seq, callback, args), or (time, seq, handle,
+    # None) for an event with a handle; a cancelled handle has no callback.
+    callbacks = (target.callback if args is None else target for _, _, target, args in sim._heap)
+    return sum(isinstance(getattr(callback, "__self__", None), _Transaction) for callback in callbacks)
 
 
 def test_call_storm_leaves_no_cyclic_garbage():

@@ -511,6 +511,8 @@ class TestRetryAfter:
             ("5.5", None),
             ("(only a comment)", None),
             (";duration=30", None),
+            ("²", None),  # a Unicode digit int() cannot read
+            ("٣", None),  # a non-ASCII digit int() would read as 3
         ],
     )
     def test_read_is_tolerant(self, raw, expected):

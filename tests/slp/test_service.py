@@ -32,7 +32,19 @@ class TestServiceUrl:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "siphoc-sip://x", "service:noaddress", "service:://h", "service:t://", "service:t://h:xx"],
+        [
+            "",
+            "siphoc-sip://x",
+            "service:noaddress",
+            "service:://h",
+            "service:t://",
+            "service:t://h:xx",
+            "service:t://h:0",
+            "service:t://h:-1",
+            "service:t://h:70000",
+            "service:t://h:5_060",
+            "service:t://h:٥٠٦٠",
+        ],
     )
     def test_invalid(self, bad):
         with pytest.raises(SlpError):
