@@ -1,8 +1,6 @@
 """Benchmark harness helpers.
 
-Every paper artifact gets one benchmark that (a) regenerates its table via
-the experiment harness, (b) asserts the qualitative *shape* the paper
-claims, and (c) prints the table — and writes it into
+:func:`show` prints a paper table and writes it into
 ``benchmark_tables.txt`` in the repository root, so a plain
 ``pytest benchmarks/ --benchmark-only`` run leaves the full reproduction
 report on disk even without ``-s``. A table replaces the section with the
@@ -38,15 +36,9 @@ def _load_results_file():
     yield
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def show(table) -> None:
-    text = table.format()
+def show(text: str) -> None:
     print()
     print(text)
-    _sections[table.title] = text
+    _sections[text.split("\n", 1)[0]] = text
     with open(_RESULTS_PATH, "w", encoding="utf-8") as handle:
         handle.write("".join(block + "\n\n" for block in _sections.values()))

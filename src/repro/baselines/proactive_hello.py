@@ -9,13 +9,14 @@ not SIP-compatible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.baselines.base import DiscoveryBackend, ResolveCallback, UserBinding
 from repro.errors import CodecError
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST
-from repro.routing.wire import Reader, Writer
+from repro.routing.wire import DECODE_CACHE_SIZE, Reader, Writer
 
 HELLO_PORT = 5066
 
@@ -31,20 +32,23 @@ def _encode_hello(origin: str, seq: int, bindings: list[UserBinding]) -> bytes:
     return writer.getvalue()
 
 
-def _decode_hello(data: bytes) -> tuple[str, int, int, list[UserBinding]]:
+def _decode_header(data: bytes) -> tuple[str, int, int]:
+    """A HELLO's origin, sequence number and remaining flood hops."""
     reader = Reader(data)
-    origin = reader.ip()
-    seq = reader.u16()
-    ttl = reader.u8()
-    count = reader.u16()
+    return reader.ip(), reader.u16(), reader.u8()
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _decode_bindings(table: bytes) -> tuple[UserBinding, ...]:
+    """The binding table after the 7-byte header, decoded once per distinct
+    table: forwarders rewrite only the header's hop count, so every node of
+    a flood receives the same table bytes."""
+    reader = Reader(table)
     bindings = []
-    for _ in range(count):
-        length = reader.u16()
-        aor = reader.raw(length).decode("utf-8")
-        host = reader.ip()
-        port = reader.u16()
-        bindings.append(UserBinding(aor=aor, host=host, port=port))
-    return origin, seq, ttl, bindings
+    for _ in range(reader.u16()):
+        aor = reader.raw(reader.u16()).decode("utf-8")
+        bindings.append(UserBinding(aor=aor, host=reader.ip(), port=reader.u16()))
+    return tuple(bindings)
 
 
 def _rewrite_ttl(data: bytes, ttl: int) -> bytes:
@@ -131,13 +135,19 @@ class ProactiveHelloBackend(DiscoveryBackend):
         self._socket.send(BROADCAST, HELLO_PORT, data, ttl=self.FLOOD_HOPS)
 
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
+        # Most receptions are copies of a flood already seen: drop them
+        # before decoding a binding table that grows with the network.
         try:
-            origin, seq, ttl, bindings = _decode_hello(data)
+            origin, seq, ttl = _decode_header(data)
         except CodecError:
             return
         now = self.sim.now
         key = (origin, seq)
         if self._seen.get(key, 0.0) > now or origin == self.node.ip:
+            return
+        try:
+            bindings = _decode_bindings(data[7:])
+        except CodecError:
             return
         self._seen[key] = now + 60.0
         if len(self._seen) > 4096:

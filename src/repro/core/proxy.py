@@ -182,8 +182,11 @@ class SiphocProxy:
             ctx.respond(400)
             return
         aor = to.uri.address_of_record
-        expires = self._parse_expires(request)
-        if expires <= 0:
+        expires = request.expires(3600)
+        if expires is None:
+            ctx.respond(400)
+            return
+        if expires == 0:
             self.location.remove(aor, contact.uri)
             self.manet_slp.deregister(self._contact_service_url())
             ctx.respond(200)
@@ -207,14 +210,6 @@ class SiphocProxy:
         return ServiceUrl(
             service_type=SERVICE_SIP_CONTACT, host=self.node.ip, port=self.port
         )
-
-    @staticmethod
-    def _parse_expires(request: SipRequest) -> int:
-        raw = request.headers.get("Expires")
-        try:
-            return int(raw) if raw is not None else 3600
-        except ValueError:
-            return 3600
 
     # -- upstream registration (section 3.2) -----------------------------------------------
     def _register_upstream(self, aor: str) -> None:

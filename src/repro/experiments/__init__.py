@@ -1,34 +1,15 @@
 """Experiment harness: one function per paper artifact.
 
 Each function runs a complete simulated experiment and returns a
-:class:`~repro.experiments.tables.Table`. The benchmark suite under
-``benchmarks/`` invokes these and prints the tables; EXPERIMENTS.md
-records paper-claim vs measured for each.
-
-Index (see DESIGN.md section 4):
-
-========  ==========================================  =============================
-Artifact  Function                                     Paper reference
-========  ==========================================  =============================
-F3        :func:`call_flow_table`                      Figure 3 call flow
-E1        :func:`setup_delay_table`                    setup delay vs hops
-E2        :func:`overhead_vs_nodes_table`              control overhead vs nodes
-E3        :func:`convergence_table`                    registration availability
-E4        :func:`gateway_table`                        gateway + Internet calls
-E5        :func:`scalability_table`                    stated future work
-E6        :func:`voice_quality_table`                  MOS vs hops/loss
-M1        :func:`media_quality_table`                  media stacks vs GE loss (§5j)
-H1        :func:`handover_table`                       mid-call coverage loss (§5k)
-T1        :func:`interop_table`                        section 3.2 providers
-F6        :func:`footprint_table`                      section 4 deployment
-A1        :func:`ablation_discovery_table`             discovery scheme ablation
-A2        :func:`cache_ablation_table`                 advert lifetime ablation
-C1        :func:`city_table`                           5k-node city (ROADMAP)
-========  ==========================================  =============================
+:class:`~repro.experiments.tables.Table` (F5 returns its rendered frame).
+:data:`repro.experiments.artifacts.ARTIFACTS` names each artifact's
+function, parameters and check; EXPERIMENTS.md records paper claim vs
+measured for each.
 """
 
 from repro.experiments.calls import (
     call_flow_table,
+    capture_figure5,
     scalability_table,
     setup_delay_table,
     voice_quality_table,
@@ -61,6 +42,7 @@ __all__ = [
     "build_city_scenario",
     "cache_ablation_table",
     "call_flow_table",
+    "capture_figure5",
     "city_table",
     "convergence_table",
     "footprint_table",

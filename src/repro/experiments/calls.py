@@ -2,14 +2,26 @@
 
 E1 (setup delay vs hop count, both routing protocols), E5 (scalability
 with node count and mobility — the paper's stated future work), E6 (MOS
-vs hops and loss), and F3 (the Figure 3 call-flow record).
+vs hops and loss), F3 (the Figure 3 call-flow record) and F5 (the
+Figure 5 capture of the call's route reply).
 """
 
 from __future__ import annotations
 
 import math
 
+from repro.analyzer import dissect_frame, render_frame
+from repro.core.stack import SiphocStack
 from repro.experiments.tables import Table
+from repro.netsim import (
+    Node,
+    PacketCapture,
+    Simulator,
+    Stats,
+    WirelessMedium,
+    manet_ip,
+    place_chain,
+)
 from repro.scenarios import ManetConfig, ManetScenario, build_chain_call_scenario
 
 
@@ -63,6 +75,40 @@ def call_flow_table(routing: str = "aodv", seed: int = 3) -> Table:
         table.add_note(f"session setup delay: {record.setup_delay * 1000:.0f} ms")
     scenario.stop()
     return table
+
+
+def capture_figure5() -> str | None:
+    """F5: the first captured AODV RREP that carries the callee's SIP contact.
+
+    Alice calls bob across a 2-hop AODV chain; her proxy's SLP lookup rides
+    a route request, and bob's node answers with a route reply carrying his
+    binding. Returns that frame's dissection under a title, or ``None``
+    when no such frame was captured.
+    """
+    sim = Simulator(seed=5)
+    stats = Stats()
+    medium = WirelessMedium(sim, stats=stats, tx_range=150.0)
+    capture = PacketCapture(port_filter={654})
+    medium.add_sniffer(capture.on_frame)
+    stacks = []
+    for index in range(3):
+        node = Node(sim, index, manet_ip(index), stats=stats)
+        node.join_medium(medium)
+        stacks.append(
+            SiphocStack(node, routing="aodv", run_connection_provider=False).start()
+        )
+    place_chain([stack.node for stack in stacks], 100.0)
+    alice = stacks[0].add_phone(username="alice")
+    stacks[2].add_phone(username="bob")
+    sim.run(1.0)
+    alice.place_call("sip:bob@voicehoc.ch", duration=2.0)
+    sim.run(8.0)
+    for number, frame in enumerate(capture.frames, start=1):
+        aodv = dissect_frame(frame, number).find("Ad hoc On-demand")
+        if aodv is not None and any("SLP Reply" in child.name for child in aodv.children):
+            title = "F5: AODV route reply carrying a SIP contact (Figure 5)"
+            return f"{title}\n{'=' * len(title)}\n{render_frame(frame, number)}"
+    return None
 
 
 def setup_delay_table(

@@ -4,19 +4,22 @@ The reproduction's contract is that a seeded run depends on its seed
 alone: byte-identical across fresh interpreters and whatever ran before
 it in the same one. :data:`GATES` names the workloads that hold the code
 to it. Each gate is a zero-argument function that runs one seeded workload
-and returns canonical text; a gate may also carry a check that lists the
-invariants the text fails to show. :func:`run_fresh` runs a list of gates,
-in order, in one new interpreter and returns each gate's sha256 digest and
-check failures; ``tests/netsim/test_golden.py`` compares the digests with
-the committed ``tests/netsim/golden.json``.
+and returns its result, whose ``str`` is the canonical text; a gate may
+also carry a check that reads the result and lists the invariants it
+fails to show. Every table of :data:`repro.experiments.artifacts.ARTIFACTS`
+with a pin is a gate too, named like the table, with the artifact's check.
+:func:`run_fresh` runs a list of gates, in order, in one new interpreter
+and returns each gate's sha256 digest and check failures;
+``tests/netsim/test_golden.py`` compares the digests with the committed
+``tests/netsim/golden.json``.
 
-Print gates' digests by hand (no name prints the list)::
+Run gates by hand (no name prints the list)::
 
-    PYTHONPATH=src python -m repro.experiments.gates chaos_run legacy_call
+    PYTHONPATH=src python -m repro.experiments.gates chaos_run E1
 
 Each line reads ``<sha256>  <gate>``, as ``sha256sum`` prints, followed by
 one ``FAIL <gate>: <failure>`` line per failed check; the exit status is 1
-when a check failed. ``GATES[name].run()`` returns a gate's text.
+when a check failed. ``str(GATES[name].run())`` is a gate's text.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
+from repro.core.softphone import CallRecord
 from repro.errors import MetricsError
+from repro.experiments.artifacts import ARTIFACTS, BOB, MOS_SATISFIED, Artifact, table_runs
 from repro.experiments.handover import HandoverTrial, run_handover_trial
 from repro.experiments.media import run_media_point
 from repro.faults.channel import GilbertElliottChannel, TimedGilbertElliottChannel
@@ -39,23 +44,25 @@ from repro.faults.harness import default_chaos_plan, run_chaos
 from repro.faults.plan import FaultPlan
 from repro.metrics.registry import render_prometheus
 from repro.metrics.scraper import load_jsonl
-from repro.overload.harness import MODE_CONTROLLED, MODE_UNCONTROLLED, run_sweep, smoke_config
+from repro.overload.harness import (
+    MODE_CONTROLLED,
+    MODE_UNCONTROLLED,
+    SweepReport,
+    run_sweep,
+    smoke_config,
+)
 from repro.scenarios import ManetConfig, ManetScenario, build_chain_call_scenario
 from repro.trace.events import TraceError, parse_jsonl_line
-
-#: Bob's address in every gate's call.
-BOB = "sip:bob@voicehoc.ch"
-
-#: "Users satisfied" threshold on the E-model MOS scale (ITU-T G.107).
-MOS_SATISFIED = 3.6
+from repro.trace.ladder import sip_ladder
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One named workload: ``run`` returns canonical text, ``check`` its failures."""
+    """One named workload: ``run`` returns a result whose ``str`` is the
+    canonical text; ``check`` reads that result and lists its failures."""
 
-    run: Callable[[], str]
-    check: Callable[[str], list[str]] = lambda text: []
+    run: Callable[[], Any]
+    check: Callable[[Any], list[str]] = lambda result: []
 
 
 def _trace_failures(jsonl: str) -> list[str]:
@@ -201,14 +208,43 @@ def fading_media_call() -> str:
 # ---------------------------------------------------------------------------
 
 
-def traced_chain_call() -> str:
+class TracedCall(NamedTuple):
+    """A call's record and its run's trace export, which is its text."""
+
+    record: CallRecord
+    jsonl: str
+
+    def __str__(self) -> str:
+        return self.jsonl
+
+
+def traced_chain_call() -> TracedCall:
     """2-hop AODV chain, one traced call: the full JSONL trace export."""
     scenario = build_chain_call_scenario(hops=2, routing="aodv", seed=11, tracing=True)
     scenario.converge()
-    scenario.call_and_wait("alice", BOB, duration=2.0)
+    record = scenario.call_and_wait("alice", BOB, duration=2.0)
     scenario.stop()
     assert scenario.trace is not None
-    return scenario.trace.export_jsonl()
+    return TracedCall(record, scenario.trace.export_jsonl())
+
+
+def check_traced_chain_call(call: TracedCall) -> list[str]:
+    """The call establishes, and its valid trace shows every layer and the INVITE."""
+    failures = _trace_failures(call.jsonl)
+    if failures:
+        return failures
+    if not call.record.established:
+        failures.append("the call did not establish")
+    events = [parse_jsonl_line(line) for line in call.jsonl.splitlines()]
+    categories = {event.category for event in events}
+    failures.extend(
+        f"no {category}.* events in the trace"
+        for category in ("packet", "aodv", "slp", "sip")
+        if category not in categories
+    )
+    if "INVITE" not in sip_ladder(events):
+        failures.append("the SIP ladder does not show the INVITE")
+    return failures
 
 
 #: Separates the fault schedule from the trace in the chaos gate's text.
@@ -246,45 +282,33 @@ def check_chaos_run(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def overload_sweep() -> str:
-    """The reduced offered-load sweep (1 and 2 cps), rendered report."""
-    return run_sweep(smoke_config()).render()
+def overload_sweep() -> SweepReport:
+    """The reduced offered-load sweep (1 and 2 cps); its text is the rendered report."""
+    return run_sweep(smoke_config())
 
 
-#: Columns of one load row in ``SweepReport.render()``.
-_SWEEP_COLUMNS = (
-    "load", "mode", "att", "ok", "rate", "est", "p50", "p95", "mos", "503", "other",
-    "qdrops", "admrej",
-)
-
-
-def check_overload_sweep(text: str) -> list[str]:
+def check_overload_sweep(report: SweepReport) -> list[str]:
     """At the top load admission sheds with 503s; without it the queues collapse."""
-    rows = {}
-    for line in text.splitlines():
-        fields = line.split()
-        if len(fields) == len(_SWEEP_COLUMNS) and fields[1] in (MODE_CONTROLLED, MODE_UNCONTROLLED):
-            rows[float(fields[0]), fields[1]] = dict(zip(_SWEEP_COLUMNS, fields))
-    top = max((load for load, _ in rows), default=None)
-    controlled = rows.get((top, MODE_CONTROLLED))
-    uncontrolled = rows.get((top, MODE_UNCONTROLLED))
+    top = max(point.load for point in report.points)
+    controlled = report.point(top, MODE_CONTROLLED)
+    uncontrolled = report.point(top, MODE_UNCONTROLLED)
     if controlled is None or uncontrolled is None:
         return ["the sweep report is missing its top-load points"]
     failures = []
-    if int(controlled["503"]) == 0:
+    if controlled.rejected_503 == 0:
         failures.append("no 503 admission rejections at the overload point")
-    if int(controlled["admrej"]) == 0:
+    if controlled.admission_rejected == 0:
         failures.append("sip.admission_rejected counter never moved")
-    if int(uncontrolled["qdrops"]) == 0:
+    if uncontrolled.queue_drops == 0:
         failures.append("bounded TX queues shed nothing without admission")
-    if float(controlled["rate"]) <= float(uncontrolled["rate"]):
+    if controlled.ok_rate <= uncontrolled.ok_rate:
         failures.append(
             f"admission control did not help at {top:.1f} cps (controlled "
-            f"{controlled['rate']} <= uncontrolled {uncontrolled['rate']})"
+            f"{controlled.ok_rate:.3f} <= uncontrolled {uncontrolled.ok_rate:.3f})"
         )
-    if int(uncontrolled["503"]) or int(uncontrolled["admrej"]):
+    if uncontrolled.rejected_503 or uncontrolled.admission_rejected:
         failures.append("uncontrolled run unexpectedly produced 503 rejections")
-    if "knee: none" in text:
+    if report.knee is None:
         failures.append("no knee: controlled runs never cleared the threshold")
     return failures
 
@@ -486,7 +510,7 @@ GATES: dict[str, Gate] = {
     "lossy_mobile_aodv": Gate(lossy_mobile_aodv),
     "olsr_grid_call": Gate(olsr_grid_call),
     "fading_media_call": Gate(fading_media_call),
-    "traced_chain_call": Gate(traced_chain_call, _trace_failures),
+    "traced_chain_call": Gate(traced_chain_call, check_traced_chain_call),
     "chaos_run": Gate(chaos_run, check_chaos_run),
     "overload_sweep": Gate(overload_sweep, check_overload_sweep),
     "metrics_export": Gate(metrics_export, check_metrics_export),
@@ -495,6 +519,21 @@ GATES: dict[str, Gate] = {
     "handover_drills": Gate(handover_drills),
     "legacy_call": Gate(legacy_call, check_legacy_call),
 }
+
+
+def _table_gate(artifact: Artifact, run: Callable[[], Any]) -> Gate:
+    """One table's gate: what the artifact pins of the table, and its check."""
+    pin = artifact.pin
+    assert pin is not None and artifact.check is not None
+    return Gate(lambda: pin(run()), artifact.check)
+
+
+GATES.update(
+    (name, _table_gate(artifact, run))
+    for key, artifact in ARTIFACTS.items()
+    if artifact.pin is not None
+    for name, run in table_runs(key).items()
+)
 
 
 @dataclass(frozen=True)
@@ -535,16 +574,6 @@ def run_fresh(names: Sequence[str], hash_seed: int = 0) -> dict[str, GateResult]
     }
 
 
-def smoke(name: str) -> int:
-    """Run gate ``name`` in this process and report its check; an exit status."""
-    failures = GATES[name].check(GATES[name].run())
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(f"{name} gate ok")
-    return 1 if failures else 0
-
-
 def main(argv: list[str]) -> int:
     if not argv or any(name not in GATES for name in argv):
         print(
@@ -556,9 +585,9 @@ def main(argv: list[str]) -> int:
     failed = False
     for name in argv:
         gate = GATES[name]
-        text = gate.run()
-        print(f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {name}")
-        for failure in gate.check(text):
+        result = gate.run()
+        print(f"{hashlib.sha256(str(result).encode('utf-8')).hexdigest()}  {name}")
+        for failure in gate.check(result):
             failed = True
             print(f"FAIL {name}: {' '.join(failure.split())}")
         sys.stdout.flush()

@@ -12,7 +12,7 @@ Public surface:
   attribution (imported from its module directly; it is the one part of
   this package allowed to touch the host clock);
 * ``python -m repro.metrics`` — tables, sparkline dashboards, Prometheus
-  exposition, profiling and the determinism smoke gate.
+  exposition and profiling.
 
 Design and the determinism contract: DESIGN.md §5i.
 """

@@ -8,8 +8,9 @@ Subcommands:
 * ``profile`` — run the C1 quick variant under the kernel profiler,
   print per-subsystem wall-time attribution, optionally write
   collapsed stacks for speedscope / flamegraph.pl
-* ``smoke``   — run the instrumented 4-node call (the ``metrics_export``
-  gate in :mod:`repro.experiments.gates`) and check its export
+
+``python -m repro.experiments.gates metrics_export`` runs the instrumented
+4-node call and checks its export.
 """
 
 from __future__ import annotations
@@ -95,12 +96,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.gates import smoke
-
-    return smoke("metrics_export")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.metrics",
@@ -143,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write collapsed stacks (speedscope / flamegraph.pl input)",
     )
     p_prof.set_defaults(fn=_cmd_profile)
-
-    p_smk = sub.add_parser("smoke", help="run the instrumented call and check its export")
-    p_smk.set_defaults(fn=_cmd_smoke)
 
     return parser
 

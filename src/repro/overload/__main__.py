@@ -5,8 +5,9 @@ Subcommands:
 * ``sweep`` — run the full offered-load sweep, print the report; exits
   nonzero unless the controlled curve degrades gracefully (success at
   twice the knee load holds >= 50 % of the at-knee rate)
-* ``smoke`` — run the reduced sweep (the ``overload_sweep`` gate in
-  :mod:`repro.experiments.gates`) and check its overload invariants
+
+``python -m repro.experiments.gates overload_sweep`` runs the reduced sweep
+and checks its overload invariants.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if report.graceful_pass else 1
 
 
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.gates import smoke
-
-    return smoke("overload_sweep")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.overload",
@@ -86,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sim-seconds between metric snapshots (default: 1.0)",
     )
     p_sweep.set_defaults(fn=_cmd_sweep)
-
-    p_smk = sub.add_parser("smoke", help="run the reduced sweep and check its invariants")
-    p_smk.set_defaults(fn=_cmd_smoke)
 
     return parser
 

@@ -124,6 +124,9 @@ class SweepReport:
         return knee, at_knee.ok_rate, at_double.ok_rate, passed
 
     # -- rendering ----------------------------------------------------------
+    def __str__(self) -> str:
+        return self.render()
+
     def render(self) -> str:
         cfg = self.config
         lines = [

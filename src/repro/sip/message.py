@@ -358,6 +358,19 @@ class SipMessage:
             return None
         return int(value)
 
+    def expires(self, default: int) -> int | None:
+        """Expires delta-seconds (RFC 3261 20.19); ``default`` without the header.
+
+        ``None`` marks a malformed value, a negative one included: the
+        value is ASCII digits (RFC 3261 25.1), as for :attr:`retry_after`,
+        and a receiver answers anything else with 400.
+        """
+        raw = self.headers.get("Expires")
+        if raw is None:
+            return default
+        value = raw.strip()
+        return int(value) if value.isascii() and value.isdigit() else None
+
     def set_retry_after(self, seconds: int) -> None:
         """Set the Retry-After header to a whole number of seconds."""
         self.headers.set("Retry-After", str(max(0, int(seconds))))

@@ -79,15 +79,11 @@ class Registrar:
             return True
         aor = to.uri.address_of_record
         contact_value = request.headers.get("Contact")
-        expires_value = request.headers.get("Expires")
-        expires = self.DEFAULT_EXPIRES
-        if expires_value is not None:
-            try:
-                expires = int(expires_value)
-            except ValueError:
-                if txn is not None:
-                    txn.send_response(request.create_response(400))
-                return True
+        expires = request.expires(self.DEFAULT_EXPIRES)
+        if expires is None:
+            if txn is not None:
+                txn.send_response(request.create_response(400))
+            return True
 
         if contact_value is not None:
             if contact_value.strip() == "*":

@@ -793,11 +793,11 @@ class UserAgent:
             if txn is not None:
                 txn.send_response(request.create_response(489, "Bad Event"))
             return
-        raw_expires = request.headers.get("Expires")
-        try:
-            expires = int(raw_expires) if raw_expires is not None else 300
-        except ValueError:
-            expires = 300
+        expires = request.expires(300)
+        if expires is None:
+            if txn is not None:
+                txn.send_response(request.create_response(400))
+            return
         to = request.to
         if to is not None and to.tag is not None:
             # In-dialog refresh or termination.

@@ -161,51 +161,46 @@ def _compile_predicate(predicate: str) -> tuple[tuple[str, str, bool], ...] | No
     conjunction of conjunctions is one conjunction; the empty predicate is
     the empty conjunction. Malformed text compiles to ``None``, which
     matches nothing.
+
+    One left-to-right scan counts the open ``(&`` instead of recursing per
+    level, so nesting as deep as a query's text allows still compiles.
     """
-    predicate = predicate.strip()
-    if not predicate:
+    text = predicate.strip()
+    if not text:
         return ()
-    expr, remaining = _parse_expression(predicate)
-    if expr is None or remaining.strip():
-        return None
     terms: list[tuple[str, str, bool]] = []
-    _flatten(expr, terms)
-    return tuple(terms)
+    open_ands = 0
+    pos = 0
+    while True:
+        # An expression starts here: ``(&`` opens a conjunction, ``(`` a term.
+        pos = _skip_space(text, pos)
+        if text.startswith("(&", pos):
+            open_ands += 1
+            pos += 2
+        elif text.startswith("(", pos):
+            end = text.find(")", pos)
+            key, equals, value = text[pos + 1 : end].partition("=")
+            if end == -1 or not equals:
+                return None
+            prefix = value.endswith("*")
+            terms.append((key.strip(), value[:-1] if prefix else value, prefix))
+            pos = end + 1
+        else:
+            return None
+        # Close conjunctions until one takes another child or none is open.
+        while open_ands:
+            pos = _skip_space(text, pos)
+            if text.startswith("(", pos):
+                break
+            if not text.startswith(")", pos):
+                return None
+            open_ands -= 1
+            pos += 1
+        else:
+            return tuple(terms) if pos == len(text) else None
 
 
-def _parse_expression(text: str):
-    text = text.lstrip()
-    if not text.startswith("("):
-        return None, text
-    if text.startswith("(&"):
-        inner = text[2:]
-        children = []
-        while inner.lstrip().startswith("("):
-            child, inner = _parse_expression(inner)
-            if child is None:
-                return None, inner
-            children.append(child)
-        inner = inner.lstrip()
-        if not inner.startswith(")"):
-            return None, inner
-        return ("and", children), inner[1:]
-    end = text.find(")")
-    if end == -1:
-        return None, text
-    term = text[1:end]
-    if "=" not in term:
-        return None, text[end + 1 :]
-    key, value = term.split("=", 1)
-    return ("eq", key.strip(), value), text[end + 1 :]
-
-
-def _flatten(expr, terms: list[tuple[str, str, bool]]) -> None:
-    if expr[0] == "and":
-        for child in expr[1]:
-            _flatten(child, terms)
-        return
-    _, key, value = expr
-    if value.endswith("*"):
-        terms.append((key, value[:-1], True))
-    else:
-        terms.append((key, value, False))
+def _skip_space(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos

@@ -7,8 +7,10 @@ Subcommands:
 * ``filter``    — select events by kind/category/node/time, emit JSONL or
   a rendered timeline
 * ``packets``   — packet-lifecycle reconstruction (tx → hops → rx/drop)
-* ``smoke``     — run a tiny traced scenario and validate its JSONL
-  against the event schema (the ``tools/check.sh`` gate)
+
+The ``traced_chain_call`` gate (``python -m repro.experiments.gates
+traced_chain_call``) checks that a traced call's export passes the event
+schema and that its ladder renders.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.trace.analysis import (
     timeline,
 )
 from repro.trace.collector import read_jsonl
-from repro.trace.events import TraceError, parse_jsonl_line
+from repro.trace.events import TraceError
 from repro.trace.ladder import call_ids, sip_ladder
 
 
@@ -81,54 +83,6 @@ def _cmd_packets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_smoke(args: argparse.Namespace) -> int:
-    """Run a seeded 2-hop traced call and schema-validate the exported JSONL."""
-    from repro.scenarios import build_chain_call_scenario
-
-    scenario = build_chain_call_scenario(hops=2, routing="aodv", seed=7, tracing=True)
-    scenario.converge()
-    record = scenario.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=2.0)
-    scenario.stop()
-    collector = scenario.trace
-    failures: list[str] = []
-    if collector is None:
-        failures.append("scenario.trace is None despite tracing=True")
-        text = ""
-    else:
-        text = collector.export_jsonl()
-    lines = text.splitlines()
-    if not lines:
-        failures.append("traced scenario produced no events")
-    events = []
-    for number, line in enumerate(lines, start=1):
-        try:
-            events.append(parse_jsonl_line(line))
-        except TraceError as exc:
-            failures.append(f"line {number} failed schema validation: {exc}")
-            break
-    if not record.established:
-        failures.append("smoke call did not establish")
-    categories = {event.category for event in events}
-    for expected in ("packet", "aodv", "slp", "sip"):
-        if expected not in categories:
-            failures.append(f"no {expected}.* events in trace")
-    ladder_text = sip_ladder(events)
-    if "INVITE" not in ladder_text:
-        failures.append("SIP ladder does not show the INVITE")
-    if args.out and text:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"trace smoke ok: {len(events)} events, categories "
-        f"{', '.join(sorted(categories))}; schema valid; ladder renders INVITE"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.trace",
@@ -166,10 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pkt.add_argument("trace", help="trace JSONL file")
     p_pkt.add_argument("--dropped", action="store_true", help="only dropped packets")
     p_pkt.set_defaults(fn=_cmd_packets)
-
-    p_smk = sub.add_parser("smoke", help="run a tiny traced scenario, validate JSONL")
-    p_smk.add_argument("--out", help="also write the smoke trace to this path")
-    p_smk.set_defaults(fn=_cmd_smoke)
 
     return parser
 

@@ -217,6 +217,15 @@ class TestAodvInputHook:
             receive_aodv(nodes[0], self.rreq(1), advert_extension(good), BROADCAST)
         assert stats.count("manetslp.bad_adverts") == 0
 
+    def test_deeply_nested_query_is_answered(self):
+        sim, stats, medium, nodes, daemons, slps = build("aodv", n=1)
+        slps[0].register(f"service:siphoc-sip://{nodes[0].ip}:5060", {"user": "sip:bob@h"})
+        predicate = "(&" * 2000 + "(user=sip:bob@h)" + ")" * 2000
+        query = SrvRqst(xid=5, service_type="siphoc-sip", predicate=predicate, requester=NEIGHBOR)
+        receive_aodv(nodes[0], self.rreq(1), query_extension(query), BROADCAST)
+        sim.run(1.0)
+        assert stats.count("manetslp.replies_sent") == 1
+
     def test_srvrply_learns_only_its_good_entries(self):
         sim, stats, medium, nodes, daemons, slps = build("aodv", n=1)
         reply = SrvRply(

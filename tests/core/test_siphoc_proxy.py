@@ -67,6 +67,22 @@ class TestRegistration:
             for e in stacks[0].manet_slp.local_services()
         )
 
+    @pytest.mark.parametrize("expires", [-1, "soon"])
+    def test_malformed_expires_rejected_and_binding_kept(self, expires):
+        sim, stats, cloud, nodes, stacks, _ = build_manet()
+        alice = stacks[0].add_phone(username="alice")
+        bob = stacks[2].add_phone(username="bob")
+        sim.run(2.0)
+        statuses = []
+        alice.ua.register(expires=expires, on_result=lambda ok, r: statuses.append(r.status))
+        sim.run(3.0)
+        assert statuses == [400]
+        states = []
+        bob.place_call("sip:alice@voicehoc.ch", duration=2.0,
+                       on_state=lambda c: states.append(c.state))
+        sim.run(15.0)
+        assert CallState.ESTABLISHED in states
+
     def test_two_phones_one_node(self):
         sim, stats, cloud, nodes, stacks, _ = build_manet()
         alice = stacks[0].add_phone(username="alice")

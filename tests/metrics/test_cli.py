@@ -152,8 +152,6 @@ class TestCli:
 
     def test_parser_knows_all_subcommands(self):
         parser = build_parser()
-        for command in ("table", "dash", "prom", "profile", "smoke"):
-            args = parser.parse_args(
-                [command] + ([] if command in ("profile", "smoke") else ["f.jsonl"])
-            )
+        for command in ("table", "dash", "prom", "profile"):
+            args = parser.parse_args([command] + ([] if command == "profile" else ["f.jsonl"]))
             assert args.command == command

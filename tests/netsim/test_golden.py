@@ -9,7 +9,9 @@ depends on its seed alone, not on what ran before it. In both, a gate's
 canonical text must pass the gate's own check, and its sha256 digest must
 equal the one committed in ``golden.json``. A mismatch means the
 simulation's behaviour changed: if the change is intended, the new digest
-printed by the failure replaces the old one in the same commit.
+printed by the failure replaces the old one in the same commit. A paper
+table's gate (``E1``, ``F3_aodv``, ...) names the command that prints the
+new table, to diff against ``benchmark_tables.txt``.
 
 Print gates' digests by hand with
 ``PYTHONPATH=src python -m repro.experiments.gates <name> [<name> ...]``.
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.gates import GATES, run_fresh
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))
@@ -47,7 +50,13 @@ def test_fingerprint_matches_golden(name, gate_runs):
     for seed, results in gate_runs:
         result = results[name]
         assert result.failures == (), f"PYTHONHASHSEED={seed}: {result.failures}"
+        artifact = name.partition("_")[0]
+        table = (
+            f"; python -m repro.experiments {artifact} prints the new table"
+            if artifact in ARTIFACTS
+            else ""
+        )
         assert result.digest == GOLDEN[name], (
             f"golden fingerprint changed for gate {name!r} under PYTHONHASHSEED="
-            f"{seed}: new digest {result.digest}"
+            f"{seed}: new digest {result.digest}{table}"
         )

@@ -165,10 +165,6 @@ class TestCli:
         )
         assert (args.seed, args.routing, args.loads) == (3, "olsr", [1.0, 2.0])
 
-    def test_parser_accepts_smoke(self):
-        args = build_parser().parse_args(["smoke"])
-        assert args.fn is not None
-
     @pytest.mark.parametrize("load", ["0", "-1"])
     def test_sweep_rejects_non_positive_load(self, load, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -538,3 +538,26 @@ class TestRetryAfter:
         assert request.retry_after is None
         request.headers.set("Retry-After", "11")
         assert parse_message(request.serialize()).retry_after == 11
+
+
+class TestExpires:
+    @pytest.mark.parametrize(
+        ("raw", "expected"),
+        [
+            (None, 77),  # absent: the caller's default
+            ("0", 0),
+            ("3600", 3600),
+            (" 120 ", 120),
+            ("-1", None),  # negative delta-seconds is malformed
+            ("soon", None),
+            ("", None),
+            ("5.5", None),
+            ("36_00", None),  # int() reads it, RFC 3261 does not
+            ("\u0663\u0666\u0660\u0660", None),  # non-ASCII digits int() would read
+        ],
+    )
+    def test_delta_seconds_or_none(self, raw, expected):
+        request = parse_message(INVITE_WIRE)
+        if raw is not None:
+            request.headers.set("Expires", raw)
+        assert request.expires(77) == expected

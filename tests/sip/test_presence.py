@@ -134,6 +134,14 @@ class TestSubscribeNotify:
         sim.run(2.0)
         assert [r.status for r in responses] == [489]
 
+    @pytest.mark.parametrize("expires", ["-1", "soon", "\u0663\u0660\u0660", "3_00"])
+    def test_malformed_expires_rejected(self, sim, ua_pair, expires):
+        a, b, alice, bob = ua_pair
+        subscription = alice.subscribe(f"sip:bob@{b.ip}:5070", expires=expires)
+        sim.run(2.0)
+        assert subscription.terminated and not subscription.active
+        assert bob.watcher_count == 0
+
     def test_notify_with_malformed_pidf_keeps_last_status(self, sim, ua_pair):
         a, b, alice, bob = ua_pair
         from repro.sip import Headers, SipRequest

@@ -1,5 +1,7 @@
 """Unit tests for the registrar and location service."""
 
+import pytest
+
 from repro.sip import Headers, LocationService, Registrar, SipRequest, SipUri
 
 
@@ -91,6 +93,14 @@ class TestRegistrar:
         txn = _FakeTxn()
         registrar.process(make_register(expires="soon"), txn, now=0.0)
         assert txn.responses[0].status == 400
+
+    @pytest.mark.parametrize("expires", ["-1", "\u0663\u0666\u0660\u0660", "36_00"])
+    def test_negative_or_non_ascii_expires_rejected(self, expires):
+        registrar = Registrar(LocationService())
+        txn = _FakeTxn()
+        registrar.process(make_register(expires=expires), txn, now=0.0)
+        assert txn.responses[0].status == 400
+        assert registrar.location.lookup("sip:alice@voicehoc.ch", now=1.0) == []
 
     def test_register_without_to_rejected(self):
         registrar = Registrar(LocationService())

@@ -97,6 +97,13 @@ class TestPredicates:
     def test_garbage_fails_closed(self, garbage):
         assert not evaluate_predicate(garbage, self.ATTRS)
 
+    def test_nesting_depth_carries_no_meaning(self):
+        # 6 KB, well inside a SrvRqst's u16 predicate string.
+        deep = "(&" * 2000 + "(user=sip:bob@voicehoc.ch)" + ")" * 2000
+        assert evaluate_predicate(deep, self.ATTRS)
+        assert not evaluate_predicate(deep.replace("bob", "alice"), self.ATTRS)
+        assert not evaluate_predicate(deep[:-1], self.ATTRS)
+
 
 class TestServiceEntry:
     def make_entry(self, expires_at=100.0):

@@ -1,11 +1,13 @@
 """Tests for the experiment infrastructure: tables and the CLI."""
 
-import math
+import dataclasses
+import inspect
 
 import pytest
 
 from repro.experiments import Table
-from repro.experiments.__main__ import ARTIFACTS, main
+from repro.experiments.__main__ import main
+from repro.experiments.artifacts import ARTIFACTS
 
 
 class TestTable:
@@ -64,8 +66,14 @@ class TestCli:
     def test_runs_selected_artifact(self, capsys):
         assert main(["F3"]) == 0
         out = capsys.readouterr().out
-        assert "F3: call flow steps" in out
-        assert "[F3:" in out
+        assert "F3: call flow steps (aodv" in out and "F3: call flow steps (olsr" in out
+        assert "[F3_aodv:" in out and "FAIL" not in out
+
+    def test_failed_check_is_printed_and_exits_1(self, capsys, monkeypatch):
+        failing = dataclasses.replace(ARTIFACTS["T1"], check=lambda table: ["no provider"])
+        monkeypatch.setitem(ARTIFACTS, "T1", failing)
+        assert main(["T1"]) == 1
+        assert "FAIL T1: no provider" in capsys.readouterr().out
 
     @pytest.mark.parametrize("interval", ["0", "-1", "inf", "nan"])
     def test_bad_metrics_interval_is_a_usage_error(self, interval, tmp_path, capsys):
@@ -77,14 +85,11 @@ class TestCli:
         assert not out.exists()
 
     def test_artifact_registry_complete(self):
-        # Every quick config must be a subset of what the function accepts.
-        for key, (description, quick, full, fn) in ARTIFACTS.items():
-            assert description
-            assert callable(fn)
-            # quick/full kwargs must be valid parameter names
-            import inspect
-
-            parameters = inspect.signature(fn).parameters
-            for kwargs in (quick, full):
-                for name in kwargs:
-                    assert name in parameters, f"{key}: bad kwarg {name}"
+        # Every parameter set names only parameters its function accepts.
+        for key, artifact in ARTIFACTS.items():
+            assert artifact.description
+            parameters = inspect.signature(artifact.fn).parameters
+            for tables in (artifact.tables, artifact.full or {}):
+                for kwargs in tables.values():
+                    for name in kwargs:
+                        assert name in parameters, f"{key}: bad kwarg {name}"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.gates import check_traced_chain_call, traced_chain_call
 from repro.trace.__main__ import main
 from repro.trace.events import TraceEvent
 
@@ -85,7 +86,10 @@ class TestPackets:
 
 class TestSmoke:
     def test_smoke_passes_and_writes_trace(self, tmp_path, capsys):
+        call = traced_chain_call()
+        assert check_traced_chain_call(call) == []
         out_path = tmp_path / "smoke.jsonl"
-        assert main(["smoke", "--out", str(out_path)]) == 0
-        assert "trace smoke ok" in capsys.readouterr().out
+        out_path.write_text(call.jsonl)
+        assert main(["summarize", str(out_path)]) == 0
+        assert "by category:" in capsys.readouterr().out
         assert out_path.read_text().count("\n") > 100

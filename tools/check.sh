@@ -4,7 +4,10 @@
 # (src/repro/experiments/gates.py) run inside the test suite against the
 # digests in tests/netsim/golden.json: every gate runs in two fresh
 # interpreters at once, one in sorted order and one in reverse order, each
-# under its own hash seed and with nothing reset between gates.
+# under its own hash seed and with nothing reset between gates. The paper's
+# tables (src/repro/experiments/artifacts.py) are gates too, so the pytest
+# step pins each table's text and runs its shape check; the paper benchmark
+# (benchmarks/test_bench_paper.py) only times them and is not run here.
 #
 # Usage: tools/check.sh
 #
