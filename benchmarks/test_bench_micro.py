@@ -487,7 +487,8 @@ def test_aodv_flood_reception_throughput(benchmark, case):
     ``first``: a new flood, which the node forwards. ``duplicate``: a copy of
     a flood the node has already handled. Between rounds, and untimed, the
     ``first`` case runs the simulator one second on, which delivers the
-    forwarded copy and ages the duplicate-suppression tables.
+    forwarded copy; each duplicate-suppression table forgets a key one hold
+    time after it arrived, so the tables stay at their live size.
     """
     sim, (origin, relay, _) = _converged_aodv_chain()
     rreq_ids = itertools.count(1 << 24)
@@ -551,7 +552,8 @@ def test_olsr_flood_reception_throughput(benchmark, case):
     ``first``: a new message, which the node relays for its MPR selector.
     ``duplicate``: a copy of a message the node has already handled. Between
     rounds, and untimed, the ``first`` case runs the simulator one second
-    on, which delivers the relayed copy and ages the duplicate tables.
+    on, which delivers the relayed copy; each duplicate table forgets a key
+    one hold time after it arrived, so the tables stay at their live size.
     """
     sim, (origin, relay, _) = _converged_olsr_chain()
     seqs = itertools.count(1 << 15)  # clear of the origin's own message seqs
@@ -570,6 +572,49 @@ def test_olsr_flood_reception_throughput(benchmark, case):
     benchmark.pedantic(relay.receive_wireless, setup=next_copy, rounds=_FLOOD_ROUNDS)
     new_forwards = relay.stats.count("olsr.messages_forwarded") - forwarded
     assert new_forwards == (len(rounds) if case == "first" else 0)
+
+
+# -- duplicate-suppression churn ----------------------------------------------
+#
+# Every flooding component keeps a HoldTable of the keys it has handled: a
+# steady stream of new keys, each looked up again as its copies arrive.
+
+from repro.netsim import HoldTable
+
+#: Clock step between new keys and the hold time, both exact binary
+#: fractions, so exactly ``_CHURN_LIVE`` keys are live after every add.
+_CHURN_STEP = 1 / 64
+_CHURN_LIVE = 3000
+_CHURN_KEYS = 10_000
+
+
+def test_hold_table_churn_throughput(benchmark):
+    """10,000 new keys per round, 1/64 s apart, each looked up by two copies.
+
+    Before every round, and untimed, the table must hold exactly the keys
+    of the last hold time: expired keys leave as new ones arrive.
+    """
+    table = HoldTable(_CHURN_LIVE * _CHURN_STEP)
+    ticks = itertools.count()
+    added = []
+
+    def churn():
+        holds, add = table.holds, table.add
+        for _ in range(_CHURN_KEYS):
+            tick = next(ticks)
+            now = tick * _CHURN_STEP
+            if not holds(tick, now):
+                add(tick, now)
+            holds(tick, now)
+            holds(tick - 1, now)
+        added.append(_CHURN_KEYS)
+
+    def check_live_size():
+        assert len(table) == min(sum(added), _CHURN_LIVE)
+        return (), {}
+
+    benchmark.pedantic(churn, setup=check_live_size, rounds=20)
+    check_live_size()
 
 
 # -- SLP matching --------------------------------------------------------------

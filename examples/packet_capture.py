@@ -12,38 +12,11 @@ Run:  python examples/packet_capture.py
 
 from repro.analyzer import render_capture, render_frame
 from repro.analyzer.dissect import dissect_frame
-from repro.core import SiphocStack
-from repro.netsim import (
-    Node,
-    PacketCapture,
-    Simulator,
-    Stats,
-    WirelessMedium,
-    manet_ip,
-    place_chain,
-)
+from repro.experiments import figure5_capture
 
 
 def main() -> None:
-    sim = Simulator(seed=5)
-    stats = Stats()
-    medium = WirelessMedium(sim, stats=stats, tx_range=150.0)
-    capture = PacketCapture()
-    medium.add_sniffer(capture.on_frame)
-
-    stacks = []
-    for index in range(3):
-        node = Node(sim, index, manet_ip(index), stats=stats)
-        node.join_medium(medium)
-        stacks.append(
-            SiphocStack(node, routing="aodv", run_connection_provider=False).start()
-        )
-    place_chain([stack.node for stack in stacks], 100.0)
-    alice = stacks[0].add_phone(username="alice")
-    stacks[2].add_phone(username="bob")
-    sim.run(1.0)
-    alice.place_call("sip:bob@voicehoc.ch", duration=2.0)
-    sim.run(8.0)
+    capture = figure5_capture()
 
     print("packet list (first 20 frames, RTP suppressed):")
     non_rtp = [f for f in capture.frames if not 16384 <= f.packet.dport < 32768]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.baselines.base import DiscoveryBackend, ResolveCallback, UserBinding
 from repro.errors import SipParseError
+from repro.netsim.holdtable import HoldTable
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST
 from repro.sip.message import Headers, SipRequest, parse_message
@@ -35,6 +36,8 @@ class FloodingSipBackend(DiscoveryBackend):
     REFRESH_INTERVAL = 10.0
     BINDING_LIFETIME = 30.0
     FLOOD_HOPS = 8
+    #: How long a flooded REGISTER is remembered, far longer than its flood.
+    FLOOD_HOLD_TIME = 60.0
 
     def __init__(self, node: Node, refresh_interval: float | None = None) -> None:
         super().__init__(node)
@@ -43,7 +46,8 @@ class FloodingSipBackend(DiscoveryBackend):
         self._socket = node.bind(FLOODING_PORT, self._on_datagram)
         self._local: dict[str, UserBinding] = {}
         self._table: dict[str, _FloodEntry] = {}
-        self._seen: dict[str, float] = {}
+        self._copies = HoldTable(self.FLOOD_HOLD_TIME)  # datagram bytes
+        self._seen = HoldTable(self.FLOOD_HOLD_TIME)  # Call-IDs
         self._task = None
         self._register_seq = 0
 
@@ -115,6 +119,13 @@ class FloodingSipBackend(DiscoveryBackend):
         self._socket.send(BROADCAST, FLOODING_PORT, request.serialize(), ttl=self.FLOOD_HOPS)
 
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
+        # Most receptions repeat a datagram already received: drop those
+        # before parsing. A re-flood with another Max-Forwards differs in
+        # its bytes, so the Call-ID check below still catches it.
+        now = self.sim.now
+        if self._copies.holds(data, now):
+            return
+        self._copies.add(data, now)
         try:
             message = parse_message(data)
             message.check_headers()
@@ -123,12 +134,9 @@ class FloodingSipBackend(DiscoveryBackend):
         if not isinstance(message, SipRequest) or message.method != "REGISTER":
             return
         call_id = message.call_id or ""
-        now = self.sim.now
-        if self._seen.get(call_id, 0.0) > now:
+        if self._seen.holds(call_id, now):
             return
-        self._seen[call_id] = now + 60.0
-        if len(self._seen) > 4096:
-            self._seen = {k: v for k, v in self._seen.items() if v > now}
+        self._seen.add(call_id, now)
         to = message.to
         contact = message.contact
         if to is None or contact is None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.baselines.base import DiscoveryBackend, ResolveCallback, UserBinding
 from repro.errors import CodecError
+from repro.netsim.holdtable import HoldTable
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST
 from repro.routing.wire import DECODE_CACHE_SIZE, Reader, Writer
@@ -68,6 +69,8 @@ class ProactiveHelloBackend(DiscoveryBackend):
     HELLO_INTERVAL = 5.0
     BINDING_LIFETIME = 20.0
     FLOOD_HOPS = 8
+    #: How long a flooded HELLO is remembered, far longer than its flood.
+    FLOOD_HOLD_TIME = 60.0
 
     def __init__(self, node: Node, hello_interval: float | None = None) -> None:
         super().__init__(node)
@@ -76,7 +79,7 @@ class ProactiveHelloBackend(DiscoveryBackend):
         self._socket = node.bind(HELLO_PORT, self._on_datagram)
         self._local: dict[str, UserBinding] = {}
         self._table: dict[str, _HelloEntry] = {}
-        self._seen: dict[tuple[str, int], float] = {}
+        self._seen = HoldTable(self.FLOOD_HOLD_TIME)  # (origin, seq)
         self._seq = 0
         self._task = None
 
@@ -129,7 +132,6 @@ class ProactiveHelloBackend(DiscoveryBackend):
         if not bindings:
             return
         self._seq = (self._seq + 1) & 0xFFFF
-        self._seen[(self.node.ip, self._seq)] = now + 60.0
         data = _encode_hello(self.node.ip, self._seq, bindings)
         self.node.stats.increment("hello.messages_sent")
         self._socket.send(BROADCAST, HELLO_PORT, data, ttl=self.FLOOD_HOPS)
@@ -143,15 +145,13 @@ class ProactiveHelloBackend(DiscoveryBackend):
             return
         now = self.sim.now
         key = (origin, seq)
-        if self._seen.get(key, 0.0) > now or origin == self.node.ip:
+        if self._seen.holds(key, now) or origin == self.node.ip:
             return
         try:
             bindings = _decode_bindings(data[7:])
         except CodecError:
             return
-        self._seen[key] = now + 60.0
-        if len(self._seen) > 4096:
-            self._seen = {k: v for k, v in self._seen.items() if v > now}
+        self._seen.add(key, now)
         for binding in bindings:
             if binding.aor not in self._local:
                 self._table[binding.aor] = _HelloEntry(

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.extension import (
     EXT_SLP_ADVERT,
+    SLP_EXTENSION_TYPES,
     advert_extension,
     decode_extension,
     query_extension,
@@ -35,6 +36,7 @@ from repro.core.extension import (
 )
 from repro.errors import CodecError, SlpError
 from repro.netsim.capture import Chain, Verdict
+from repro.netsim.holdtable import HoldTable
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.routing.aodv import SLP_ANYCAST, Aodv
@@ -75,12 +77,20 @@ class RoutingHandler(abc.ABC):
     """Common plugin machinery: the pending-advert queue and SLP dispatch."""
 
     protocol_name = "generic"
+    #: How long a plugin remembers an SLP message it has handled: one default
+    #: advert refresh interval. A refresh re-announces a service under a new
+    #: XID and replaces its queued advert, so the redundant sends of one
+    #: advert ride carriers within about that time, and a flooded copy
+    #: arrives within seconds.
+    MESSAGE_HOLD_TIME = 30.0
 
     def __init__(self, node: Node) -> None:
         self.node = node
         self.slp: "ManetSlp | None" = None
         self._pending: dict[str, tuple[SlpMessage, int]] = {}
-        self._seen_queries: dict[tuple[str, int], float] = {}
+        # The wire bytes of each SLP message handled: equal bytes are the
+        # same advert, query or reply, whichever carrier brought it.
+        self._seen = HoldTable(self.MESSAGE_HOLD_TIME)
         self._xid = itertools.count(1)
 
     def attach(self, slp: "ManetSlp") -> None:
@@ -132,6 +142,15 @@ class RoutingHandler(abc.ABC):
     def pending_count(self) -> int:
         return len(self._pending)
 
+    def _first_copy(self, body: bytes) -> bool:
+        """Whether the SLP message ``body`` is new here; a new one is held."""
+        seen = self._seen
+        now = self.node.sim.now
+        if seen.holds(body, now):
+            return False
+        seen.add(body, now)
+        return True
+
     def handle_slp_message(self, message: SlpMessage, sender_ip: str) -> None:
         """Dispatch an SLP payload extracted from a routing packet."""
         if self.slp is None:
@@ -160,15 +179,7 @@ class RoutingHandler(abc.ABC):
         assert self.slp is not None
         if not request.requester or request.requester == self.node.ip:
             return
-        key = (request.requester, request.xid)
         now = self.node.sim.now
-        if self._seen_queries.get(key, 0.0) > now:
-            return
-        self._seen_queries[key] = now + 30.0
-        if len(self._seen_queries) > 1024:
-            self._seen_queries = {
-                k: v for k, v in self._seen_queries.items() if v > now
-            }
         matches = self.slp.local_matches(request.service_type, request.predicate)
         if not matches:
             return
@@ -230,9 +241,10 @@ class AodvHandler(RoutingHandler):
         except CodecError:
             return (_ACCEPT, packet)
         for extension in extensions:
-            slp_message = decode_extension(extension)
-            if slp_message is not None:
-                self.handle_slp_message(slp_message, packet.src)
+            if extension.ext_type in SLP_EXTENSION_TYPES and self._first_copy(extension.body):
+                slp_message = decode_extension(extension)
+                if slp_message is not None:
+                    self.handle_slp_message(slp_message, packet.src)
         return (_ACCEPT, packet)
 
     # -- lookups ------------------------------------------------------------------------
@@ -288,7 +300,6 @@ class OlsrHandler(RoutingHandler):
     def __init__(self, routing: Olsr) -> None:
         super().__init__(routing.node)
         self.routing = routing
-        self._seen_messages: dict[tuple[str, int], float] = {}
         self.node.hooks.register(
             Chain.OUTPUT, {Olsr.port}, self._on_output, name="siphoc-slp-olsr-out"
         )
@@ -331,24 +342,20 @@ class OlsrHandler(RoutingHandler):
             _, messages = decode_olsr_packet(packet.data)
         except CodecError:
             return (_ACCEPT, packet)
-        now = self.node.sim.now
         me = self.node.ip
-        seen = self._seen_messages
         for message in messages:
-            if message.msg_type != OLSR_SLP or message.orig_ip == me:
+            if (
+                message.msg_type != OLSR_SLP
+                or message.orig_ip == me
+                or not self._first_copy(message.body)
+            ):
                 continue
-            key = (message.orig_ip, message.seq)
-            if seen.get(key, 0.0) > now:
-                continue
-            seen[key] = now + 60.0
             try:
                 slp_message = decode_slp(message.body)
             except CodecError:
                 self.node.stats.increment("manetslp.bad_adverts")
                 continue
             self.handle_slp_message(slp_message, message.orig_ip)
-        if len(seen) > 2048:
-            self._seen_messages = {k: v for k, v in seen.items() if v > now}
         return (_ACCEPT, packet)
 
     # -- lookups --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ measured for each.
 from repro.experiments.calls import (
     call_flow_table,
     capture_figure5,
+    figure5_capture,
     scalability_table,
     setup_delay_table,
     voice_quality_table,
@@ -45,6 +46,7 @@ __all__ = [
     "capture_figure5",
     "city_table",
     "convergence_table",
+    "figure5_capture",
     "footprint_table",
     "gateway_table",
     "handover_table",

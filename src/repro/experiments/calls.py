@@ -22,6 +22,7 @@ from repro.netsim import (
     manet_ip,
     place_chain,
 )
+from repro.routing.aodv import Aodv
 from repro.scenarios import ManetConfig, ManetScenario, build_chain_call_scenario
 
 
@@ -77,18 +78,17 @@ def call_flow_table(routing: str = "aodv", seed: int = 3) -> Table:
     return table
 
 
-def capture_figure5() -> str | None:
-    """F5: the first captured AODV RREP that carries the callee's SIP contact.
+def figure5_capture() -> PacketCapture:
+    """Every frame of the Figure 5 scenario, captured promiscuously.
 
-    Alice calls bob across a 2-hop AODV chain; her proxy's SLP lookup rides
-    a route request, and bob's node answers with a route reply carrying his
-    binding. Returns that frame's dissection under a title, or ``None``
-    when no such frame was captured.
+    Alice calls bob across a 2-hop AODV chain (seed 5, nodes 100 m apart);
+    her proxy's SLP lookup rides a route request, and bob's node answers
+    with a route reply carrying his binding.
     """
     sim = Simulator(seed=5)
     stats = Stats()
     medium = WirelessMedium(sim, stats=stats, tx_range=150.0)
-    capture = PacketCapture(port_filter={654})
+    capture = PacketCapture()
     medium.add_sniffer(capture.on_frame)
     stacks = []
     for index in range(3):
@@ -103,7 +103,18 @@ def capture_figure5() -> str | None:
     sim.run(1.0)
     alice.place_call("sip:bob@voicehoc.ch", duration=2.0)
     sim.run(8.0)
-    for number, frame in enumerate(capture.frames, start=1):
+    return capture
+
+
+def capture_figure5() -> str | None:
+    """F5: the first captured AODV RREP that carries the callee's SIP contact.
+
+    Returns that frame's dissection under a title, numbered among the
+    AODV frames of :func:`figure5_capture`, or ``None`` when no such frame
+    was captured.
+    """
+    frames = figure5_capture().filter(dport=Aodv.port)
+    for number, frame in enumerate(frames, start=1):
         aodv = dissect_frame(frame, number).find("Ad hoc On-demand")
         if aodv is not None and any("SLP Reply" in child.name for child in aodv.children):
             title = "F5: AODV route reply carrying a SIP contact (Figure 5)"

@@ -14,6 +14,7 @@ from repro.netsim.capture import (
     Verdict,
 )
 from repro.netsim.energy import EnergyCoefficients, EnergyModel, WAVELAN_2MBPS
+from repro.netsim.holdtable import HoldTable
 from repro.netsim.internet import DnsService, InternetCloud, make_internet_host
 from repro.netsim.medium import WirelessMedium
 from repro.netsim.mobility import (
@@ -53,6 +54,7 @@ __all__ = [
     "EnergyModel",
     "EventHandle",
     "FRAMING_BYTES",
+    "HoldTable",
     "InternetCloud",
     "NetfilterHooks",
     "Node",

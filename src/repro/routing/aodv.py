@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import CodecError
+from repro.netsim.holdtable import HoldTable
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.routing.base import Route, RoutingProtocol
@@ -60,7 +61,6 @@ class Aodv(RoutingProtocol):
     HELLO_INTERVAL = 1.0
     ALLOWED_HELLO_LOSS = 2
     MAX_BUFFERED_PACKETS = 32
-    SEEN_LIMIT = 512  # RREQ duplicate-suppression entries before expired ones go
 
     def __init__(
         self,
@@ -78,7 +78,9 @@ class Aodv(RoutingProtocol):
         self.net_traversal_time = 2 * self.NODE_TRAVERSAL_TIME * diameter
         self.seq_no = 1
         self._rreq_id = 0
-        self._rreq_seen: dict[tuple[str, int], float] = {}
+        # (originator, RREQ id) of each flood handled, held for
+        # PATH_DISCOVERY_TIME (RFC 3561 §6.3): a restarted daemon reuses ids.
+        self._rreq_seen = HoldTable(self.PATH_DISCOVERY_TIME)
         self._pending: dict[str, _PendingDiscovery] = {}
         self._retried_uids: set[int] = set()
         self._hello_task = None
@@ -159,7 +161,6 @@ class Aodv(RoutingProtocol):
             hop_count=0,
             flags=flags,
         )
-        self._mark_seen(self.node.ip, self._rreq_id)
         self.node.stats.increment("aodv.rreq_originated")
         tracer = self.sim.tracer
         if tracer is not None:
@@ -230,13 +231,9 @@ class Aodv(RoutingProtocol):
             return
         key = (rreq.orig_ip, rreq.rreq_id)
         now = self.sim.now
-        if len(self._rreq_seen) > self.SEEN_LIMIT:
-            self._gc_seen(now)
-        # An entry holds only until its PATH_DISCOVERY_TIME expiry (RFC 3561
-        # §6.3): a restarted daemon reuses its old RREQ ids.
-        if self._rreq_seen.get(key, 0.0) > now:
+        if self._rreq_seen.holds(key, now):
             return
-        self._mark_seen(*key)
+        self._rreq_seen.add(key, now)
         hop_count = rreq.hop_count + 1
         self._update_route(
             rreq.orig_ip, src_ip, hop_count, rreq.orig_seq, self.ACTIVE_ROUTE_TIMEOUT
@@ -466,12 +463,3 @@ class Aodv(RoutingProtocol):
         existing.seq_no = seq_no
         existing.expires_at = now + lifetime
         existing.valid = True
-
-    # -- duplicate suppression -----------------------------------------------------------
-    def _mark_seen(self, orig_ip: str, rreq_id: int) -> None:
-        self._rreq_seen[(orig_ip, rreq_id)] = self.sim.now + self.PATH_DISCOVERY_TIME
-
-    def _gc_seen(self, now: float) -> None:
-        self._rreq_seen = {
-            key: expiry for key, expiry in self._rreq_seen.items() if expiry > now
-        }

@@ -14,11 +14,13 @@ OLSR at near-zero extra packet cost.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from repro.errors import CodecError
+from repro.netsim.holdtable import HoldTable
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.routing.base import Route, RoutingProtocol
@@ -37,6 +39,7 @@ from repro.routing.messages import (
     encode_tc_body,
     hello_view,
 )
+from repro.routing.wire import DECODE_CACHE_SIZE, encode_ip
 
 OLSR_PORT = 698
 
@@ -74,8 +77,6 @@ class Olsr(RoutingProtocol):
     NEIGHB_HOLD_TIME = 3 * HELLO_INTERVAL
     TOP_HOLD_TIME = 3 * TC_INTERVAL
     DUP_HOLD_TIME = 30.0
-    #: The duplicate table is pruned of expired entries once it holds more.
-    DUP_TABLE_LIMIT = 2048
 
     def __init__(self, node: Node) -> None:
         super().__init__(node)
@@ -84,7 +85,8 @@ class Olsr(RoutingProtocol):
         self._mpr_set: set[str] = set()
         self._selectors: dict[str, float] = {}
         self._topology: dict[str, _TopologyEntry] = {}
-        self._duplicates: dict[tuple[str, int, int], float] = {}
+        # RFC 3626 §3.4's duplicate set: (originator, message seq) as one int.
+        self._duplicates = HoldTable(self.DUP_HOLD_TIME)
         self._msg_seq = itertools.count(1)
         self._pkt_seq = itertools.count(1)
         self._ansn = 0
@@ -254,11 +256,14 @@ class Olsr(RoutingProtocol):
             msg_type, orig_ip, seq, body, vtime, ttl, hops = message
             if orig_ip == me:
                 continue
-            dup_key = (orig_ip, msg_type, seq)
-            is_duplicate = duplicates.get(dup_key, 0.0) > now
-            duplicates[dup_key] = now + self.DUP_HOLD_TIME
-            if is_duplicate:
-                continue  # handled and, if due, relayed on its first copy
+            # A HELLO travels one hop and is never relayed, so no node hears
+            # one twice; every other message is held from its latest copy.
+            if msg_type != OLSR_HELLO:
+                dup_key = _origin_key(orig_ip) | seq
+                is_duplicate = duplicates.holds(dup_key, now)
+                duplicates.add(dup_key, now)
+                if is_duplicate:
+                    continue  # handled and, if due, relayed on its first copy
             self._process_message(message, src_ip)
             if self._should_forward(message, src_ip):
                 forwarded.append(
@@ -267,8 +272,6 @@ class Olsr(RoutingProtocol):
         if forwarded:
             self.node.stats.increment("olsr.messages_forwarded", len(forwarded))
             self.send_packet(forwarded)
-        if len(duplicates) > self.DUP_TABLE_LIMIT:
-            self._gc(now)
 
     def _should_forward(self, message: OlsrMessage, src_ip: str) -> bool:
         """RFC 3626 default forwarding of a first copy: only for MPR selectors."""
@@ -462,12 +465,15 @@ class Olsr(RoutingProtocol):
                     next_frontier.append(peer)
             frontier = next_frontier
 
-    # -- housekeeping ------------------------------------------------------------------------
-    def _gc(self, now: float) -> None:
-        """Forget expired duplicate-table entries."""
-        self._duplicates = {
-            key: expiry for key, expiry in self._duplicates.items() if expiry > now
-        }
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _origin_key(ip: str) -> int:
+    """An originator's address as the high bits of a duplicate key.
+
+    OR-ing in the 16-bit message sequence number gives RFC 3626's
+    (originator, seq) duplicate tuple as one int, smaller than a tuple.
+    """
+    return int.from_bytes(encode_ip(ip), "big") << 16
 
 
 def _alters_graph(

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.netsim.holdtable import HoldTable
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, PORT_SLP
 from repro.slp.messages import (
@@ -44,6 +45,8 @@ class SlpAgent:
     DEFAULT_LIFETIME = 60.0
     LOOKUP_TIMEOUT = 2.0
     FLOOD_HOPS = 8
+    #: How long a flooded request is remembered, far longer than its flood.
+    REQUEST_HOLD_TIME = 30.0
 
     def __init__(self, node: Node, rebroadcast: bool = True) -> None:
         self.node = node
@@ -53,7 +56,7 @@ class SlpAgent:
         self._local: dict[str, ServiceEntry] = {}
         self._xid = itertools.count(1)
         self._pending: dict[int, _PendingLookup] = {}
-        self._seen: dict[tuple[str, int], float] = {}
+        self._seen = HoldTable(self.REQUEST_HOLD_TIME)  # (requester, xid)
 
     def close(self) -> None:
         self._socket.close()
@@ -110,7 +113,6 @@ class SlpAgent:
             predicate=predicate,
             requester=self.node.ip,
         )
-        self._seen[(self.node.ip, xid)] = now + 30.0
         self._socket.send(BROADCAST, PORT_SLP, encode_slp(request), ttl=self.FLOOD_HOPS)
         self.node.stats.increment("slp.requests_sent")
         self.sim.schedule(timeout, self._finish_lookup, xid)
@@ -147,9 +149,9 @@ class SlpAgent:
             return
         key = (request.requester, request.xid)
         now = self.sim.now
-        if self._seen.get(key, 0.0) > now:
+        if self._seen.holds(key, now):
             return
-        self._seen[key] = now + 30.0
+        self._seen.add(key, now)
         matches = [
             entry
             for entry in self._local.values()
@@ -170,8 +172,6 @@ class SlpAgent:
                 BROADCAST, PORT_SLP, encode_slp(request), ttl=self.FLOOD_HOPS
             )
             self.node.stats.increment("slp.requests_forwarded")
-        if len(self._seen) > 2048:
-            self._seen = {k: v for k, v in self._seen.items() if v > now}
 
     def _handle_reply(self, reply: SrvRply, src_ip: str) -> None:
         pending = self._pending.get(reply.xid)

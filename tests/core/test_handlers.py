@@ -30,13 +30,16 @@ from repro.routing import (
     OLSR_SLP,
     Aodv,
     Olsr,
+    OlsrMessage,
     Rrep,
     Rreq,
     decode_aodv,
     decode_olsr_packet,
     encode_aodv,
+    encode_olsr_packet,
 )
 from repro.slp import SrvReg, SrvRply, SrvRqst, UrlEntry, decode_slp, encode_slp
+from repro.trace import TraceCollector
 
 
 class TestExtensionCodec:
@@ -270,3 +273,62 @@ class TestOlsrPiggybacking:
         # Entry learned despite many flooded copies; cache has exactly one.
         hits = slps[2].lookup_cached("siphoc-sip", "(user=sip:a@h)")
         assert len(hits) == 1
+
+
+OTHER_NEIGHBOR = "192.168.0.10"
+
+
+def learned_by_node(collector):
+    """How many ``slp.entry_learned`` events each node emitted."""
+    counts: dict[str, int] = {}
+    for event in collector:
+        if event.kind == "slp.entry_learned":
+            counts[event.node] = counts.get(event.node, 0) + 1
+    return counts
+
+
+def receive_olsr(node, sender, messages):
+    """Hand ``node`` one OLSR packet broadcast by ``sender``."""
+    data = encode_olsr_packet(1, messages)
+    node.receive_wireless(
+        Packet(sender, BROADCAST, Datagram(Olsr.port, Olsr.port, data), 1), sender
+    )
+
+
+class TestEachSlpMessageHandledOnce:
+    """A node handles each SLP message once, however many copies reach it."""
+
+    def test_advert_on_two_rreq_copies_is_learned_once(self):
+        sim, stats, medium, nodes, daemons, slps = build("aodv", n=1)
+        collector = TraceCollector().attach(sim)
+        advert = advert_extension(SrvReg(xid=1, entry=UrlEntry(url=GOOD_URL, lifetime=60)))
+        rreq = Rreq(
+            rreq_id=1, dest_ip="192.168.0.77", dest_seq=0, orig_ip="192.168.0.50",
+            orig_seq=1, hop_count=1,
+        )
+        data = encode_aodv(rreq, [advert])
+        for neighbor in (NEIGHBOR, OTHER_NEIGHBOR):
+            packet = Packet(neighbor, BROADCAST, Datagram(Aodv.port, Aodv.port, data))
+            nodes[0].receive_wireless(packet, neighbor)
+            sim.run(sim.now + 0.01)
+        assert stats.count("manetslp.entries_learned") == 1
+        assert learned_by_node(collector) == {nodes[0].ip: 1}
+        assert list(cache_snapshot(slps[0])) == [GOOD_URL]
+
+    def test_redundant_olsr_advert_is_learned_once_per_node(self):
+        sim, stats, medium, nodes, daemons, slps = build("olsr", n=3)
+        sim.run(10.0)
+        collector = TraceCollector().attach(sim)
+        slps[0].register(f"service:siphoc-sip://{nodes[0].ip}:5060", {"user": "sip:a@h"})
+        sim.run(22.0)  # before the first refresh re-advertises under a new XID
+        assert slps[0].config.advert_redundancy == 2
+        assert stats.count("manetslp.adverts_piggybacked") == 2
+        assert learned_by_node(collector) == {nodes[1].ip: 1, nodes[2].ip: 1}
+        assert stats.count("manetslp.entries_learned") == 2
+
+    def test_malformed_flooded_body_counts_once_per_node(self):
+        sim, stats, medium, nodes, daemons, slps = build("olsr", n=1)
+        bad = OlsrMessage(OLSR_SLP, "192.168.0.50", 7, b"\x00\x01garbage", 60.0, 250)
+        for neighbor in (NEIGHBOR, OTHER_NEIGHBOR, NEIGHBOR):
+            receive_olsr(nodes[0], neighbor, (bad,))
+        assert stats.count("manetslp.bad_adverts") == 1
