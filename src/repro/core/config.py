@@ -59,42 +59,6 @@ class SipAccount:
 
 
 @dataclass
-class HandoverConfig:
-    """Knobs for the §5k mid-call multihomed handover policy.
-
-    Attach one to :attr:`SiphocConfig.handover` to enable handover on a
-    node; the default ``None`` keeps the policy entirely out of the event
-    schedule, so every existing byte-identity gate is unaffected.
-    """
-
-    #: Inbound RTP silence (seconds) that triggers a handover probe.
-    rtp_silence_timeout: float = 1.0
-    #: How long the wireless neighbor set must stay empty before the
-    #: neighbor-loss trigger fires (hysteresis window, seconds).
-    neighbor_loss_window: float = 1.0
-    #: Period of the trigger-probe loop (seconds).
-    probe_interval: float = 0.25
-    #: Base delay of the jittered migration retry backoff (seconds).
-    retry_base: float = 0.25
-    #: Backoff ceiling (seconds).
-    max_backoff: float = 2.0
-    #: A migration attempt with no answer after this long is retried.
-    attempt_timeout: float = 2.0
-    #: Total time budget per call before the policy gives up and tears the
-    #: call down cleanly instead of wedging (seconds).
-    giveup_after: float = 6.0
-    #: How long after a successful migration to watch for inbound media
-    #: before giving up on the media_restored measurement (seconds).
-    media_watch_window: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.probe_interval <= 0:
-            raise ConfigError("handover probe_interval must be positive")
-        if self.giveup_after <= 0:
-            raise ConfigError("handover giveup_after must be positive")
-
-
-@dataclass
 class SiphocConfig:
     """Knobs for the per-node SIPHoc component stack."""
 
@@ -102,12 +66,6 @@ class SiphocConfig:
     proxy_port: int = 5060
     #: Port of the proxy's WAN leg (on the tunnel or wired interface).
     wan_port: int = 5061
-    gateway_poll_interval: float = 5.0
-    #: Forward local REGISTERs to the Internet provider when connected, so
-    #: calls from the Internet reach MANET users (section 3.2 of the paper).
-    register_upstream: bool = True
-    #: Lifetime of the SIP-contact adverts the proxy publishes via MANET SLP.
-    contact_advert_lifetime: float = 120.0
     # -- overload control (DESIGN.md §5f; everything defaults to off) --------
     #: Reject new INVITE/REGISTER with 503 while this many proxied
     #: dialog-initiating requests await a final response (None = no limit).
@@ -115,10 +73,6 @@ class SiphocConfig:
     #: Reject while the node's bounded TX queue is at or beyond this
     #: occupancy fraction, e.g. 0.75 (None = ignore queue depth).
     admission_queue_watermark: float | None = None
-    #: Retry-After delta-seconds advertised on admission rejections.
-    admission_retry_after: int = 5
-    #: Cap on concurrently active tunnel leases at a gateway this node runs
-    #: (None = unlimited); excess CTRL_REQUESTs are NAKed to retry later.
-    gateway_max_leases: int | None = None
-    #: Mid-call multihomed handover policy (§5k); None = disabled.
-    handover: HandoverConfig | None = None
+    #: Run the §5k mid-call multihomed handover policy. Off keeps the policy
+    #: entirely out of the event schedule.
+    handover: bool = False

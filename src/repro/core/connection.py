@@ -20,7 +20,6 @@ from repro.sip.uri import SipUri
 from repro.slp.service import SERVICE_GATEWAY, ServiceEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.config import HandoverConfig
     from repro.core.softphone import SoftPhone
     from repro.core.stack import SiphocStack
 
@@ -61,18 +60,10 @@ class ConnectionProvider:
     #: Upper bound on the consecutive-failure retry backoff.
     MAX_BACKOFF = 60.0
 
-    def __init__(
-        self,
-        node: Node,
-        manet_slp: ManetSlp,
-        poll_interval: float = POLL_INTERVAL,
-        gateway_cooldown: float = GATEWAY_COOLDOWN,
-    ) -> None:
+    def __init__(self, node: Node, manet_slp: ManetSlp) -> None:
         self.node = node
         self.sim = node.sim
         self.manet_slp = manet_slp
-        self.poll_interval = poll_interval
-        self.gateway_cooldown = gateway_cooldown
         self.tunnel: TunnelClient | None = None
         self._poll_task = None
         self._connecting = False
@@ -97,7 +88,7 @@ class ConnectionProvider:
     def start(self) -> "ConnectionProvider":
         if self._poll_task is None:
             self._poll_task = self.sim.schedule_periodic(
-                self.poll_interval, self._poll, jitter=0.2, initial_delay=0.5
+                self.POLL_INTERVAL, self._poll, jitter=0.2, initial_delay=0.5
             )
         return self
 
@@ -187,11 +178,11 @@ class ConnectionProvider:
     def _note_gateway_failure(self, gateway_ip: str | None) -> None:
         """Cooldown the failed gateway; back off exponentially on repeats."""
         if gateway_ip is not None:
-            self._failed[gateway_ip] = self.sim.now + self.gateway_cooldown
+            self._failed[gateway_ip] = self.sim.now + self.GATEWAY_COOLDOWN
             self.node.stats.increment("connection.gateway_failures")
         self._consecutive_failures += 1
         backoff = backoff_with_jitter(
-            self.poll_interval,
+            self.POLL_INTERVAL,
             self._consecutive_failures,
             self.MAX_BACKOFF,
             self._backoff_rng,
@@ -260,7 +251,7 @@ class HandoverPolicy:
     * ``neighbor_loss`` — the wireless neighbor set has been empty for a
       full hysteresis window (the node drifted past the mesh horizon).
     * ``rtp_silence`` — an established call stopped receiving media for
-      ``rtp_silence_timeout`` (covers asymmetric failures the first two
+      ``RTP_SILENCE_TIMEOUT`` (covers asymmetric failures the first two
       miss).
 
     Migration is make-before-break when the wired uplink is already up,
@@ -269,15 +260,34 @@ class HandoverPolicy:
     re-anchoring signaling and media to the wired address while the RTP
     session object — SSRC, sequence space, jitter buffer, E-model
     accounting — survives untouched. Attempts that get no answer within
-    ``attempt_timeout`` retry with jittered backoff until ``giveup_after``,
+    ``ATTEMPT_TIMEOUT`` retry with jittered backoff until ``GIVEUP_AFTER``,
     then the call is torn down cleanly with a BYE.
     """
 
-    def __init__(self, node: Node, stack: "SiphocStack", config: "HandoverConfig") -> None:
+    #: Inbound RTP silence (seconds) that triggers a handover probe.
+    RTP_SILENCE_TIMEOUT = 1.0
+    #: How long the wireless neighbor set must stay empty before the
+    #: neighbor-loss trigger fires (hysteresis window, seconds).
+    NEIGHBOR_LOSS_WINDOW = 1.0
+    #: Period of the trigger-probe loop (seconds).
+    PROBE_INTERVAL = 0.25
+    #: Base delay of the jittered migration retry backoff (seconds).
+    RETRY_BASE = 0.25
+    #: Backoff ceiling (seconds).
+    MAX_BACKOFF = 2.0
+    #: A migration attempt with no answer after this long is retried.
+    ATTEMPT_TIMEOUT = 2.0
+    #: Total time budget per call before the policy gives up and tears the
+    #: call down cleanly instead of wedging (seconds).
+    GIVEUP_AFTER = 6.0
+    #: How long after a successful migration to watch for inbound media
+    #: before giving up on the media_restored measurement (seconds).
+    MEDIA_WATCH_WINDOW = 5.0
+
+    def __init__(self, node: Node, stack: "SiphocStack") -> None:
         self.node = node
         self.stack = stack
         self.sim = node.sim
-        self.config = config
         self._probe_task = None
         self._observing = False
         self._active: dict[str, _HandoverAttempt] = {}
@@ -299,9 +309,7 @@ class HandoverPolicy:
 
     def start(self) -> "HandoverPolicy":
         if self._probe_task is None:
-            self._probe_task = self.sim.schedule_periodic(
-                self.config.probe_interval, self._probe
-            )
+            self._probe_task = self.sim.schedule_periodic(self.PROBE_INTERVAL, self._probe)
         if not self._observing:
             self.node.on_interface_change.append(self._on_interface_change)
             self._observing = True
@@ -341,13 +349,12 @@ class HandoverPolicy:
 
     def _probe(self) -> None:
         now = self.sim.now
-        config = self.config
         medium = self.node.medium
         if medium is not None and self.node.interface_up("wireless"):
             neighbors = [n for n in medium.neighbors(self.node) if n.up]
             if neighbors:
                 self._last_neighbor_at = now
-            elif now - self._last_neighbor_at >= config.neighbor_loss_window:
+            elif now - self._last_neighbor_at >= self.NEIGHBOR_LOSS_WINDOW:
                 self._trigger("neighbor_loss")
         for phone, call in self._candidate_calls():
             session = phone.media_session(call.call_id)
@@ -356,7 +363,7 @@ class HandoverPolicy:
             last = session.last_rx_at
             if last is None:
                 last = call.established_at
-            if last is not None and now - last >= config.rtp_silence_timeout:
+            if last is not None and now - last >= self.RTP_SILENCE_TIMEOUT:
                 self._begin(phone, call, "rtp_silence")
 
     def _candidate_calls(self) -> list[tuple["SoftPhone", Call]]:
@@ -408,7 +415,7 @@ class HandoverPolicy:
         if not attempt.call.is_active:
             self._active.pop(attempt.call.call_id, None)
             return
-        if self.sim.now - attempt.started_at >= self.config.giveup_after:
+        if self.sim.now - attempt.started_at >= self.GIVEUP_AFTER:
             self._abandon(attempt, "deadline")
             return
         attempt.attempts += 1
@@ -431,7 +438,7 @@ class HandoverPolicy:
                 self._retry(attempt)
 
         attempt.phone.migrate_call(attempt.call, on_result)
-        self.sim.schedule(self.config.attempt_timeout, self._attempt_deadline, attempt, seq)
+        self.sim.schedule(self.ATTEMPT_TIMEOUT, self._attempt_deadline, attempt, seq)
 
     def _attempt_deadline(self, attempt: _HandoverAttempt, seq: int) -> None:
         """A migration re-INVITE with no answer counts as a failed attempt.
@@ -454,11 +461,11 @@ class HandoverPolicy:
         if not attempt.call.is_active:
             self._active.pop(attempt.call.call_id, None)
             return
-        if self.sim.now - attempt.started_at >= self.config.giveup_after:
+        if self.sim.now - attempt.started_at >= self.GIVEUP_AFTER:
             self._abandon(attempt, "deadline")
             return
         delay = backoff_with_jitter(
-            self.config.retry_base, attempt.attempts, self.config.max_backoff, self._rng
+            self.RETRY_BASE, attempt.attempts, self.MAX_BACKOFF, self._rng
         )
         self.sim.schedule(delay, self._attempt, attempt)
 
@@ -504,11 +511,11 @@ class HandoverPolicy:
                 packets_lost=packets_lost,
             )
             return
-        if self.sim.now - completed_at >= self.config.media_watch_window:
+        if self.sim.now - completed_at >= self.MEDIA_WATCH_WINDOW:
             return
         if not attempt.call.is_active:
             return
-        self.sim.schedule(self.config.probe_interval, self._watch_media, attempt)
+        self.sim.schedule(self.PROBE_INTERVAL, self._watch_media, attempt)
 
     def _abandon(self, attempt: _HandoverAttempt, cause: str) -> None:
         self.abandoned += 1

@@ -20,20 +20,13 @@ from repro.slp.service import SERVICE_GATEWAY, ServiceUrl
 class GatewayProvider:
     """Announces this node as an Internet gateway and serves tunnels."""
 
-    def __init__(
-        self,
-        node: Node,
-        cloud: InternetCloud,
-        manet_slp: ManetSlp,
-        advert_lifetime: float = 60.0,
-        max_leases: int | None = None,
-    ) -> None:
+    #: Lifetime of the ``gateway.siphoc`` advert (seconds).
+    ADVERT_LIFETIME = 60.0
+
+    def __init__(self, node: Node, cloud: InternetCloud, manet_slp: ManetSlp) -> None:
         self.node = node
         self.cloud = cloud
         self.manet_slp = manet_slp
-        self.advert_lifetime = advert_lifetime
-        #: Tunnel lease-capacity cap handed to the TunnelServer (§5f).
-        self.max_leases = max_leases
         self.tunnel_server: TunnelServer | None = None
         self._service_url: ServiceUrl | None = None
 
@@ -48,14 +41,14 @@ class GatewayProvider:
             raise GatewayError(
                 f"{self.node.hostname} has no Internet attachment; cannot be a gateway"
             )
-        self.tunnel_server = TunnelServer(self.node, self.cloud, max_leases=self.max_leases)
+        self.tunnel_server = TunnelServer(self.node, self.cloud)
         self._service_url = ServiceUrl(
             service_type=SERVICE_GATEWAY, host=self.node.ip, port=PORT_SIPHOC_CTRL
         )
         self.manet_slp.register(
             self._service_url,
             attributes={"wired": self.node.wired_ip},
-            lifetime=self.advert_lifetime,
+            lifetime=self.ADVERT_LIFETIME,
         )
         self.node.stats.increment("gateway.started")
         tracer = self.node.sim.tracer

@@ -72,6 +72,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Read per packet: on Python 3.11 an enum member load calls EnumType.__getattr__.
 _ACCEPT = Verdict.ACCEPT
 
+#: How many outgoing routing packets each queued advert rides on.
+ADVERT_REDUNDANCY = 2
+#: Max piggybacked SLP messages per routing packet.
+PIGGYBACK_BUDGET = 3
+
 
 class RoutingHandler(abc.ABC):
     """Common plugin machinery: the pending-advert queue and SLP dispatch."""
@@ -99,17 +104,15 @@ class RoutingHandler(abc.ABC):
     # -- ManetSlp-facing API ---------------------------------------------------
     def advertise(self, entry: ServiceEntry) -> None:
         """Queue a service announcement for piggybacking."""
-        redundancy = self.slp.config.advert_redundancy if self.slp else 2
         message = SrvReg(
             xid=self._next_xid(),
             entry=UrlEntry.from_service_entry(entry, entry.lifetime),
         )
-        self._pending[entry.key()] = (message, redundancy)
+        self._pending[entry.key()] = (message, ADVERT_REDUNDANCY)
 
     def withdraw(self, entry: ServiceEntry) -> None:
-        redundancy = self.slp.config.advert_redundancy if self.slp else 2
         message = SrvDeReg(xid=self._next_xid(), url=entry.key())
-        self._pending[entry.key()] = (message, redundancy)
+        self._pending[entry.key()] = (message, ADVERT_REDUNDANCY)
 
     def _next_xid(self) -> int:
         return next(self._xid) & 0xFFFF  # the SLP XID wire field is 16 bits
@@ -123,11 +126,11 @@ class RoutingHandler(abc.ABC):
         """Deliver a lookup answer back toward ``requester_ip``."""
 
     # -- shared plumbing -----------------------------------------------------------
-    def take_pending(self, budget: int, exclude: set[str] | None = None) -> list[SlpMessage]:
-        """Dequeue up to ``budget`` queued announcements for one packet."""
+    def take_pending(self, exclude: set[str] | None = None) -> list[SlpMessage]:
+        """Dequeue up to :data:`PIGGYBACK_BUDGET` queued announcements for one packet."""
         taken: list[SlpMessage] = []
         for key in list(self._pending):
-            if len(taken) >= budget:
+            if len(taken) >= PIGGYBACK_BUDGET:
                 break
             if exclude and key in exclude:
                 continue
@@ -226,9 +229,8 @@ class AodvHandler(RoutingHandler):
         )
         if not carrier:
             return (_ACCEPT, packet)
-        budget = self.slp.config.piggyback_budget if self.slp else 3
         already = _advertised_urls(extensions)
-        fresh = self.take_pending(budget, exclude=already)
+        fresh = self.take_pending(exclude=already)
         if not fresh:
             return (_ACCEPT, packet)
         new_extensions = extensions + tuple(advert_extension(m) for m in fresh)
@@ -325,8 +327,7 @@ class OlsrHandler(RoutingHandler):
             packet_seq, messages = decode_olsr_packet(packet.data)
         except CodecError:
             return (_ACCEPT, packet)
-        budget = self.slp.config.piggyback_budget if self.slp else 3
-        fresh = self.take_pending(budget)
+        fresh = self.take_pending()
         if not fresh:
             return (_ACCEPT, packet)
         vtime = self.slp.config.advert_lifetime if self.slp else 60.0

@@ -11,7 +11,7 @@ node's netfilter hook chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.netsim.node import Node
@@ -24,26 +24,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 LookupCallback = Callable[[list[ServiceEntry]], None]
 
 
+#: How long a network lookup waits for an answer before it misses.
+LOOKUP_TIMEOUT = 2.0
+
+
 @dataclass
 class ManetSlpConfig:
-    """Tunable knobs (each is an ablation axis in the benchmarks)."""
+    """The advert lifetime and refresh period (the A2 ablation axes)."""
 
     advert_lifetime: float = 120.0
     #: Re-announce local registrations this often (proactive refresh).
     refresh_interval: float = 30.0
-    #: How many outgoing routing packets each queued advert may ride on.
-    advert_redundancy: int = 2
-    #: Max piggybacked SLP extensions per routing packet.
-    piggyback_budget: int = 3
-    #: Network lookup timeout.
-    lookup_timeout: float = 2.0
-    #: Resolve a pending lookup as soon as the first match arrives.
-    resolve_on_first: bool = True
-    #: Minimum spacing between *re*-advertisements of the same service (§5f).
-    #: Under registration churn (e.g. a flapping client re-REGISTERing) this
-    #: keeps the piggyback channel from being monopolized by one entry.
-    #: 0.0 = off (legacy behavior); first registrations always advertise.
-    min_readvertise_interval: float = 0.0
 
 
 @dataclass
@@ -53,7 +44,6 @@ class _PendingLookup:
     predicate: str
     callback: LookupCallback
     started_at: float = 0.0
-    results: dict[str, ServiceEntry] = field(default_factory=dict)
     done: bool = False
 
 
@@ -72,9 +62,6 @@ class ManetSlp:
         self.handler = handler
         self._local: dict[str, ServiceEntry] = {}
         self._cache: dict[str, ServiceEntry] = {}
-        # key -> sim time of the last advert actually handed to the handler
-        # (the rate limiter's memory; entries leave with their registration).
-        self._last_advertised: dict[str, float] = {}
         self._pending: dict[int, _PendingLookup] = {}
         self._xid = itertools.count(1)
         self._refresh_task = None
@@ -116,25 +103,19 @@ class ManetSlp:
             expires_at=self.sim.now + life,
             origin=self.node.ip,
         )
-        key = entry.key()
-        rearming = key in self._local
-        self._local[key] = entry
+        self._local[entry.key()] = entry
         self.node.stats.increment("manetslp.registrations")
-        if rearming and self._suppress_readvertise(key):
-            return entry
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.emit(
                 "slp.advertise", self.node.ip, url=str(entry.url), lifetime=life,
             )
-        self._last_advertised[key] = self.sim.now
         self.handler.advertise(entry)
         return entry
 
     def deregister(self, url: ServiceUrl | str) -> None:
         key = str(ServiceUrl.parse(url) if isinstance(url, str) else url)
         entry = self._local.pop(key, None)
-        self._last_advertised.pop(key, None)
         if entry is not None:
             tracer = self.sim.tracer
             if tracer is not None:
@@ -152,14 +133,13 @@ class ManetSlp:
             return
         key = str(ServiceUrl.parse(url) if isinstance(url, str) else url)
         self._local.pop(key, None)
-        self._last_advertised.pop(key, None)
 
     def find_services(
         self,
         service_type: str,
         predicate: str = "",
         callback: LookupCallback | None = None,
-        timeout: float | None = None,
+        timeout: float = LOOKUP_TIMEOUT,
     ) -> int:
         """Resolve services of ``service_type`` matching ``predicate``.
 
@@ -202,11 +182,7 @@ class ManetSlp:
             requester=self.node.ip,
         )
         self.handler.query(request)
-        self.sim.schedule(
-            timeout if timeout is not None else self.config.lookup_timeout,
-            self._finish_lookup,
-            xid,
-        )
+        self.sim.schedule(timeout, self._finish_lookup, xid)
         return xid
 
     def lookup_cached(self, service_type: str, predicate: str = "") -> list[ServiceEntry]:
@@ -288,19 +264,17 @@ class ManetSlp:
             if pending.done:
                 continue
             if entry.matches(pending.service_type, pending.predicate):
-                pending.results[key] = entry
-                if self.config.resolve_on_first:
-                    self._finish_lookup(pending.xid)
+                self._finish_lookup(pending.xid, [entry])
 
     def on_remote_removal(self, url: str) -> None:
         self._cache.pop(url, None)
 
-    def _finish_lookup(self, xid: int) -> None:
+    def _finish_lookup(self, xid: int, results: list[ServiceEntry] | None = None) -> None:
+        """Resolve a lookup with the first match, or at its timeout."""
         pending = self._pending.pop(xid, None)
         if pending is None or pending.done:
             return
         pending.done = True
-        results = list(pending.results.values())
         if not results:
             # Last chance: something may have entered the cache meanwhile.
             results = self.lookup_cached(pending.service_type, pending.predicate)
@@ -325,30 +299,8 @@ class ManetSlp:
                 )
         pending.callback(results)
 
-    def _suppress_readvertise(self, key: str) -> bool:
-        """Rate limiter: withhold a re-advert sent too soon after the last.
-
-        Local state (entry contents, expiry) is always updated by the
-        caller; only the network-facing ``handler.advertise`` is withheld.
-        """
-        interval = self.config.min_readvertise_interval
-        if interval <= 0:
-            return False
-        last = self._last_advertised.get(key)
-        if last is None or self.sim.now - last >= interval:
-            return False
-        self.node.stats.increment("manetslp.adverts_suppressed")
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit("slp.advert_suppressed", self.node.ip, url=key)
-        return True
-
     def _refresh_local(self) -> None:
         now = self.sim.now
         for entry in list(self._local.values()):
             entry.expires_at = now + entry.lifetime
-            key = entry.key()
-            if self._suppress_readvertise(key):
-                continue
-            self._last_advertised[key] = now
             self.handler.advertise(entry)

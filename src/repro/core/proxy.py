@@ -66,7 +66,6 @@ class SiphocProxy:
             self.core.admission = AdmissionControl(
                 max_inflight=self.config.admission_max_inflight,
                 queue_watermark=self.config.admission_queue_watermark,
-                retry_after=self.config.admission_retry_after,
             )
         self.media_relay = MediaRelay(node)
         self.core.media_filter = self._media_filter
@@ -159,9 +158,8 @@ class SiphocProxy:
         )
         self._wan_leg = self.core.add_leg("wan", transport)
         self.node.stats.increment("siphoc.wan_leg_up")
-        if self.config.register_upstream:
-            for aor in list(self.location.bindings(self.sim.now)):
-                self._register_upstream(aor)
+        for aor in list(self.location.bindings(self.sim.now)):
+            self._register_upstream(aor)
 
     def _on_internet_up(self, tunnel_ip: str) -> None:
         self._attach_wan_leg(tunnel_ip)
@@ -199,11 +197,11 @@ class SiphocProxy:
         self.manet_slp.register(
             self._contact_service_url(),
             attributes={"user": aor},
-            lifetime=min(float(expires), self.config.contact_advert_lifetime),
+            lifetime=min(float(expires), self.manet_slp.config.advert_lifetime),
         )
         self.node.stats.increment("siphoc.registrations")
         ctx.respond(200)
-        if self.internet_available and self.config.register_upstream:
+        if self.internet_available:
             self._register_upstream(aor)
 
     def _contact_service_url(self) -> ServiceUrl:

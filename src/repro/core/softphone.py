@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.config import SipAccount
-from repro.core.connection import backoff_with_jitter, node_backoff_rng
 from repro.netsim.node import Node
 from repro.errors import CodecError
 from repro.rtp.codecs import (
@@ -37,8 +36,12 @@ from repro.sip.ua import Call, CallState, IncomingCall, OutgoingCall, Subscripti
 from repro.sip.uri import SipUri
 
 
+#: Seconds an AUTO-answering phone rings before it picks up.
+ANSWER_DELAY = 0.5
+
+
 class AnswerMode(enum.Enum):
-    AUTO = "auto"  # ring, then answer after ``answer_delay``
+    AUTO = "auto"  # ring, then answer after ``ANSWER_DELAY``
     MANUAL = "manual"  # ring, then wait for the application callback
     REJECT = "reject"  # 486 Busy Here
 
@@ -57,8 +60,6 @@ class CallRecord:
     failure_status: int | None = None
     #: Retry-After seconds from the failure response, if any (§5f).
     retry_after: int | None = None
-    #: 1 for the first dial, 2+ for automatic 503 retries of the same target.
-    attempt: int = 1
     quality: CallQuality | None = None
     video: "VideoStats | None" = None
 
@@ -122,9 +123,6 @@ class TextMessage:
 class SoftPhone:
     """A SIP softphone with optional simulated voice media."""
 
-    #: Cap on the exponential part of the 503 retry backoff (seconds).
-    RETRY_BACKOFF_CAP = 32.0
-
     def __init__(
         self,
         node: Node,
@@ -132,7 +130,6 @@ class SoftPhone:
         port: int = 5070,
         codec: Codec = G711,
         answer_mode: AnswerMode = AnswerMode.AUTO,
-        answer_delay: float = 0.5,
         media: bool = True,
         playout_delay: float = 0.06,
         jitter_policy: JitterPolicy | None = None,
@@ -140,9 +137,6 @@ class SoftPhone:
         vad: bool = False,
         dtmf: bool = False,
         video: bool = False,
-        video_codec: Codec = H263,
-        retry_on_503: bool = False,
-        max_call_attempts: int = 3,
     ) -> None:
         # Fail at construction, not mid-call inside the event loop.
         check_redundancy(redundancy, codec)
@@ -151,7 +145,6 @@ class SoftPhone:
         self.account = account
         self.codec = codec
         self.answer_mode = answer_mode
-        self.answer_delay = answer_delay
         self.media = media
         self.playout_delay = playout_delay
         #: Media-plane knobs (§5j): playout policy, RFC 2198 depth, silence
@@ -162,14 +155,6 @@ class SoftPhone:
         self.vad = vad
         self.dtmf = dtmf
         self.video = video
-        self.video_codec = video_codec
-        #: Honor 503 Retry-After from an overloaded proxy by redialing (and
-        #: re-registering) after Retry-After + jittered exponential backoff
-        #: (§5f). Off by default: a stock softphone just reports the failure.
-        self.retry_on_503 = retry_on_503
-        self.max_call_attempts = max_call_attempts
-        self._backoff_rng = node_backoff_rng(node, salt=1)
-        self._register_failures = 0
         self._video_sessions: dict[str, RtpSession] = {}
         if account.uses_local_proxy:
             outbound = ("127.0.0.1", account.outbound_proxy_port)
@@ -238,43 +223,15 @@ class SoftPhone:
         """Boot the phone; by default it immediately registers (step 1) and
         keeps the binding alive by re-registering at half the expiry."""
         if register:
-            if self.retry_on_503:
-                self._register_with_backoff(expires, on_registered)
-            else:
-                self.ua.register(
-                    expires=expires,
-                    on_result=(lambda ok, resp: on_registered(ok)) if on_registered else None,
-                )
+            self.ua.register(
+                expires=expires,
+                on_result=(lambda ok, resp: on_registered(ok)) if on_registered else None,
+            )
             if self._refresh_task is None and expires > 1:
                 self._refresh_task = self.sim.schedule_periodic(
                     expires / 2, lambda: self.ua.register(expires=expires), jitter=0.05
                 )
         return self
-
-    def _register_with_backoff(
-        self,
-        expires: int,
-        on_registered: Callable[[bool], None] | None = None,
-    ) -> None:
-        """REGISTER, honoring 503 Retry-After with jittered backoff (§5f)."""
-
-        def on_result(ok: bool, response) -> None:
-            if ok:
-                self._register_failures = 0
-            elif response is not None and response.status == 503:
-                self._register_failures += 1
-                delay = (response.retry_after or 1) + backoff_with_jitter(
-                    1.0,
-                    self._register_failures,
-                    self.RETRY_BACKOFF_CAP,
-                    self._backoff_rng,
-                )
-                self.node.stats.increment("softphone.register_retries")
-                self.sim.schedule(delay, self._register_with_backoff, expires)
-            if on_registered is not None:
-                on_registered(ok)
-
-        self.ua.register(expires=expires, on_result=on_result)
 
     def stop(self) -> None:
         self.ua.set_presence(OFFLINE)  # last NOTIFY to watchers before we go
@@ -306,23 +263,13 @@ class SoftPhone:
         target: str,
         duration: float | None = None,
         on_state: Callable[[Call], None] | None = None,
-        _attempt: int = 1,
     ) -> OutgoingCall:
-        """Dial ``target`` (an AOR). ``duration`` auto-hangs-up after connect.
-
-        With ``retry_on_503`` the phone automatically redials after a 503,
-        waiting out the proxy's Retry-After plus jittered backoff; each
-        attempt gets its own :class:`CallRecord` (``attempt`` numbers them).
-        """
-        record = CallRecord(
-            direction="out", peer=target, placed_at=self.sim.now, attempt=_attempt
-        )
+        """Dial ``target`` (an AOR). ``duration`` auto-hangs-up after connect."""
+        record = CallRecord(direction="out", peer=target, placed_at=self.sim.now)
         self.history.append(record)
 
         def state_hook(call: Call) -> None:
             self._track_call(call, record, duration)
-            if call.state is CallState.FAILED:
-                self._maybe_retry_503(call, target, duration, on_state, _attempt)
             if on_state is not None:
                 on_state(call)
 
@@ -331,31 +278,11 @@ class SoftPhone:
             _next_media_port(self.node),
             payload_types=[self.codec.payload_type, *self._extension_payloads()],
             video_port=_next_media_port(self.node) if self.video else None,
-            video_payloads=[self.video_codec.payload_type] if self.video else None,
+            video_payloads=[H263.payload_type] if self.video else None,
         )
         call = self.ua.call(target, sdp=sdp, on_state=state_hook)
         self._records[call.call_id] = record
         return call
-
-    def _maybe_retry_503(
-        self,
-        call: Call,
-        target: str,
-        duration: float | None,
-        on_state: Callable[[Call], None] | None,
-        attempt: int,
-    ) -> None:
-        if (
-            not self.retry_on_503
-            or call.failure_status != 503
-            or attempt >= self.max_call_attempts
-        ):
-            return
-        delay = (call.retry_after or 1) + backoff_with_jitter(
-            1.0, attempt, self.RETRY_BACKOFF_CAP, self._backoff_rng
-        )
-        self.node.stats.increment("softphone.call_retries")
-        self.sim.schedule(delay, self.place_call, target, duration, on_state, attempt + 1)
 
     # -- presence ------------------------------------------------------------------------
     @property
@@ -442,7 +369,7 @@ class SoftPhone:
             return
         call.ring()
         if self.answer_mode is AnswerMode.AUTO:
-            self.sim.schedule(self.answer_delay, self._auto_answer, call)
+            self.sim.schedule(ANSWER_DELAY, self._auto_answer, call)
         elif self.on_incoming is not None:
             self.on_incoming(call)
 
@@ -546,7 +473,7 @@ class SoftPhone:
             self.node,
             local_port=local_video.port,
             remote=remote_endpoint,
-            codec=self.video_codec,
+            codec=H263,
             playout_delay=self.playout_delay,
         )
         session.start_sending()

@@ -55,9 +55,7 @@ class SiphocStack:
         self.manet_slp = ManetSlp(node, self.handler, self.config.slp)
         self.connection: ConnectionProvider | None = None
         if run_connection_provider and node.wired_ip is None:
-            self.connection = ConnectionProvider(
-                node, self.manet_slp, poll_interval=self.config.gateway_poll_interval
-            )
+            self.connection = ConnectionProvider(node, self.manet_slp)
         self.proxy = SiphocProxy(
             node,
             self.manet_slp,
@@ -75,12 +73,10 @@ class SiphocStack:
                 raise ConfigError("a gateway node needs an Internet attachment")
             if cloud is None:
                 raise ConfigError("a gateway node needs the Internet cloud reference")
-            self.gateway = GatewayProvider(
-                node, cloud, self.manet_slp, max_leases=self.config.gateway_max_leases
-            )
+            self.gateway = GatewayProvider(node, cloud, self.manet_slp)
         self.handover: HandoverPolicy | None = None
-        if self.config.handover is not None:
-            self.handover = HandoverPolicy(node, self, self.config.handover)
+        if self.config.handover:
+            self.handover = HandoverPolicy(node, self)
         self.phones: list[SoftPhone] = []
         self._next_phone_port = 5070
         self._started = False

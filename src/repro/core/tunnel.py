@@ -95,20 +95,13 @@ class TunnelServer:
     """Gateway-side tunnel endpoint: allocates leases, relays both ways."""
 
     LEASE_TIME = 60.0
-    #: Retry-later hint (seconds) carried in the NAK's lease field when a
-    #: request is refused for capacity, not for an unknown lease.
-    CAPACITY_RETRY_AFTER = 10
 
-    def __init__(
-        self, node: Node, cloud: InternetCloud, max_leases: int | None = None
-    ) -> None:
+    def __init__(self, node: Node, cloud: InternetCloud) -> None:
         if node.wired_ip is None:
             raise GatewayError("tunnel server requires a wired (Internet) interface")
         self.node = node
         self.sim = node.sim
         self.cloud = cloud
-        #: Lease-capacity limit (§5f); None = unlimited, the legacy behavior.
-        self.max_leases = max_leases
         self._ctrl_socket = node.bind(PORT_SIPHOC_CTRL, self._on_ctrl)
         self._data_socket = node.bind(PORT_SIPHOC_TUNNEL, self._on_upstream)
         self._leases: dict[str, TunnelLease] = {}  # client manet ip -> lease
@@ -148,22 +141,6 @@ class TunnelServer:
         if msg_type == CTRL_REQUEST:
             tracer = self.sim.tracer
             lease = self._leases.get(src_ip)
-            if lease is None and self._at_capacity():
-                # NACK-and-retry-later: renewals of existing leases above
-                # always pass, so capacity pressure never evicts a client
-                # that is already attached.
-                self.node.stats.increment("tunnel.leases_rejected")
-                if tracer is not None:
-                    tracer.emit(
-                        "tunnel.nack", self.node.ip, client=src_ip,
-                        cause="capacity", retry_after=self.CAPACITY_RETRY_AFTER,
-                    )
-                self._ctrl_socket.send(
-                    src_ip,
-                    sport,
-                    _encode_ctrl(CTRL_NAK, lease=self.CAPACITY_RETRY_AFTER),
-                )
-                return
             if lease is None:
                 tunnel_ip = self.cloud.allocate_ip()
                 lease = TunnelLease(
@@ -202,12 +179,6 @@ class TunnelServer:
                         tunnel_ip=lease.tunnel_ip,
                     )
                 self._drop_lease(lease)
-
-    def _at_capacity(self) -> bool:
-        if self.max_leases is None:
-            return False
-        now = self.sim.now
-        return sum(1 for lease in self._leases.values() if lease.is_active(now)) >= self.max_leases
 
     def _drop_lease(self, lease: TunnelLease) -> None:
         self._leases.pop(lease.client_manet_ip, None)

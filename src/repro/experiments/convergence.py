@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.config import SiphocConfig
 from repro.core.manet_slp import ManetSlpConfig
 from repro.experiments.tables import Table
 from repro.scenarios import ManetConfig, ManetScenario
@@ -125,12 +126,9 @@ def cache_ablation_table(
                     seed=seed,
                     spacing=90.0,
                     tx_range=140.0,
+                    siphoc=SiphocConfig(slp=slp_config),
                 )
             )
-            for stack in scenario.stacks:
-                stack.manet_slp.config = slp_config
-                # The proxy clamps contact adverts to its own knob; align it.
-                stack.config.contact_advert_lifetime = lifetime
             scenario.start()
             scenario.converge(15.0)
             scenario.add_phone(0, "alice")

@@ -118,7 +118,6 @@ def fault_mobile_aodv() -> str:
             tracing=True,
             faults=plan,
             tx_queue_capacity=16,
-            tx_queue_policy="tail-drop",
         )
     )
     scenario.start()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import HandoverConfig, SiphocConfig
+from repro.core.config import SiphocConfig
 from repro.experiments.tables import Table
 from repro.faults.channel import TimedGilbertElliottChannel
 from repro.faults.plan import FaultPlan
@@ -96,7 +96,7 @@ def run_handover_trial(
             routing=routing,
             seed=seed,
             multihomed=(0, hops),
-            siphoc=SiphocConfig(handover=HandoverConfig()) if handover else None,
+            siphoc=SiphocConfig(handover=True) if handover else None,
             faults=plan,
             mobility=mobility,
             tracing=True,

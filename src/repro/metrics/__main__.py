@@ -25,6 +25,18 @@ from repro.metrics.scraper import load_jsonl
 from repro.metrics.render import render_dash, render_table
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return value
+
+    return parse
+
+
 def _load(path: str):
     try:
         return load_jsonl(path)
@@ -115,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash.add_argument(
         "--metric", action="append", default=[], help="metric name (repeatable)"
     )
-    p_dash.add_argument("--width", type=int, default=60, help="sparkline width")
+    p_dash.add_argument("--width", type=_at_least(1), default=60, help="sparkline width")
     p_dash.set_defaults(fn=_cmd_dash)
 
     p_prom = sub.add_parser("prom", help="Prometheus text exposition of one snapshot")
@@ -129,10 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser(
         "profile", help="profile the C1 quick variant, print attribution"
     )
-    p_prof.add_argument("--nodes", type=int, default=300)
-    p_prof.add_argument("--calls", type=int, default=6)
+    # A call needs two nodes; a profile of no calls has no traffic to attribute.
+    p_prof.add_argument("--nodes", type=_at_least(2), default=300)
+    p_prof.add_argument("--calls", type=_at_least(1), default=6)
     p_prof.add_argument("--seed", type=int, default=1)
-    p_prof.add_argument("--top", type=int, default=20, help="handlers to list")
+    p_prof.add_argument("--top", type=_at_least(0), default=20, help="handlers to list")
     p_prof.add_argument(
         "--collapsed", metavar="OUT.TXT",
         help="write collapsed stacks (speedscope / flamegraph.pl input)",

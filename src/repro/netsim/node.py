@@ -108,47 +108,34 @@ class Interface:
 
 
 class InterfaceTxQueue:
-    """Bounded per-node wireless TX queue with pluggable drop policies (§5f).
+    """Bounded per-node wireless TX queue with tail-drop shedding (§5f).
 
     Opt-in: nodes ship without one and hand frames straight to the medium,
     which keeps every existing scenario bit-identical. When installed (via
     :meth:`Node.configure_tx_queue`), the interface transmits at most one
     frame per airtime slot (``medium.transmission_time``); frames arriving
-    while the interface is busy wait in a bounded FIFO. At capacity the
-    configured policy decides what is shed:
-
-    * ``"tail-drop"`` — the arriving frame is dropped;
-    * ``"oldest-first"`` — the head of the queue is dropped to make room
-      (favors fresh traffic, e.g. retransmitted SIP requests over stale RTP).
+    while the interface is busy wait in a bounded FIFO, and at capacity
+    the arriving frame is dropped.
 
     Emits ``queue.enqueue`` / ``queue.drop`` traces, plus one
-    ``queue.high_watermark`` per upward crossing of the watermark (re-armed
-    once the queue drains back below it). Everything is driven by the
-    simulator clock; there is no randomness here.
+    ``queue.high_watermark`` per upward crossing of the watermark, three
+    quarters of the capacity (re-armed once the queue drains back below
+    it). Everything is driven by the simulator clock; there is no
+    randomness here.
     """
 
-    POLICIES = ("tail-drop", "oldest-first")
+    #: The shedding rule, named in every ``queue.drop`` trace.
+    POLICY = "tail-drop"
 
-    def __init__(
-        self,
-        node: "Node",
-        capacity: int,
-        policy: str = "tail-drop",
-        high_watermark: int | None = None,
-    ) -> None:
+    def __init__(self, node: "Node", capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"TX queue capacity must be >= 1, got {capacity}")
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown TX queue policy {policy!r} (want one of {self.POLICIES})")
         self.node = node
         self.sim = node.sim
         self.capacity = capacity
-        self.policy = policy
-        self.high_watermark = (
-            high_watermark if high_watermark is not None else max(1, (capacity * 3) // 4)
-        )
+        self.high_watermark = max(1, (capacity * 3) // 4)
         # Capacity is enforced by submit(): a maxlen deque would shed frames
-        # silently, and the drop policy needs to trace what it shed.
+        # silently, and a drop must be traced.
         self._frames: deque = deque()  # lint: disable=OVR001
         self._busy = False
         self._above_watermark = False
@@ -168,19 +155,18 @@ class InterfaceTxQueue:
             self._start_transmission(next_hop_ip, packet, on_link_failure)
             return
         if len(self._frames) >= self.capacity:
-            if self.policy == "oldest-first":
-                victim = self._frames.popleft()
-                self._shed(victim[1])
-                self._enqueue(next_hop_ip, packet, on_link_failure)
-            else:
-                self._shed(packet)
+            self._shed(packet)
             return
         self._enqueue(next_hop_ip, packet, on_link_failure)
 
     def clear(self) -> None:
-        """Forget all queued frames (node crash / interface reset)."""
+        """Forget all queued frames (node crash / interface reset).
+
+        A frame already on the air keeps the interface busy until its
+        pending :meth:`_drain`, which nothing cancels, so the next frame
+        cannot overlap it.
+        """
         self._frames.clear()
-        self._busy = False
         self._above_watermark = False
 
     def kick(self) -> None:
@@ -215,7 +201,7 @@ class InterfaceTxQueue:
         if tracer is not None:
             tracer.emit(
                 "queue.drop", self.node.ip,
-                uid=packet.uid, policy=self.policy, capacity=self.capacity,
+                uid=packet.uid, policy=self.POLICY, capacity=self.capacity,
             )
 
     def _start_transmission(self, next_hop_ip: str | None, packet: Packet, on_link_failure) -> None:
@@ -358,17 +344,9 @@ class Node:
     def tx_queue(self, queue: InterfaceTxQueue | None) -> None:
         self.add_interface("wireless").tx_queue = queue
 
-    def configure_tx_queue(
-        self,
-        capacity: int | None,
-        policy: str = "tail-drop",
-        high_watermark: int | None = None,
-    ) -> None:
+    def configure_tx_queue(self, capacity: int | None) -> None:
         """Install a bounded interface TX queue (``capacity=None`` removes it)."""
-        if capacity is None:
-            self.tx_queue = None
-        else:
-            self.tx_queue = InterfaceTxQueue(self, capacity, policy, high_watermark)
+        self.tx_queue = None if capacity is None else InterfaceTxQueue(self, capacity)
 
     # -- failure injection ----------------------------------------------------
     def crash(self) -> None:

@@ -26,39 +26,40 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.config import SiphocConfig
+from repro.netsim.node import InterfaceTxQueue
 from repro.netsim.stats import SampleSeries
 from repro.scenarios import ManetConfig, ManetScenario
+from repro.sip.proxy import AdmissionControl
 
 MODE_UNCONTROLLED = "uncontrolled"
 MODE_CONTROLLED = "controlled"
+
+HOPS = 2  # chain length; the middle node relays every call
+CALL_DURATION = 6.0  # talk time after answer (auto hang-up)
+#: A call "succeeds" when it establishes within this many seconds of
+#: dialing; congested setups that crawl past it count as degraded.
+SETUP_SLA = 4.0
+TX_QUEUE_CAPACITY = 16
+ADMISSION_MAX_INFLIGHT = 1
+ADMISSION_QUEUE_WATERMARK = 0.75
+#: Controlled success rate a load must clear to count as pre-knee.
+KNEE_THRESHOLD = 0.8
 
 
 @dataclass
 class OverloadConfig:
     """Parameters of one offered-load sweep."""
 
-    hops: int = 2  # chain length; the middle node relays every call
     routing: str = "aodv"
     seed: int = 7
     #: Offered call rates (calls/second). Keep them doubling so every
     #: candidate knee has its 2x point in the sweep.
     loads: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    call_duration: float = 6.0  # talk time after answer (auto hang-up)
     #: Seconds of call arrivals per point. Deliberately a half-integer: an
     #: odd call count at the 2-cps point keeps the graceful-degradation
     #: ratio strictly above the 0.50 bar instead of exactly on it.
     window: float = 16.5
     grace: float = 14.0  # extra run time for in-flight calls to resolve
-    #: A call "succeeds" when it establishes within this many seconds of
-    #: dialing; congested setups that crawl past it count as degraded.
-    setup_sla: float = 4.0
-    tx_queue_capacity: int = 16
-    tx_queue_policy: str = "tail-drop"
-    admission_max_inflight: int = 1
-    admission_queue_watermark: float = 0.75
-    admission_retry_after: int = 5
-    #: Controlled success rate a load must clear to count as pre-knee.
-    knee_threshold: float = 0.8
 
 
 @dataclass
@@ -102,7 +103,7 @@ class SweepReport:
         passing = [
             p.load
             for p in self.points
-            if p.mode == MODE_CONTROLLED and p.ok_rate >= self.config.knee_threshold
+            if p.mode == MODE_CONTROLLED and p.ok_rate >= KNEE_THRESHOLD
         ]
         return max(passing) if passing else None
 
@@ -130,14 +131,14 @@ class SweepReport:
     def render(self) -> str:
         cfg = self.config
         lines = [
-            f"offered-load soak: {cfg.hops + 1}-node chain ({cfg.hops} hops), "
+            f"offered-load soak: {HOPS + 1}-node chain ({HOPS} hops), "
             f"{cfg.routing}, seed {cfg.seed}",
-            f"window {cfg.window:.1f}s, call duration {cfg.call_duration:.1f}s, "
-            f"setup SLA {cfg.setup_sla:.1f}s, one caller/callee pair",
-            f"tx queue: capacity {cfg.tx_queue_capacity}, policy {cfg.tx_queue_policy}",
-            f"admission (controlled runs): max_inflight={cfg.admission_max_inflight}, "
-            f"queue_watermark={cfg.admission_queue_watermark:.2f}, "
-            f"retry_after={cfg.admission_retry_after}s",
+            f"window {cfg.window:.1f}s, call duration {CALL_DURATION:.1f}s, "
+            f"setup SLA {SETUP_SLA:.1f}s, one caller/callee pair",
+            f"tx queue: capacity {TX_QUEUE_CAPACITY}, policy {InterfaceTxQueue.POLICY}",
+            f"admission (controlled runs): max_inflight={ADMISSION_MAX_INFLIGHT}, "
+            f"queue_watermark={ADMISSION_QUEUE_WATERMARK:.2f}, "
+            f"retry_after={AdmissionControl.retry_after}s",
             "",
             "load(cps)  mode           att    ok   rate    est  p50(s)  p95(s)"
             "   mos   503  other  qdrops  admrej",
@@ -154,11 +155,11 @@ class SweepReport:
         if knee is None:
             lines.append(
                 f"knee: none (no controlled load reached rate >= "
-                f"{cfg.knee_threshold:.2f})"
+                f"{KNEE_THRESHOLD:.2f})"
             )
             return "\n".join(lines) + "\n"
         lines.append(
-            f"knee (controlled, rate >= {cfg.knee_threshold:.2f}): {knee:.2f} cps"
+            f"knee (controlled, rate >= {KNEE_THRESHOLD:.2f}): {knee:.2f} cps"
         )
         analysis = self.graceful()
         if analysis is None:
@@ -216,25 +217,23 @@ def build_overload_scenario(
     siphoc = None
     if controlled:
         siphoc = SiphocConfig(
-            admission_max_inflight=cfg.admission_max_inflight,
-            admission_queue_watermark=cfg.admission_queue_watermark,
-            admission_retry_after=cfg.admission_retry_after,
+            admission_max_inflight=ADMISSION_MAX_INFLIGHT,
+            admission_queue_watermark=ADMISSION_QUEUE_WATERMARK,
         )
     scenario = ManetScenario(
         ManetConfig(
-            n_nodes=cfg.hops + 1,
+            n_nodes=HOPS + 1,
             topology="chain",
             routing=cfg.routing,
             seed=cfg.seed,
             tracing=tracing,
-            tx_queue_capacity=cfg.tx_queue_capacity,
-            tx_queue_policy=cfg.tx_queue_policy,
+            tx_queue_capacity=TX_QUEUE_CAPACITY,
             siphoc=siphoc,
         )
     )
     scenario.start()
     scenario.add_phone(0, "caller")
-    scenario.add_phone(cfg.hops, "callee")
+    scenario.add_phone(HOPS, "callee")
     return scenario
 
 
@@ -264,7 +263,7 @@ def run_load_point(cfg: OverloadConfig, load: float, controlled: bool) -> LoadPo
             k * interval,
             caller.place_call,
             "sip:callee@voicehoc.ch",
-            cfg.call_duration,
+            CALL_DURATION,
         )
     scenario.sim.run(scenario.sim.now + cfg.window + cfg.grace)
     scenario.stop()
@@ -289,7 +288,7 @@ def run_load_point(cfg: OverloadConfig, load: float, controlled: bool) -> LoadPo
             # an established call whose audio is unusable is an overload
             # casualty, not a success.
             if (
-                record.setup_delay <= cfg.setup_sla
+                record.setup_delay <= SETUP_SLA
                 and quality is not None
                 and quality.is_acceptable
             ):

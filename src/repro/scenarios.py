@@ -64,7 +64,6 @@ class ManetConfig:
     mac_retries: int = 3  # 802.11-style link-layer retransmissions
     mobility: bool = False
     mobility_speed: tuple[float, float] = (0.5, 2.0)
-    mobility_pause: float = 5.0
     internet_gateways: int = 0  # how many nodes get wired attachments
     # Node indexes given a wired uplink WITHOUT the gateway role (§5k
     # multihomed phones): they never advertise gateway.siphoc, the uplink
@@ -78,7 +77,6 @@ class ManetConfig:
     providers: tuple[str, ...] = ()
     strict_providers: tuple[str, ...] = ()  # providers mandating an SBC
     tracing: bool = False  # attach a repro.trace collector to the simulator
-    trace_capacity: int = 65536  # trace ring-buffer size (events)
     metrics: bool = False  # attach a repro.metrics scraper + standard gauges
     metrics_interval: float = 1.0  # sim-seconds between metric snapshots
     faults: FaultPlan | None = None  # timed fault events + optional channel model
@@ -88,19 +86,14 @@ class ManetConfig:
     media_vad: bool = False  # silence suppression + comfort-noise frames
     # -- overload control (§5f; defaults keep every path bit-identical) -------
     tx_queue_capacity: int | None = None  # bounded per-node TX queue (None = unbounded)
-    tx_queue_policy: str = "tail-drop"  # tail-drop | oldest-first
     siphoc: SiphocConfig | None = None  # shared per-node stack config (admission etc.)
 
 
 class ManetScenario:
     """A fully wired simulation: MANET + optional Internet + SIPHoc stacks."""
 
-    def __init__(self, config: ManetConfig | None = None, **overrides) -> None:
+    def __init__(self, config: ManetConfig | None = None) -> None:
         base = config or ManetConfig()
-        for key, value in overrides.items():
-            if not hasattr(base, key):
-                raise ConfigError(f"unknown scenario parameter {key!r}")
-            setattr(base, key, value)
         self.config = base
         self.sim = Simulator(seed=base.seed)
         self.stats = Stats()
@@ -112,7 +105,7 @@ class ManetScenario:
         self.trace: trace_collector.TraceCollector | None = None
         default_cap = trace_collector.default_capacity()
         if base.tracing or default_cap is not None:
-            capacity = base.trace_capacity if base.tracing else default_cap
+            capacity = trace_collector.DEFAULT_CAPACITY if base.tracing else default_cap
             self.trace = trace_collector.TraceCollector(capacity=capacity).attach(self.sim)
             trace_collector.register(self.trace)
         self.medium = WirelessMedium(
@@ -149,7 +142,7 @@ class ManetScenario:
             node = Node(self.sim, index, manet_ip(index), stats=self.stats)
             node.join_medium(self.medium)
             if base.tx_queue_capacity is not None:
-                node.configure_tx_queue(base.tx_queue_capacity, base.tx_queue_policy)
+                node.configure_tx_queue(base.tx_queue_capacity)
             self.nodes.append(node)
         self._place_nodes()
         if self.cloud is not None:
@@ -180,7 +173,6 @@ class ManetScenario:
                 height=base.area[1],
                 min_speed=base.mobility_speed[0],
                 max_speed=base.mobility_speed[1],
-                pause_time=base.mobility_pause,
             )
         # Metrics mirror the trace opt-in: per-scenario via the config flag,
         # process-wide via repro.metrics.enable_default (how the harness

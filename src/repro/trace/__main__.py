@@ -53,6 +53,9 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
         for cid in call_ids(events):
             print(cid)
         return 0
+    if args.call_id is not None and args.call_id not in call_ids(events):
+        print(f"(no SIP messages with Call-ID {args.call_id!r}; --list-calls lists the trace's)")
+        return 0
     print(sip_ladder(events, call_id=args.call_id))
     return 0
 
@@ -79,6 +82,9 @@ def _cmd_packets(args: argparse.Namespace) -> int:
     lifecycles = reconstruct_packets(events)
     if args.dropped:
         lifecycles = [life for life in lifecycles if life.outcome == "drop"]
+        if not lifecycles:
+            print("(no dropped packets)")
+            return 0
     print(render_packet_lifecycles(lifecycles))
     return 0
 

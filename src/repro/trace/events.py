@@ -57,7 +57,6 @@ EVENT_KINDS: dict[str, str] = {
     "slp.entry_learned": "piggybacked remote entry entered the cache",
     "slp.resolved": "pending lookup resolved with results",
     "slp.miss": "pending lookup timed out with no results",
-    "slp.advert_suppressed": "re-advertisement withheld by the rate limiter",
     # queue — bounded interface TX queue lifecycle (opt-in, §5f)
     "queue.enqueue": "frame queued behind a busy interface (detail.depth)",
     "queue.drop": "bounded TX queue shed a frame (detail.policy says which)",
@@ -76,7 +75,7 @@ EVENT_KINDS: dict[str, str] = {
     "tunnel.release": "client released its lease",
     "tunnel.connected": "client brought the tunnel interface up",
     "tunnel.disconnected": "client tore the tunnel interface down",
-    "tunnel.nack": "gateway refused a request (detail.cause: lease|capacity)",
+    "tunnel.nack": "gateway told a client its lease is gone",
     # gateway — Internet gateway advertisement
     "gateway.up": "gateway provider started and advertised",
     "gateway.down": "gateway provider stopped and withdrew",

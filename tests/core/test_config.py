@@ -42,7 +42,7 @@ class TestSiphocConfig:
         config = SiphocConfig()
         assert config.proxy_port == 5060
         assert config.wan_port == 5061
-        assert config.register_upstream is True
+        assert config.handover is False
         assert isinstance(config.slp, ManetSlpConfig)
 
     def test_slp_config_is_independent(self):
@@ -54,13 +54,5 @@ class TestSiphocConfig:
 
 class TestManetSlpConfig:
     def test_ablation_knobs_exist(self):
-        config = ManetSlpConfig(
-            advert_lifetime=10.0,
-            refresh_interval=5.0,
-            advert_redundancy=1,
-            piggyback_budget=2,
-            lookup_timeout=1.0,
-            resolve_on_first=False,
-        )
-        assert config.piggyback_budget == 2
-        assert not config.resolve_on_first
+        config = ManetSlpConfig(advert_lifetime=10.0, refresh_interval=5.0)
+        assert (config.advert_lifetime, config.refresh_interval) == (10.0, 5.0)

@@ -76,7 +76,7 @@ class TestConnectionProvider:
     def test_discovers_gateway_and_connects(self):
         sim, stats, cloud, nodes, slps, gateway = build(gateway_index=2)
         connected = []
-        provider = ConnectionProvider(nodes[0], slps[0], poll_interval=2.0)
+        provider = ConnectionProvider(nodes[0], slps[0])
         provider.on_connected = connected.append
         provider.start()
         sim.run(20.0)
@@ -86,20 +86,20 @@ class TestConnectionProvider:
 
     def test_no_gateway_means_no_connection(self):
         sim, stats, cloud, nodes, slps, _ = build(gateway_index=None)
-        provider = ConnectionProvider(nodes[0], slps[0], poll_interval=2.0).start()
+        provider = ConnectionProvider(nodes[0], slps[0]).start()
         sim.run(20.0)
         assert not provider.connected
 
     def test_gateway_node_itself_does_not_tunnel(self):
         sim, stats, cloud, nodes, slps, gateway = build(gateway_index=2)
-        provider = ConnectionProvider(nodes[2], slps[2], poll_interval=2.0).start()
+        provider = ConnectionProvider(nodes[2], slps[2]).start()
         sim.run(20.0)
         assert not provider.connected  # it already has wired connectivity
 
     def test_dead_gateway_detected_and_reconnect_possible(self):
         sim, stats, cloud, nodes, slps, gateway = build(gateway_index=2)
         disconnects = []
-        provider = ConnectionProvider(nodes[0], slps[0], poll_interval=2.0)
+        provider = ConnectionProvider(nodes[0], slps[0])
         provider.on_disconnected = lambda: disconnects.append(sim.now)
         provider.start()
         sim.run(15.0)
@@ -111,7 +111,7 @@ class TestConnectionProvider:
 
     def test_stop_tears_down_tunnel(self):
         sim, stats, cloud, nodes, slps, gateway = build(gateway_index=2)
-        provider = ConnectionProvider(nodes[0], slps[0], poll_interval=2.0).start()
+        provider = ConnectionProvider(nodes[0], slps[0]).start()
         sim.run(15.0)
         assert provider.connected
         provider.stop()
@@ -137,7 +137,7 @@ class TestConnectionProvider:
         # The near gateway keeps advertising but its tunnel server is gone:
         # lease requests to it black-hole.
         near.tunnel_server.close()
-        provider = ConnectionProvider(nodes[0], slps[0], poll_interval=2.0).start()
+        provider = ConnectionProvider(nodes[0], slps[0]).start()
         sim.run(40.0)
         assert provider.connected
         assert provider.tunnel.gateway_ip == nodes[3].ip
@@ -156,11 +156,11 @@ class TestConnectionProvider:
             return original(service_type, callback=callback, **kwargs)
 
         slps[0].find_services = counting
-        provider = ConnectionProvider(nodes[0], slps[0], poll_interval=2.0).start()
+        provider = ConnectionProvider(nodes[0], slps[0]).start()
         sim.run(120.0)
         assert not provider.connected
-        # Backoff doubles from poll_interval up to MAX_BACKOFF: roughly
-        # 7 attempts fit in 120s. Pre-fix, one every ~4s (about 30).
+        # Backoff doubles from POLL_INTERVAL up to MAX_BACKOFF: 4 attempts
+        # fit in 120s. Pre-fix, one every ~5s (about 24).
         assert len(lookups) <= 12
 
     def test_cooldown_is_preference_not_blacklist(self):
@@ -169,7 +169,7 @@ class TestConnectionProvider:
         # candidates when no alternative exists).
         sim, stats, cloud, nodes, slps, gateway = build(gateway_index=2)
         gateway.tunnel_server.close()
-        provider = ConnectionProvider(nodes[0], slps[0], poll_interval=2.0).start()
+        provider = ConnectionProvider(nodes[0], slps[0]).start()
         sim.run(10.0)
         assert not provider.connected
         assert stats.count("connection.gateway_failures") >= 1
@@ -183,7 +183,7 @@ class TestConnectionProvider:
         lost lease, and the client re-establishes within seconds instead
         of waiting out the ~45s liveness deadline."""
         sim, stats, cloud, nodes, slps, gateway = build(gateway_index=2)
-        provider = ConnectionProvider(nodes[0], slps[0], poll_interval=2.0).start()
+        provider = ConnectionProvider(nodes[0], slps[0]).start()
         sim.run(15.0)
         assert provider.connected
         # Power-cycle the gateway's tunnel endpoint: lease table wiped.
@@ -207,7 +207,7 @@ class TestConnectionProvider:
         nodes[0].router.discover(nodes[1].ip)
         nodes[0].router.discover(nodes[3].ip)
         sim.run(3.0)
-        provider = ConnectionProvider(nodes[0], slps[0], poll_interval=2.0).start()
+        provider = ConnectionProvider(nodes[0], slps[0]).start()
         sim.run(20.0)
         assert provider.connected
         assert provider.tunnel.gateway_ip == nodes[1].ip

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     EXT_SLP_ADVERT,
     ManetSlp,
-    ManetSlpConfig,
     advert_extension,
     decode_extension,
     is_slp_extension,
@@ -13,7 +12,12 @@ from repro.core import (
     query_extension,
     reply_extension,
 )
-from repro.core.handlers import AodvHandler, OlsrHandler
+from repro.core.handlers import (
+    ADVERT_REDUNDANCY,
+    PIGGYBACK_BUDGET,
+    AodvHandler,
+    OlsrHandler,
+)
 from repro.netsim import (
     BROADCAST,
     Datagram,
@@ -123,7 +127,6 @@ class TestAodvPiggybacking:
         assert carried >= 1
 
     def test_piggyback_budget_respected(self):
-        config = ManetSlpConfig(piggyback_budget=2)
         sim = Simulator(seed=5)
         stats = Stats()
         medium = WirelessMedium(sim, stats=stats, tx_range=150.0)
@@ -135,7 +138,7 @@ class TestAodvPiggybacking:
             node.join_medium(medium)
             daemon = Aodv(node)
             daemon.start()
-            slps.append(ManetSlp(node, make_handler(daemon), config).start())
+            slps.append(ManetSlp(node, make_handler(daemon)).start())
             nodes.append(node)
             daemons.append(daemon)
         place_chain(nodes, 100.0)
@@ -147,10 +150,11 @@ class TestAodvPiggybacking:
             )
         daemons[0].discover(nodes[1].ip)
         sim.run(3.0)
+        per_frame = []
         for frame in capture.frames:
             _, extensions = decode_aodv(frame.packet.data)
-            adverts = [e for e in extensions if e.ext_type == EXT_SLP_ADVERT]
-            assert len(adverts) <= 2
+            per_frame.append(sum(1 for e in extensions if e.ext_type == EXT_SLP_ADVERT))
+        assert max(per_frame) == PIGGYBACK_BUDGET
 
     def test_duplicate_queries_answered_once(self):
         sim, stats, medium, nodes, daemons, slps = build("aodv")
@@ -321,7 +325,7 @@ class TestEachSlpMessageHandledOnce:
         collector = TraceCollector().attach(sim)
         slps[0].register(f"service:siphoc-sip://{nodes[0].ip}:5060", {"user": "sip:a@h"})
         sim.run(22.0)  # before the first refresh re-advertises under a new XID
-        assert slps[0].config.advert_redundancy == 2
+        assert ADVERT_REDUNDANCY == 2
         assert stats.count("manetslp.adverts_piggybacked") == 2
         assert learned_by_node(collector) == {nodes[1].ip: 1, nodes[2].ip: 1}
         assert stats.count("manetslp.entries_learned") == 2

@@ -19,7 +19,7 @@ from repro.sip.ua import CallState
 class TestFailedCooldownPrune:
     """Satellite: ConnectionProvider._failed must not grow without bound."""
 
-    def build_provider(self, cooldown=5.0):
+    def build_provider(self):
         sim = Simulator(seed=11)
         stats = Stats()
         medium = WirelessMedium(sim, stats=stats, tx_range=150.0)
@@ -28,19 +28,17 @@ class TestFailedCooldownPrune:
         daemon = Aodv(node)
         daemon.start()
         slp = ManetSlp(node, make_handler(daemon)).start()
-        provider = ConnectionProvider(
-            node, slp, poll_interval=1.0, gateway_cooldown=cooldown
-        ).start()
+        provider = ConnectionProvider(node, slp).start()
         return sim, provider
 
     def test_expired_entries_dropped_on_poll(self):
-        sim, provider = self.build_provider(cooldown=5.0)
+        sim, provider = self.build_provider()
         provider._failed["10.0.0.9"] = sim.now + 5.0
         sim.run(sim.now + 10.0)  # idle polling, no gateways anywhere
         assert provider._failed == {}
 
     def test_live_entries_survive_the_prune(self):
-        sim, provider = self.build_provider(cooldown=5.0)
+        sim, provider = self.build_provider()
         provider._failed["10.0.0.8"] = sim.now + 2.0
         provider._failed["10.0.0.9"] = sim.now + 1000.0
         sim.run(sim.now + 6.0)
@@ -86,7 +84,7 @@ class TestMidCallHandover:
 
 
 def build_handover_scenario(plan, multihomed, seed=7, hops=3):
-    from repro.core.config import HandoverConfig, SiphocConfig
+    from repro.core.config import SiphocConfig
 
     scenario = ManetScenario(
         ManetConfig(
@@ -95,7 +93,7 @@ def build_handover_scenario(plan, multihomed, seed=7, hops=3):
             routing="aodv",
             seed=seed,
             multihomed=multihomed,
-            siphoc=SiphocConfig(handover=HandoverConfig()),
+            siphoc=SiphocConfig(handover=True),
             faults=plan,
             tracing=True,
         )
@@ -126,7 +124,7 @@ class TestCrashDuringHandover:
         plan = FaultPlan().crash(11.5, 3).interface_down(12.0, 0)
         scenario = build_handover_scenario(plan, multihomed=(0, 3))
         alice, call = establish_call(scenario)
-        # Run well past giveup_after (6 s) plus SIP Timer F (32 s).
+        # Run well past GIVEUP_AFTER (6 s) plus SIP Timer F (32 s).
         scenario.sim.run(60.0)
         policy = scenario.stacks[0].handover
         assert policy is not None

@@ -1,12 +1,11 @@
 """Overload-control unit tests (§5f): admission 503s, seeded retry jitter,
-tunnel lease caps and SLP re-advertisement rate limiting."""
+and SLP re-advertisement, which nothing rate limits."""
 
 import pytest
 
-from repro.core import ManetSlp, ManetSlpConfig, TunnelClient, TunnelServer, make_handler
+from repro.core import ManetSlp, make_handler
 from repro.core.connection import backoff_with_jitter, node_backoff_rng
 from repro.netsim import (
-    InternetCloud,
     Node,
     Simulator,
     Stats,
@@ -178,67 +177,11 @@ class TestBackoffJitter:
 
 
 # ---------------------------------------------------------------------------
-# Tunnel lease capacity
+# SLP re-advertisement: no rate limit
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def capped_gateway(sim):
-    """Two MANET clients in a chain behind a gateway with max_leases=1."""
-    stats = Stats()
-    medium = WirelessMedium(sim, stats=stats, tx_range=150.0)
-    c1, c2, gw = make_chain(sim, medium, 3, static_routes=True)
-    cloud = InternetCloud(sim, stats=stats)
-    cloud.attach(gw)
-    server = TunnelServer(gw, cloud, max_leases=1)
-    return stats, c1, c2, gw, server
-
-
-class TestLeaseCapacity:
-    def test_second_client_refused_with_nak(self, sim, capped_gateway):
-        stats, c1, c2, gw, server = capped_gateway
-        outcomes = []
-        TunnelClient(c1, gw.ip).connect(lambda ok: outcomes.append(("c1", ok)))
-        advance(sim, 3.0)
-        TunnelClient(c2, gw.ip).connect(lambda ok: outcomes.append(("c2", ok)))
-        advance(sim, 3.0)
-        assert outcomes == [("c1", True), ("c2", False)]
-        assert len(server.active_leases) == 1
-        assert stats.count("tunnel.leases_rejected") == 1
-
-    def test_renewal_passes_at_capacity(self, sim, capped_gateway):
-        stats, c1, c2, gw, server = capped_gateway
-        client = TunnelClient(c1, gw.ip)
-        client.connect()
-        advance(sim, 3.0)
-        first_expiry = server.active_leases[0].expires_at
-        advance(sim, TunnelClient.RENEW_INTERVAL + 3.0)
-        assert server.active_leases[0].expires_at > first_expiry
-        assert stats.count("tunnel.leases_rejected") == 0
-
-    def test_capacity_frees_on_disconnect(self, sim, capped_gateway):
-        stats, c1, c2, gw, server = capped_gateway
-        first = TunnelClient(c1, gw.ip)
-        first.connect()
-        advance(sim, 3.0)
-        outcomes = []
-        second = TunnelClient(c2, gw.ip)
-        second.connect(outcomes.append)
-        advance(sim, 3.0)
-        assert outcomes == [False]
-        first.disconnect()
-        advance(sim, 2.0)
-        second.connect(outcomes.append)
-        advance(sim, 3.0)
-        assert outcomes == [False, True]
-
-
-# ---------------------------------------------------------------------------
-# SLP re-advertisement rate limiting
-# ---------------------------------------------------------------------------
-
-
-def build_slp(config=None, seed=21):
+def build_slp(seed=21):
     sim = Simulator(seed=seed)
     stats = Stats()
     medium = WirelessMedium(sim, stats=stats, tx_range=150.0)
@@ -246,8 +189,16 @@ def build_slp(config=None, seed=21):
     node.join_medium(medium)
     daemon = Aodv(node)
     daemon.start()
-    slp = ManetSlp(node, make_handler(daemon), config).start()
-    return sim, stats, node, slp
+    slp = ManetSlp(node, make_handler(daemon)).start()
+    advertised = []
+    handler_advertise = slp.handler.advertise
+
+    def spy(entry):
+        advertised.append(entry.attributes["user"])
+        handler_advertise(entry)
+
+    slp.handler.advertise = spy
+    return sim, stats, node, slp, advertised
 
 
 def sip_url(node):
@@ -255,41 +206,20 @@ def sip_url(node):
 
 
 class TestReadvertiseRateLimit:
+    """Every registration hands its advert to the routing plugin at once."""
+
     def test_first_registration_always_advertises(self):
-        sim, stats, node, slp = build_slp(ManetSlpConfig(min_readvertise_interval=30.0))
+        sim, stats, node, slp, advertised = build_slp()
         slp.register(sip_url(node), {"user": "sip:a@h"})
-        assert stats.count("manetslp.adverts_suppressed") == 0
-
-    def test_rearm_within_interval_suppressed_but_state_updates(self):
-        sim, stats, node, slp = build_slp(
-            ManetSlpConfig(min_readvertise_interval=30.0, refresh_interval=0)
-        )
-        slp.register(sip_url(node), {"user": "sip:a@h"})
-        slp.register(sip_url(node), {"user": "sip:b@h"})
-        assert stats.count("manetslp.adverts_suppressed") == 1
-        # The local entry still carries the rearmed attributes.
-        hits = slp.lookup_cached(SERVICE_SIP_CONTACT, "(user=sip:b@h)")
-        assert len(hits) == 1
-
-    def test_advertises_again_once_interval_elapses(self):
-        sim, stats, node, slp = build_slp(
-            ManetSlpConfig(min_readvertise_interval=5.0, refresh_interval=0)
-        )
-        slp.register(sip_url(node), {"user": "sip:a@h"})
-        advance(sim, 6.0)
-        slp.register(sip_url(node), {"user": "sip:a@h"})
-        assert stats.count("manetslp.adverts_suppressed") == 0
+        assert advertised == ["sip:a@h"]
+        assert slp.handler.pending_count() == 1
 
     def test_default_config_never_suppresses(self):
-        sim, stats, node, slp = build_slp()
+        sim, stats, node, slp, advertised = build_slp()
         slp.register(sip_url(node), {"user": "sip:a@h"})
-        slp.register(sip_url(node), {"user": "sip:a@h"})
-        assert stats.count("manetslp.adverts_suppressed") == 0
-
-    def test_periodic_refresh_respects_the_limit(self):
-        sim, stats, node, slp = build_slp(
-            ManetSlpConfig(min_readvertise_interval=30.0, refresh_interval=2.0)
-        )
-        slp.register(sip_url(node), {"user": "sip:a@h"})
-        advance(sim, 7.0)  # several refresh ticks, all inside the interval
-        assert stats.count("manetslp.adverts_suppressed") >= 2
+        slp.register(sip_url(node), {"user": "sip:b@h"})
+        assert advertised == ["sip:a@h", "sip:b@h"]
+        # The re-registration replaced the queued advert and the local entry.
+        assert slp.handler.pending_count() == 1
+        hits = slp.lookup_cached(SERVICE_SIP_CONTACT, "(user=sip:b@h)")
+        assert len(hits) == 1

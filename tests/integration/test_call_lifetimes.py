@@ -5,13 +5,19 @@ by reference counting once the call and its transactions end, and no SIP
 transaction or timer may outlive the RFC 3261 timers that keep it. A short
 call storm (the end-to-end ``call_storm`` workload in miniature: one phone
 calling another over a warm 3-hop AODV chain) drives both checks. The
-SIPHoc proxy's upstream REGISTER through an Internet gateway must leave no
-cyclic garbage either.
+other end-to-end shapes, built in miniature here (a static random AODV
+graph, an OLSR grid and a fading chain with adaptive playout and RFC 2198
+redundancy), must leave no cyclic garbage either, and neither may the
+SIPHoc proxy's upstream REGISTER through an Internet gateway.
 """
 
 import gc
+import math
+
+import pytest
 
 from repro.core import SipAccount
+from repro.faults import FaultPlan
 from repro.netsim.simulator import Simulator
 from repro.scenarios import ManetConfig, ManetScenario
 from repro.sip import SipRequest, SipTransport, TransactionLayer
@@ -23,6 +29,8 @@ CALLS = 20
 RATE = 10.0  # calls per second
 TALK = 0.2  # seconds
 DRAIN = 40.0  # longer than every transaction timer (Timers B, D, F, H, J, L)
+WARMUP = 5.0  # seconds of convergence before a miniature shape's first call
+SHAPE_TALK = 2.0  # talk time of every call in a miniature shape
 
 
 def _warm_chain(seed: int) -> ManetScenario:
@@ -76,6 +84,116 @@ def test_call_storm_leaves_no_cyclic_garbage():
         gc.enable()
     records = scenario.call_records()
     assert sum(record.established_at is not None for record in records) == 2 * CALLS
+    assert freed == 0
+    scenario.stop()
+
+
+def _city() -> tuple[ManetScenario, list[tuple[float, int, int]]]:
+    """A static random AODV graph of degree ~10, calls 250-450 m apart."""
+    n_nodes, tx_range = 30, 150.0
+    side = math.sqrt(n_nodes * math.pi * tx_range * tx_range / 10.0)
+    scenario = ManetScenario(
+        ManetConfig(
+            n_nodes=n_nodes,
+            topology="random",
+            routing="aodv",
+            seed=1,
+            tx_range=tx_range,
+            area=(side, side),
+            connection_provider=False,
+        )
+    )
+    positions = [node.position for node in scenario.nodes]
+    used: set[int] = set()
+    pairs = []
+    for caller in range(n_nodes):
+        if caller in used or len(pairs) == 4:
+            continue
+        for callee in range(n_nodes):
+            if callee != caller and callee not in used and (
+                250.0 <= math.dist(positions[caller], positions[callee]) <= 450.0
+            ):
+                used.update((caller, callee))
+                pairs.append((caller, callee))
+                break
+    return scenario, [(0.5 * order, a, b) for order, (a, b) in enumerate(pairs)]
+
+
+def _olsr_mesh() -> tuple[ManetScenario, list[tuple[float, int, int]]]:
+    """A 4x4 OLSR grid (diagonal neighbours in range), calls 3 hops apart."""
+    scenario = ManetScenario(
+        ManetConfig(
+            n_nodes=16, topology="grid", routing="olsr", seed=1, spacing=90.0, tx_range=140.0
+        )
+    )
+    return scenario, [(0.0, 0, 15), (0.5, 3, 12), (1.0, 1, 14)]
+
+
+def _media_fade() -> tuple[ManetScenario, list[tuple[float, int, int]]]:
+    """Two-hop calls on a chain whose links fade while media flows.
+
+    Each link of a call fades for 0.1 s once its media is flowing, never
+    during call setup or teardown, like e2ebench's media_fade.
+    """
+    calls = [(0.0, 0, 2), (0.25, 3, 5), (3.0, 0, 2), (3.25, 3, 5)]
+    plan = FaultPlan()
+    for start, caller, callee in calls:
+        at = WARMUP + start
+        for k, (a, b) in enumerate(((caller, caller + 1), (caller + 1, callee))):
+            name = f"fade-{a}-{b}-{start}"
+            plan.partition(at + 1.0 + 0.4 * k, [a], [b], name=name).heal(
+                at + 1.1 + 0.4 * k, name
+            )
+    scenario = ManetScenario(
+        ManetConfig(
+            n_nodes=6,
+            topology="chain",
+            routing="aodv",
+            seed=1,
+            mac_retries=1,
+            aodv_net_diameter=2,
+            connection_provider=False,
+            faults=plan,
+            media_jitter_policy="adaptive",
+            media_redundancy=2,
+        )
+    )
+    return scenario, calls
+
+
+@pytest.mark.parametrize(
+    "build", [_city, _olsr_mesh, _media_fade], ids=["city", "olsr_mesh", "media_fade"]
+)
+def test_shape_leaves_no_cyclic_garbage(build):
+    scenario, calls = build()
+    for _, caller, callee in calls:
+        for index in (caller, callee):
+            if f"user{index}" not in scenario.phones:
+                scenario.add_phone(index, f"user{index}")
+    scenario.start()
+    scenario.converge(WARMUP)
+    sim = scenario.sim
+    gc.collect()
+    gc.disable()
+    try:
+        for start, caller, callee in calls:
+            sim.schedule_at(
+                WARMUP + start,
+                scenario.phones[f"user{caller}"].place_call,
+                f"sip:user{callee}@voicehoc.ch",
+                SHAPE_TALK,
+            )
+        sim.run(WARMUP + max(start for start, _, _ in calls) + SHAPE_TALK + 5.0)
+        deadline = sim.now + 60.0
+        while sim.now < deadline and any(not r.final_state for r in scenario.call_records()):
+            sim.run(sim.now + 1.0)
+        sim.run(sim.now + DRAIN)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    records = [r for r in scenario.call_records() if r.direction == "out"]
+    assert len(records) == len(calls)
+    assert all(record.established for record in records)
     assert freed == 0
     scenario.stop()
 

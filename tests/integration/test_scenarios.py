@@ -27,12 +27,8 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             ManetScenario(ManetConfig(topology="torus"))
 
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ConfigError):
-            ManetScenario(n_nodez=5)
-
     def test_overrides_apply(self):
-        scenario = ManetScenario(n_nodes=7, routing="olsr")
+        scenario = ManetScenario(ManetConfig(n_nodes=7, routing="olsr"))
         assert len(scenario.nodes) == 7
         assert scenario.stacks[0].routing.name == "olsr"
 

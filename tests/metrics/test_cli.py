@@ -135,6 +135,33 @@ class TestCli:
         assert main(["prom", export_path, "--index", "0"]) == 0
         assert "repro_queue_depth 1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    def test_dash_rejects_a_bad_width(self, export_path, width, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dash", export_path, "--width", width])
+        assert excinfo.value.code == 2
+        assert "--width: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nodes", ["0", "1"])
+    def test_profile_rejects_too_few_nodes(self, nodes, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--nodes", nodes])
+        assert excinfo.value.code == 2
+        assert "--nodes: must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("calls", ["0", "-2"])
+    def test_profile_rejects_too_few_calls(self, calls, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--calls", calls])
+        assert excinfo.value.code == 2
+        assert "--calls: must be at least 1" in capsys.readouterr().err
+
+    def test_profile_rejects_a_negative_top(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--top", "-1"])
+        assert excinfo.value.code == 2
+        assert "--top: must be at least 0" in capsys.readouterr().err
+
     def test_prom_index_out_of_range_exits_with_error(self, export_path, capsys):
         with pytest.raises(SystemExit, match="--index 999 is out of range"):
             main(["prom", export_path, "--index", "999"])

@@ -63,7 +63,6 @@ def run_scenario(kernel: str, batch_delivery: bool = True) -> tuple[dict, int, i
             tracing=True,
             faults=build_plan(),
             tx_queue_capacity=16,
-            tx_queue_policy="tail-drop",
         )
     )
     sim = scenario.sim

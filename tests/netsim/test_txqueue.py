@@ -32,26 +32,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InterfaceTxQueue(a, 0)
 
-    def test_unknown_policy_rejected(self, sim, medium):
-        (a,) = make_chain(sim, medium, 1)
-        with pytest.raises(ValueError):
-            InterfaceTxQueue(a, 8, policy="newest-first")
-
     def test_default_watermark_is_three_quarters(self, sim, medium):
         (a,) = make_chain(sim, medium, 1)
         assert InterfaceTxQueue(a, 16).high_watermark == 12
         assert InterfaceTxQueue(a, 1).high_watermark == 1  # floor at 1
 
-    def test_explicit_watermark_honored(self, sim, medium):
-        (a,) = make_chain(sim, medium, 1)
-        assert InterfaceTxQueue(a, 16, high_watermark=5).high_watermark == 5
-
     def test_configure_installs_and_removes(self, sim, medium):
         (a,) = make_chain(sim, medium, 1)
         assert a.tx_queue is None
-        a.configure_tx_queue(8, policy="oldest-first")
+        a.configure_tx_queue(8)
         assert a.tx_queue is not None
-        assert a.tx_queue.policy == "oldest-first"
+        assert a.tx_queue.capacity == 8
         a.configure_tx_queue(None)
         assert a.tx_queue is None
 
@@ -96,30 +87,13 @@ class TestSerialization:
 class TestDropPolicies:
     def test_tail_drop_sheds_the_arrival(self, sim, quiet):
         a, b = make_chain(sim, quiet, 2, static_routes=True)
-        a.configure_tx_queue(2, policy="tail-drop")
+        a.configure_tx_queue(2)
         got = collect(b)
         burst(a, b, 5)  # 1 on air + 2 queued; p3, p4 shed on arrival
         sim.run(1.0)
         assert got == [b"p0", b"p1", b"p2"]
         assert a.tx_queue.dropped == 2
         assert a.stats.count("txqueue.drops") == 2
-
-    def test_oldest_first_sheds_the_head(self, sim, quiet):
-        a, b = make_chain(sim, quiet, 2, static_routes=True)
-        a.configure_tx_queue(2, policy="oldest-first")
-        got = collect(b)
-        burst(a, b, 5)  # p0 on air; p1/p2 displaced by p3/p4
-        sim.run(1.0)
-        assert got == [b"p0", b"p3", b"p4"]
-        assert a.tx_queue.dropped == 2
-
-    def test_capacity_one_keeps_newest_under_oldest_first(self, sim, quiet):
-        a, b = make_chain(sim, quiet, 2, static_routes=True)
-        a.configure_tx_queue(1, policy="oldest-first")
-        got = collect(b)
-        burst(a, b, 4)
-        sim.run(1.0)
-        assert got == [b"p0", b"p3"]
 
 
 class TestWatermark:
@@ -158,22 +132,22 @@ class TestTraceEvents:
         collector = TraceCollector().attach(sim)
         medium = WirelessMedium(sim, tx_range=150.0, jitter=0.0)
         a, b = make_chain(sim, medium, 2, static_routes=True)
-        a.configure_tx_queue(2, policy="oldest-first", high_watermark=2)
+        a.configure_tx_queue(4)  # default watermark: 3
         collect(b)
-        burst(a, b, 4)
+        burst(a, b, 6)  # p0 on air, p1-p4 queued, p5 shed
         sim.run(1.0)
         kinds = [event.kind for event in collector.events]
-        assert kinds.count("queue.enqueue") == 3  # p1, p2 and displaced-for p3
+        assert kinds.count("queue.enqueue") == 4
         assert kinds.count("queue.drop") == 1
         assert kinds.count("queue.high_watermark") == 1
         drop = next(e for e in collector.events if e.kind == "queue.drop")
         assert drop.node == a.ip
-        assert drop.detail["policy"] == "oldest-first"
-        assert drop.detail["capacity"] == 2
+        assert drop.detail["policy"] == "tail-drop"
+        assert drop.detail["capacity"] == 4
         enqueue_depths = [
             e.detail["depth"] for e in collector.events if e.kind == "queue.enqueue"
         ]
-        assert enqueue_depths == [1, 2, 2]
+        assert enqueue_depths == [1, 2, 3, 4]
 
 
 class TestCrash:
@@ -188,6 +162,28 @@ class TestCrash:
         sim.run(1.0)
         # Only the frame already on the air at crash time arrives.
         assert got == [b"p0"]
+
+
+class TestRadioFlap:
+    def test_frame_on_the_air_keeps_the_interface_busy(self, sim, quiet):
+        """A radio flap mid-frame must not let the next frame overlap it."""
+        a, b = make_chain(sim, quiet, 2, static_routes=True)
+        a.configure_tx_queue(8)
+        collect(b)
+        starts = []
+        quiet.add_sniffer(lambda frame: starts.append(round(frame.time * 1000, 3)))
+        payload = bytes(1000)
+        a.send_udp(b.ip, 4000, 5000, payload)  # on the air for 4.748 ms
+
+        def flap_then_send():
+            a.set_interface_up("wireless", False)
+            a.set_interface_up("wireless", True)
+            a.send_udp(b.ip, 4000, 5000, payload)
+            a.send_udp(b.ip, 4000, 5000, payload)
+
+        sim.schedule(0.0001, flap_then_send)
+        sim.run(1.0)
+        assert starts == [0.0, 4.748, 9.496]
 
 
 class TestDefaultsOff:

@@ -6,8 +6,11 @@ import pytest
 
 from repro.overload.__main__ import build_parser, main
 from repro.overload.harness import (
+    ADMISSION_MAX_INFLIGHT,
     MODE_CONTROLLED,
     MODE_UNCONTROLLED,
+    SETUP_SLA,
+    TX_QUEUE_CAPACITY,
     LoadPoint,
     OverloadConfig,
     SweepReport,
@@ -62,7 +65,7 @@ class TestSweepReport:
         report = report_with(
             point(0.5, MODE_CONTROLLED, ok=20),
             point(1.0, MODE_CONTROLLED, ok=20),
-            point(2.0, MODE_CONTROLLED, ok=10),  # 0.5 < knee_threshold 0.8
+            point(2.0, MODE_CONTROLLED, ok=10),  # 0.5 < KNEE_THRESHOLD 0.8
             point(1.0, MODE_UNCONTROLLED, ok=20),  # uncontrolled never counts
         )
         assert report.knee == 1.0
@@ -123,16 +126,15 @@ class TestSweepReport:
 
 class TestScenarioWiring:
     def test_controlled_arms_admission_everywhere(self):
-        cfg = smoke_config()
-        scenario = build_overload_scenario(cfg, controlled=True)
+        scenario = build_overload_scenario(smoke_config(), controlled=True)
         try:
             for stack in scenario.stacks:
                 admission = stack.proxy.core.admission
                 assert admission is not None
-                assert admission.max_inflight == cfg.admission_max_inflight
-                assert admission.retry_after == cfg.admission_retry_after
+                assert admission.max_inflight == ADMISSION_MAX_INFLIGHT
+                assert admission.retry_after == 5
                 assert stack.node.tx_queue is not None
-                assert stack.node.tx_queue.capacity == cfg.tx_queue_capacity
+                assert stack.node.tx_queue.capacity == TX_QUEUE_CAPACITY
         finally:
             scenario.stop()
 
@@ -154,7 +156,7 @@ class TestRunLoadPoint:
         assert result.attempted == 2  # round(0.5 * 4.5)
         assert result.ok == result.established == result.attempted
         assert result.rejected_503 == 0
-        assert result.setup_p50 <= cfg.setup_sla
+        assert result.setup_p50 <= SETUP_SLA
         assert result.mos_mean >= 3.6
 
 

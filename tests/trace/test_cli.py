@@ -54,6 +54,14 @@ class TestLadder:
         assert "|" in capsys.readouterr().out
 
 
+    def test_unknown_call_id_is_named(self, trace_file, capsys):
+        assert main(["ladder", trace_file, "--call-id", "nope"]) == 0
+        out = capsys.readouterr().out
+        assert "Call-ID 'nope'" in out
+        assert "--list-calls" in out
+        assert "was tracing enabled" not in out
+
+
 class TestFilter:
     def test_filter_emits_valid_jsonl(self, trace_file, capsys):
         assert main(["filter", trace_file, "--category", "sip", "--kind", "sip.msg_tx"]) == 0
@@ -82,6 +90,11 @@ class TestPackets:
         assert main(["packets", trace_file, "--dropped"]) == 0
         out = capsys.readouterr().out
         assert "delivered" not in out
+
+    def test_no_drops_is_not_no_packets(self, trace_file, capsys):
+        # The traced call has packet events but loses none of them.
+        assert main(["packets", trace_file, "--dropped"]) == 0
+        assert capsys.readouterr().out == "(no dropped packets)\n"
 
 
 class TestSmoke:
