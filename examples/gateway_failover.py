@@ -14,43 +14,30 @@ AODV routes around the dead relay, the Connection Provider cools the
 dead gateway down and fails over to the survivor, and a second call
 proves the system recovered. The same schedule replays byte-for-byte on
 every run: faults are simulator-clock events, not wall-clock accidents.
+This is the chaos run of artifact R1 (``python -m repro.experiments R1``).
 
 Run:  python examples/gateway_failover.py
 """
 
-from repro.faults.harness import build_chaos_scenario, default_chaos_plan
-from repro.faults.metrics import analyze_recovery
+from repro.faults.harness import run_chaos
 
 
 def main() -> None:
-    plan = default_chaos_plan(n_nodes=5, t0=3.0)
+    result = run_chaos()
     print("fault schedule (deterministic, JSONL):")
-    for line in plan.describe().splitlines():
+    for line in result.plan.describe().splitlines():
         print(f"  {line}")
     print()
 
-    scenario = build_chaos_scenario(hops=4, routing="aodv", seed=7, plan=plan)
-    scenario.start()
-    sim = scenario.sim
-    scenario.converge()
-
+    first, second = result.first_call, result.second_call
     print("alice calls bob; the relay dies and the gateway loses power mid-call ...")
-    first = scenario.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=15.0)
     print(f"  first call: {first.final_state}"
           f" (established={first.established}) despite the faults")
-
     print("placing the recovery call ...")
-    second = scenario.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=5.0)
     print(f"  second call: {second.final_state} — the MANET healed itself")
 
-    # Let the failover and re-registration latencies finish materializing.
-    last_fault = max(event.at for event in plan.events)
-    sim.run(max(sim.now, last_fault) + 60.0)
-    scenario.stop()
-
-    report = analyze_recovery(list(scenario.trace), scenario.call_records())
     print()
-    print(report.render())
+    print(result.report.render())
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.baselines.base import DiscoveryBackend, ResolveCallback, UserBinding
 from repro.core.handlers import make_handler
-from repro.core.manet_slp import ManetSlp, ManetSlpConfig
+from repro.core.manet_slp import ManetSlp
 from repro.netsim.node import Node
 from repro.routing.base import RoutingProtocol
 from repro.slp.service import SERVICE_SIP_CONTACT, ServiceEntry, ServiceUrl
@@ -20,15 +20,10 @@ class ManetSlpBackend(DiscoveryBackend):
 
     name = "siphoc-manetslp"
 
-    def __init__(
-        self,
-        node: Node,
-        routing: RoutingProtocol,
-        config: ManetSlpConfig | None = None,
-    ) -> None:
+    def __init__(self, node: Node, routing: RoutingProtocol) -> None:
         super().__init__(node)
         self.routing = routing
-        self.slp = ManetSlp(node, make_handler(routing), config)
+        self.slp = ManetSlp(node, make_handler(routing))
 
     def start(self) -> "ManetSlpBackend":
         self.slp.start()

@@ -1,7 +1,8 @@
 """Experiment harness: one function per paper artifact.
 
 Each function runs a complete simulated experiment and returns a
-:class:`~repro.experiments.tables.Table` (F5 returns its rendered frame).
+:class:`~repro.experiments.tables.Table` (F5 returns its rendered frame,
+and O1's :func:`~repro.experiments.overload.run_sweep` a report).
 :data:`repro.experiments.artifacts.ARTIFACTS` names each artifact's
 function, parameters and check; EXPERIMENTS.md records paper claim vs
 measured for each.

@@ -1,14 +1,17 @@
-"""The paper's artifacts: one registry entry per figure or table.
+"""The reproduction's artifacts: one registry entry per figure, table or report.
 
 An :class:`Artifact` holds the function that regenerates it, the
 parameters of each of its tables, a larger set for ``--full`` where one
-exists, the check that lists where its tables miss the shape
+exists, the check that lists where a table misses the shape
 EXPERIMENTS.md reports, and what of a table the golden digest pins.
 :func:`table_runs` turns an entry into one run per table, named
-``<id>`` or ``<id>_<label>``. ``python -m repro.experiments`` prints each
-table and its check's failures, ``benchmarks/test_bench_paper.py`` times
-every checked table, and each pinned table is a gate of the same name in
-:data:`repro.experiments.gates.GATES`.
+``<id>`` or ``<id>_<label>``. A run returns a result whose ``str`` is the
+table's text. The check reads that result as it is, wherever it runs:
+``python -m repro.experiments`` prints each table and its check's
+failures, ``benchmarks/test_bench_paper.py`` times every checked table,
+and each pinned table is a gate of the same name in
+:data:`repro.experiments.gates.GATES`, whose digest covers only what the
+pin keeps.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from repro.experiments import (
     setup_delay_table,
     voice_quality_table,
 )
+from repro.experiments.overload import MODE_CONTROLLED, MODE_UNCONTROLLED, SweepReport, run_sweep
+from repro.faults.harness import ChaosResult, run_chaos
+from repro.trace.events import TraceError, parse_jsonl_line
 
 #: The callee in the gates' calls and in the Figure 5 capture.
 BOB = "sip:bob@voicehoc.ch"
@@ -66,7 +72,8 @@ class Artifact:
     tables: Mapping[str, Mapping[str, Any]] = field(default_factory=lambda: DEFAULTS)
     #: The larger set ``--full`` runs, where one exists.
     full: Mapping[str, Mapping[str, Any]] | None = None
-    #: What of a table the golden digest pins; ``None`` for an artifact that is no gate.
+    #: What of a table the golden digest pins (the digest is the sha256 of
+    #: its ``str``); ``None`` for an artifact that is no gate.
     pin: Callable[[Any], Any] | None = _whole
 
 
@@ -94,6 +101,18 @@ def _all_of(fraction: object) -> bool:
 
 def _nan(value: object) -> bool:
     return isinstance(value, float) and math.isnan(value)
+
+
+def trace_failures(jsonl: str) -> list[str]:
+    """An empty trace export or the first line that fails the event schema."""
+    if not jsonl.strip():
+        return ["trace export is empty"]
+    for number, line in enumerate(jsonl.splitlines(), start=1):
+        try:
+            parse_jsonl_line(line)
+        except TraceError as exc:
+            return [f"trace line {number} failed schema validation: {exc}"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +295,26 @@ def check_voice_quality(table: Table) -> list[str]:
     return failures
 
 
+def check_media(table: Table) -> list[str]:
+    """M1: at each PCMU fade point, fixed playout without RFC 2198 redundancy
+    scores below MOS 3.6 and adaptive playout with RED 2 recovers it."""
+    baseline = _rows_where(table, codec="PCMU", policy="fixed", red=0)
+    recovered = _rows_where(table, codec="PCMU", policy="adaptive", red=2)
+    if not baseline or not recovered:
+        return ["the table lacks a PCMU fixed/no-RED or adaptive/RED 2 row"]
+    failures = [
+        f"fixed/no-RED at {row['fade_pct']} % fade is satisfied: MOS {row['mos']}"
+        for row in baseline
+        if not row["mos"] < MOS_SATISFIED
+    ]
+    failures.extend(
+        f"adaptive/RED 2 at {row['fade_pct']} % fade did not recover: MOS {row['mos']}"
+        for row in recovered
+        if not row["mos"] >= MOS_SATISFIED  # a call that never set up reads NaN
+    )
+    return failures
+
+
 def check_discovery_ablation(table: Table) -> list[str]:
     """A1: SIPHoc alone sends no discovery packets, resolves faster than multicast
     SLP, costs less than the proactive baselines and drains a fifth of their energy."""
@@ -330,6 +369,65 @@ def check_services(table: Table) -> list[str]:
     return failures
 
 
+#: Separates the fault plan from the trace export in R1's pinned text.
+CHAOS_SEPARATOR = "\n=====\n"
+
+
+def pin_chaos(result: ChaosResult) -> str:
+    """R1's fault plan, then its trace export, from which the report is derived."""
+    assert result.scenario.trace is not None
+    return result.plan.describe() + CHAOS_SEPARATOR + result.scenario.trace.export_jsonl()
+
+
+def check_chaos(result: ChaosResult) -> list[str]:
+    """R1: the valid trace shows every planned fault, and the post-fault call
+    re-establishes."""
+    assert result.scenario.trace is not None
+    jsonl = result.scenario.trace.export_jsonl()
+    failures = trace_failures(jsonl)
+    if failures:
+        return failures
+    planned = len(result.plan)
+    injected = sum(parse_jsonl_line(line).category == "fault" for line in jsonl.splitlines())
+    if injected != planned:
+        failures.append(f"{planned} fault events planned but {injected} showed up in the trace")
+    if not result.recovered:
+        failures.append("the post-fault call did not re-establish")
+    return failures
+
+
+def check_sweep(report: SweepReport) -> list[str]:
+    """O1: at the top load admission sheds with 503s while the queues without
+    it collapse, and the controlled rate at twice the knee holds half the
+    knee rate."""
+    top = max(point.load for point in report.points)
+    controlled = report.point(top, MODE_CONTROLLED)
+    uncontrolled = report.point(top, MODE_UNCONTROLLED)
+    if controlled is None or uncontrolled is None:
+        return ["the sweep report is missing its top-load points"]
+    failures = []
+    if controlled.rejected_503 == 0:
+        failures.append("no 503 admission rejections at the overload point")
+    if controlled.admission_rejected == 0:
+        failures.append("sip.admission_rejected counter never moved")
+    if uncontrolled.queue_drops == 0:
+        failures.append("bounded TX queues shed nothing without admission")
+    if controlled.ok_rate <= uncontrolled.ok_rate:
+        failures.append(
+            f"admission control did not help at {top:.1f} cps (controlled "
+            f"{controlled.ok_rate:.3f} <= uncontrolled {uncontrolled.ok_rate:.3f})"
+        )
+    if uncontrolled.rejected_503 or uncontrolled.admission_rejected:
+        failures.append("uncontrolled run unexpectedly produced 503 rejections")
+    if report.knee is None:
+        failures.append("no knee: controlled runs never cleared the threshold")
+    elif not report.graceful_pass:
+        failures.append(
+            f"the controlled rate at {2 * report.knee:.2f} cps does not hold half the knee rate"
+        )
+    return failures
+
+
 def check_city(table: Table) -> list[str]:
     """C1: three in four city calls establish, over a busy event loop."""
     failures = []
@@ -376,9 +474,9 @@ ARTIFACTS: dict[str, Artifact] = {
     "M1": Artifact(
         "media stacks (codec x redundancy x playout) under GE fading",
         media_quality_table,
+        check_media,
         tables={"": dict(codecs=("PCMU",), ge_points=((1.2, 0.05),), talk_time=8.0)},
         full=DEFAULTS,
-        pin=None,
     ),
     "H1": Artifact(
         "mid-call coverage loss, baseline vs multihomed handover (section 5k)",
@@ -403,6 +501,19 @@ ARTIFACTS: dict[str, Artifact] = {
     ),
     "S1": Artifact(
         "IM/presence/video services over SIPHoc (extension)", services_table, check_services
+    ),
+    "R1": Artifact(
+        "chaos run: relay crash, gateway failure, recovery (section 5e)",
+        run_chaos,
+        check_chaos,
+        pin=pin_chaos,
+    ),
+    "O1": Artifact(
+        "offered-load sweep, with and without admission control (section 5f)",
+        run_sweep,
+        check_sweep,
+        tables={"": dict(loads=(1.0, 2.0), window=12.5, grace=12.0)},
+        full=DEFAULTS,
     ),
     "C1": Artifact(
         "city-scale MANET call load (5k nodes with --full)",

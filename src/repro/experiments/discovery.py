@@ -19,7 +19,6 @@ from repro.baselines import (
     ProactiveHelloBackend,
     UserBinding,
 )
-from repro.core.manet_slp import ManetSlpConfig
 from repro.experiments.tables import Table
 from repro.netsim.energy import EnergyModel
 from repro.netsim.medium import WirelessMedium
@@ -54,11 +53,9 @@ class DiscoveryResult:
         return self.lookups_resolved / self.lookups_attempted
 
 
-def _make_backend(
-    scheme: str, node: Node, routing, slp_config: ManetSlpConfig | None
-) -> DiscoveryBackend:
+def _make_backend(scheme: str, node: Node, routing) -> DiscoveryBackend:
     if scheme == "siphoc":
-        return ManetSlpBackend(node, routing, slp_config)
+        return ManetSlpBackend(node, routing)
     if scheme == "multicast-slp":
         return MulticastSlpBackend(node)
     if scheme == "flooding-register":
@@ -78,7 +75,6 @@ def run_discovery_workload(
     lookup_window: float = 20.0,
     spacing: float = 100.0,
     tx_range: float = 150.0,
-    slp_config: ManetSlpConfig | None = None,
 ) -> DiscoveryResult:
     """One workload run: every node registers a user, then random nodes
     look up random remote users; returns traffic + latency accounting."""
@@ -93,7 +89,7 @@ def run_discovery_workload(
         node.join_medium(medium)
         daemon = Aodv(node) if routing == "aodv" else Olsr(node)
         daemon.start()
-        backend = _make_backend(scheme, node, daemon, slp_config)
+        backend = _make_backend(scheme, node, daemon)
         backend.start()
         nodes.append(node)
         backends.append(backend)

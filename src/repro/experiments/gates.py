@@ -4,10 +4,12 @@ The reproduction's contract is that a seeded run depends on its seed
 alone: byte-identical across fresh interpreters and whatever ran before
 it in the same one. :data:`GATES` names the workloads that hold the code
 to it. Each gate is a zero-argument function that runs one seeded workload
-and returns its result, whose ``str`` is the canonical text; a gate may
-also carry a check that reads the result and lists the invariants it
-fails to show. Every table of :data:`repro.experiments.artifacts.ARTIFACTS`
-with a pin is a gate too, named like the table, with the artifact's check.
+and returns its result; a gate may also carry a check that reads the
+result and lists the invariants it fails to show, and a pin that keeps
+what of the result its digest covers: the canonical text is the ``str``
+of the pinned result. Every table of
+:data:`repro.experiments.artifacts.ARTIFACTS` with a pin is a gate too,
+named like the table, with the artifact's check and pin.
 :func:`run_fresh` runs a list of gates, in order, in one new interpreter
 and returns each gate's sha256 digest and check failures;
 ``tests/netsim/test_golden.py`` compares the digests with the committed
@@ -15,11 +17,11 @@ and returns each gate's sha256 digest and check failures;
 
 Run gates by hand (no name prints the list)::
 
-    PYTHONPATH=src python -m repro.experiments.gates chaos_run E1
+    PYTHONPATH=src python -m repro.experiments.gates R1 E1
 
 Each line reads ``<sha256>  <gate>``, as ``sha256sum`` prints, followed by
 one ``FAIL <gate>: <failure>`` line per failed check; the exit status is 1
-when a check failed. ``str(GATES[name].run())`` is a gate's text.
+when a check failed. :meth:`Gate.text` is a gate's text.
 """
 
 from __future__ import annotations
@@ -31,50 +33,35 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.softphone import CallRecord
 from repro.errors import MetricsError
-from repro.experiments.artifacts import ARTIFACTS, BOB, MOS_SATISFIED, Artifact, table_runs
+from repro.experiments.artifacts import ARTIFACTS, BOB, table_runs, trace_failures
 from repro.experiments.handover import HandoverTrial, run_handover_trial
-from repro.experiments.media import run_media_point
 from repro.faults.channel import GilbertElliottChannel, TimedGilbertElliottChannel
-from repro.faults.harness import default_chaos_plan, run_chaos
 from repro.faults.plan import FaultPlan
 from repro.metrics.registry import render_prometheus
 from repro.metrics.scraper import load_jsonl
-from repro.overload.harness import (
-    MODE_CONTROLLED,
-    MODE_UNCONTROLLED,
-    SweepReport,
-    run_sweep,
-    smoke_config,
-)
 from repro.scenarios import ManetConfig, ManetScenario, build_chain_call_scenario
-from repro.trace.events import TraceError, parse_jsonl_line
+from repro.trace.events import parse_jsonl_line
 from repro.trace.ladder import sip_ladder
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One named workload: ``run`` returns a result whose ``str`` is the
-    canonical text; ``check`` reads that result and lists its failures."""
+    """One named workload: ``run`` returns a result, ``check`` reads it and
+    lists its failures, and the digest covers the ``str`` of ``pin(result)``."""
 
     run: Callable[[], Any]
     check: Callable[[Any], list[str]] = lambda result: []
+    pin: Callable[[Any], Any] = lambda result: result
 
-
-def _trace_failures(jsonl: str) -> list[str]:
-    """An empty export or the first line that fails the event schema."""
-    if not jsonl.strip():
-        return ["trace export is empty"]
-    for number, line in enumerate(jsonl.splitlines(), start=1):
-        try:
-            parse_jsonl_line(line)
-        except TraceError as exc:
-            return [f"trace line {number} failed schema validation: {exc}"]
-    return []
+    def text(self, result: Any) -> str:
+        """The canonical text the digest hashes."""
+        return str(self.pin(result))
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +190,15 @@ def fading_media_call() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tracing and faults
+# Tracing
 # ---------------------------------------------------------------------------
 
 
 class TracedCall(NamedTuple):
-    """A call's record and its run's trace export, which is its text."""
+    """A call's record and its run's trace export, which the gate pins."""
 
     record: CallRecord
     jsonl: str
-
-    def __str__(self) -> str:
-        return self.jsonl
 
 
 def traced_chain_call() -> TracedCall:
@@ -229,7 +213,7 @@ def traced_chain_call() -> TracedCall:
 
 def check_traced_chain_call(call: TracedCall) -> list[str]:
     """The call establishes, and its valid trace shows every layer and the INVITE."""
-    failures = _trace_failures(call.jsonl)
+    failures = trace_failures(call.jsonl)
     if failures:
         return failures
     if not call.record.established:
@@ -246,70 +230,9 @@ def check_traced_chain_call(call: TracedCall) -> list[str]:
     return failures
 
 
-#: Separates the fault schedule from the trace in the chaos gate's text.
-_CHAOS_SEPARATOR = "\n=====\n"
-
-
-def chaos_run() -> str:
-    """The seed-7 chaos workload: its fault schedule, then its trace export."""
-    result = run_chaos(hops=4, routing="aodv", seed=7)
-    assert result.scenario.trace is not None
-    return result.plan.describe() + _CHAOS_SEPARATOR + result.scenario.trace.export_jsonl()
-
-
-def check_chaos_run(text: str) -> list[str]:
-    """The run used the default plan and its valid trace shows every planned fault."""
-    schedule, _, jsonl = text.partition(_CHAOS_SEPARATOR)
-    failures = _trace_failures(jsonl)
-    if failures:
-        return failures
-    if schedule != default_chaos_plan(5, t0=3.0).describe():
-        failures.append("the run used a different fault schedule than the plan")
-    planned = len(schedule.splitlines())
-    injected = sum(
-        parse_jsonl_line(line).category == "fault" for line in jsonl.splitlines()
-    )
-    if injected != planned:
-        failures.append(
-            f"{planned} fault events planned but {injected} showed up in the trace"
-        )
-    return failures
-
-
 # ---------------------------------------------------------------------------
-# Overload and metrics
+# Metrics
 # ---------------------------------------------------------------------------
-
-
-def overload_sweep() -> SweepReport:
-    """The reduced offered-load sweep (1 and 2 cps); its text is the rendered report."""
-    return run_sweep(smoke_config())
-
-
-def check_overload_sweep(report: SweepReport) -> list[str]:
-    """At the top load admission sheds with 503s; without it the queues collapse."""
-    top = max(point.load for point in report.points)
-    controlled = report.point(top, MODE_CONTROLLED)
-    uncontrolled = report.point(top, MODE_UNCONTROLLED)
-    if controlled is None or uncontrolled is None:
-        return ["the sweep report is missing its top-load points"]
-    failures = []
-    if controlled.rejected_503 == 0:
-        failures.append("no 503 admission rejections at the overload point")
-    if controlled.admission_rejected == 0:
-        failures.append("sip.admission_rejected counter never moved")
-    if uncontrolled.queue_drops == 0:
-        failures.append("bounded TX queues shed nothing without admission")
-    if controlled.ok_rate <= uncontrolled.ok_rate:
-        failures.append(
-            f"admission control did not help at {top:.1f} cps (controlled "
-            f"{controlled.ok_rate:.3f} <= uncontrolled {uncontrolled.ok_rate:.3f})"
-        )
-    if uncontrolled.rejected_503 or uncontrolled.admission_rejected:
-        failures.append("uncontrolled run unexpectedly produced 503 rejections")
-    if report.knee is None:
-        failures.append("no knee: controlled runs never cleared the threshold")
-    return failures
 
 
 def metrics_export() -> str:
@@ -352,41 +275,6 @@ def check_metrics_export(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # Media plane
 # ---------------------------------------------------------------------------
-
-
-def media_contrast() -> str:
-    """The M1 contrast point: fixed/no-RED against adaptive + RED 2 under fading."""
-    lines = []
-    for label, policy, red in (("baseline", "fixed", 0), ("full", "adaptive", 2)):
-        quality, _ = run_media_point(
-            codec="PCMU", policy=policy, redundancy=red,
-            mean_good=1.2, mean_bad=0.05, talk_time=8.0,
-        )
-        if quality is None:
-            lines.append(f"{label} not-established\n")
-            continue
-        lines.append(
-            f"{label} mos={quality.mos:.4f} eff={quality.effective_loss_ratio:.4f} "
-            f"m2e={quality.mouth_to_ear_delay:.4f} recovered={quality.packets_recovered}\n"
-        )
-    return "".join(lines)
-
-
-def check_media_contrast(text: str) -> list[str]:
-    """Fixed/no-RED scores below MOS 3.6; adaptive + RED 2 recovers it."""
-    mos = {
-        label: float(rest.split()[0])
-        for label, _, rest in (line.partition(" mos=") for line in text.splitlines())
-        if rest
-    }
-    if set(mos) != {"baseline", "full"}:
-        return [f"contrast calls did not establish:\n{text}"]
-    failures = []
-    if mos["baseline"] >= MOS_SATISFIED:
-        failures.append(f"fixed/no-RED baseline unexpectedly satisfied: MOS {mos['baseline']:.2f}")
-    if mos["full"] < MOS_SATISFIED:
-        failures.append(f"RFC 2198 + adaptive playout did not recover: MOS {mos['full']:.2f}")
-    return failures
 
 
 def _e5_schedule(explicit_off: bool) -> str:
@@ -501,7 +389,7 @@ def check_legacy_call(text: str) -> list[str]:
     ]
     if leaked:
         return [f"handover-free run emitted {len(leaked)} handover/iface events"]
-    return _trace_failures(text)
+    return trace_failures(text)
 
 
 GATES: dict[str, Gate] = {
@@ -509,28 +397,20 @@ GATES: dict[str, Gate] = {
     "lossy_mobile_aodv": Gate(lossy_mobile_aodv),
     "olsr_grid_call": Gate(olsr_grid_call),
     "fading_media_call": Gate(fading_media_call),
-    "traced_chain_call": Gate(traced_chain_call, check_traced_chain_call),
-    "chaos_run": Gate(chaos_run, check_chaos_run),
-    "overload_sweep": Gate(overload_sweep, check_overload_sweep),
+    "traced_chain_call": Gate(
+        traced_chain_call, check_traced_chain_call, attrgetter("jsonl")
+    ),
     "metrics_export": Gate(metrics_export, check_metrics_export),
-    "media_contrast": Gate(media_contrast, check_media_contrast),
     "media_knobs_off": Gate(media_knobs_off, check_media_knobs_off),
     "handover_drills": Gate(handover_drills),
     "legacy_call": Gate(legacy_call, check_legacy_call),
 }
 
 
-def _table_gate(artifact: Artifact, run: Callable[[], Any]) -> Gate:
-    """One table's gate: what the artifact pins of the table, and its check."""
-    pin = artifact.pin
-    assert pin is not None and artifact.check is not None
-    return Gate(lambda: pin(run()), artifact.check)
-
-
 GATES.update(
-    (name, _table_gate(artifact, run))
+    (name, Gate(run, artifact.check, artifact.pin))
     for key, artifact in ARTIFACTS.items()
-    if artifact.pin is not None
+    if artifact.pin is not None and artifact.check is not None
     for name, run in table_runs(key).items()
 )
 
@@ -585,7 +465,7 @@ def main(argv: list[str]) -> int:
     for name in argv:
         gate = GATES[name]
         result = gate.run()
-        print(f"{hashlib.sha256(str(result).encode('utf-8')).hexdigest()}  {name}")
+        print(f"{hashlib.sha256(gate.text(result).encode('utf-8')).hexdigest()}  {name}")
         for failure in gate.check(result):
             failed = True
             print(f"FAIL {name}: {' '.join(failure.split())}")

@@ -1,4 +1,4 @@
-"""Offered-load soak: measure graceful degradation under call overload (§5f).
+"""O1: the offered-load soak that measures graceful degradation (§5f).
 
 The workload is the overload acceptance case: a short relay chain whose
 middle node carries every call's RTP both ways, swept across offered call
@@ -10,14 +10,9 @@ the collapse the paper's overload story is about and the graceful knee the
 
 Everything is deterministic: call arrivals are a fixed lattice (no RNG),
 per-point scenarios are freshly built from one seed, and the report is
-rendered with fixed-width formatting so two same-seed runs match byte for
-byte, in one process or in fresh interpreters (each scenario's simulator
-owns its protocol identifier streams).
-
-Kept out of ``repro.overload.__init__`` on purpose: this module imports
-``repro.scenarios``; keeping it off the package namespace mirrors
-``repro.faults.harness`` and keeps the scenario layer cycle-free. Import
-as ``from repro.overload.harness import run_sweep``.
+rendered with fixed-width formatting so two runs match byte for byte, in
+one process or in fresh interpreters (each scenario's simulator owns its
+protocol identifier streams).
 """
 
 from __future__ import annotations
@@ -34,6 +29,8 @@ from repro.sip.proxy import AdmissionControl
 MODE_UNCONTROLLED = "uncontrolled"
 MODE_CONTROLLED = "controlled"
 
+ROUTING = "aodv"
+SEED = 7
 HOPS = 2  # chain length; the middle node relays every call
 CALL_DURATION = 6.0  # talk time after answer (auto hang-up)
 #: A call "succeeds" when it establishes within this many seconds of
@@ -44,22 +41,6 @@ ADMISSION_MAX_INFLIGHT = 1
 ADMISSION_QUEUE_WATERMARK = 0.75
 #: Controlled success rate a load must clear to count as pre-knee.
 KNEE_THRESHOLD = 0.8
-
-
-@dataclass
-class OverloadConfig:
-    """Parameters of one offered-load sweep."""
-
-    routing: str = "aodv"
-    seed: int = 7
-    #: Offered call rates (calls/second). Keep them doubling so every
-    #: candidate knee has its 2x point in the sweep.
-    loads: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    #: Seconds of call arrivals per point. Deliberately a half-integer: an
-    #: odd call count at the 2-cps point keeps the graceful-degradation
-    #: ratio strictly above the 0.50 bar instead of exactly on it.
-    window: float = 16.5
-    grace: float = 14.0  # extra run time for in-flight calls to resolve
 
 
 @dataclass
@@ -88,7 +69,8 @@ class LoadPoint:
 class SweepReport:
     """Every sweep point plus the knee / graceful-degradation analysis."""
 
-    config: OverloadConfig
+    #: Seconds of call arrivals per point.
+    window: float
     points: list[LoadPoint] = field(default_factory=list)
 
     def point(self, load: float, mode: str) -> LoadPoint | None:
@@ -129,16 +111,15 @@ class SweepReport:
         return self.render()
 
     def render(self) -> str:
-        cfg = self.config
         lines = [
             f"offered-load soak: {HOPS + 1}-node chain ({HOPS} hops), "
-            f"{cfg.routing}, seed {cfg.seed}",
-            f"window {cfg.window:.1f}s, call duration {CALL_DURATION:.1f}s, "
+            f"{ROUTING}, seed {SEED}",
+            f"window {self.window:.1f}s, call duration {CALL_DURATION:.1f}s, "
             f"setup SLA {SETUP_SLA:.1f}s, one caller/callee pair",
             f"tx queue: capacity {TX_QUEUE_CAPACITY}, policy {InterfaceTxQueue.POLICY}",
             f"admission (controlled runs): max_inflight={ADMISSION_MAX_INFLIGHT}, "
             f"queue_watermark={ADMISSION_QUEUE_WATERMARK:.2f}, "
-            f"retry_after={AdmissionControl.retry_after}s",
+            f"retry_after={AdmissionControl.RETRY_AFTER}s",
             "",
             "load(cps)  mode           att    ok   rate    est  p50(s)  p95(s)"
             "   mos   503  other  qdrops  admrej",
@@ -199,9 +180,7 @@ def _fmt2(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_overload_scenario(
-    cfg: OverloadConfig, controlled: bool, tracing: bool = False
-) -> ManetScenario:
+def build_overload_scenario(controlled: bool) -> ManetScenario:
     """A relay chain with one phone pair across it.
 
     The caller sits on node 0 and the callee on the far end, so every
@@ -224,9 +203,8 @@ def build_overload_scenario(
         ManetConfig(
             n_nodes=HOPS + 1,
             topology="chain",
-            routing=cfg.routing,
-            seed=cfg.seed,
-            tracing=tracing,
+            routing=ROUTING,
+            seed=SEED,
             tx_queue_capacity=TX_QUEUE_CAPACITY,
             siphoc=siphoc,
         )
@@ -237,15 +215,16 @@ def build_overload_scenario(
     return scenario
 
 
-def run_load_point(cfg: OverloadConfig, load: float, controlled: bool) -> LoadPoint:
+def run_load_point(load: float, controlled: bool, window: float, grace: float) -> LoadPoint:
     """Run one (offered load, mode) point on a freshly built scenario.
 
     A short warm-up call (not counted) primes the route and the SLP
     contact cache, then arrivals follow a deterministic lattice: measured
-    call ``k`` dials at ``k / load`` seconds into the window. No RNG is
-    involved anywhere in the workload.
+    call ``k`` dials at ``k / load`` seconds into the ``window``; the run
+    goes on for ``grace`` seconds more so in-flight calls resolve. No RNG
+    is involved anywhere in the workload.
     """
-    scenario = build_overload_scenario(cfg, controlled)
+    scenario = build_overload_scenario(controlled)
     if scenario.metrics is not None:
         # Label this point's section so the combined export reads as a
         # sweep: `python -m repro.metrics dash` shows the knee per point.
@@ -257,7 +236,7 @@ def run_load_point(cfg: OverloadConfig, load: float, controlled: bool) -> LoadPo
     warmup_records = len(scenario.phones["caller"].history)
     caller = scenario.phones["caller"]
     interval = 1.0 / load
-    n_calls = int(round(load * cfg.window))
+    n_calls = int(round(load * window))
     for k in range(n_calls):
         scenario.sim.schedule(
             k * interval,
@@ -265,7 +244,7 @@ def run_load_point(cfg: OverloadConfig, load: float, controlled: bool) -> LoadPo
             "sip:callee@voicehoc.ch",
             CALL_DURATION,
         )
-    scenario.sim.run(scenario.sim.now + cfg.window + cfg.grace)
+    scenario.sim.run(scenario.sim.now + window + grace)
     scenario.stop()
 
     outgoing = [
@@ -313,16 +292,20 @@ def run_load_point(cfg: OverloadConfig, load: float, controlled: bool) -> LoadPo
     )
 
 
-def run_sweep(cfg: OverloadConfig | None = None) -> SweepReport:
-    """The full sweep: every load, uncontrolled then controlled."""
-    cfg = cfg or OverloadConfig()
-    report = SweepReport(config=cfg)
-    for load in cfg.loads:
-        report.points.append(run_load_point(cfg, load, controlled=False))
-        report.points.append(run_load_point(cfg, load, controlled=True))
+def run_sweep(
+    loads: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0),
+    window: float = 16.5,
+    grace: float = 14.0,
+) -> SweepReport:
+    """O1: every offered call rate in ``loads``, uncontrolled then controlled.
+
+    Keep the loads doubling so every candidate knee has its 2x point in
+    the sweep. ``window`` is deliberately a half-integer: an odd call
+    count at the 2-cps point keeps the graceful-degradation ratio
+    strictly above the 0.50 bar instead of exactly on it.
+    """
+    report = SweepReport(window=window)
+    for load in loads:
+        for controlled in (False, True):
+            report.points.append(run_load_point(load, controlled, window, grace))
     return report
-
-
-def smoke_config() -> OverloadConfig:
-    """The reduced sweep of the ``overload_sweep`` gate (``repro.experiments.gates``)."""
-    return OverloadConfig(loads=(1.0, 2.0), window=12.5, grace=12.0)

@@ -11,7 +11,10 @@ Three pieces (see DESIGN.md §5e):
   (re-registration latency, gateway failover time, route re-discovery,
   calls surviving vs. dropped).
 
-``python -m repro.faults`` is the chaos harness CLI.
+:mod:`repro.faults.harness` runs them together as the chaos run, artifact
+R1 of :data:`repro.experiments.artifacts.ARTIFACTS`:
+``python -m repro.experiments R1`` prints its fault plan and recovery
+report.
 """
 
 from repro.faults.channel import (

@@ -7,8 +7,10 @@ records of the scenario's phones:
 * **re-registration latency** — ``fault.node_restart`` on a node to the
   next ``sip.register`` accepted on that node.
 * **gateway failover time** — ``fault.gateway_down`` to the next
-  ``tunnel.connected`` on each client node that loses its tunnel after
-  the fault (the full detect → re-discover → re-attach cycle).
+  ``tunnel.connected`` on each client node whose tunnel to the downed
+  gateway drops after the fault (the full detect → re-discover →
+  re-attach cycle); a client that had already lost its tunnel, say to
+  its own crash, is not failing over.
 * **route re-discovery time** — ``aodv.discovery_complete`` latencies
   observed at or after the first fault (discoveries forced by the churn).
 * **call outcomes** — placed / established / completed / failed, from
@@ -82,12 +84,17 @@ def analyze_recovery(events: list[TraceEvent], call_records=()) -> RecoveryRepor
                 )
                 break
 
-    # Gateway failover: gateway_down -> next tunnel.connected per client.
+    # Gateway failover: gateway_down -> next tunnel.connected of each client
+    # whose tunnel to that gateway drops after the fault.
     for index, event in enumerate(events):
         if event.kind != "fault.gateway_down":
             continue
+        orphaned: set[str] = set()
         for later in events[index + 1 :]:
-            if later.kind == "tunnel.connected":
+            if later.kind == "tunnel.disconnected" and later.detail.get("gateway") == event.node:
+                orphaned.add(later.node)
+            elif later.kind == "tunnel.connected" and later.node in orphaned:
+                orphaned.discard(later.node)
                 report.gateway_failover_latency.setdefault(
                     later.node, later.t - event.t
                 )

@@ -60,7 +60,6 @@ SUBSYSTEM_PREFIXES: tuple[tuple[str, str], ...] = (
     ("repro.metrics", "kernel"),
     ("repro.scenarios", "harness"),
     ("repro.experiments", "harness"),
-    ("repro.overload", "harness"),
     ("repro.baselines", "harness"),
 )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from repro.netsim.node import Node
 from repro.netsim.packet import is_internet_address
@@ -145,7 +145,7 @@ class AdmissionControl:
     #: when the node has no TX queue configured).
     queue_watermark: float | None = None
     #: Delta-seconds advertised to rejected clients.
-    retry_after: int = 5
+    RETRY_AFTER: ClassVar[int] = 5
 
 
 class _ProxiedInvite:
@@ -317,11 +317,11 @@ class ProxyCore:
                 method=request.method,
                 cause=cause,
                 inflight=self.inflight_forwards,
-                retry_after=policy.retry_after,
+                retry_after=policy.RETRY_AFTER,
             )
         if txn is not None:
             response = request.create_response(503)
-            response.set_retry_after(policy.retry_after)
+            response.set_retry_after(policy.RETRY_AFTER)
             txn.send_response(response)
         return True
 

@@ -54,7 +54,7 @@ def auto_answer(sim):
 class TestAdmissionControl:
     def test_watermark_sheds_with_503_and_retry_after(self, sim, triangle):
         a, p, b, alice, bob, proxy = triangle
-        proxy.admission = AdmissionControl(max_inflight=1, retry_after=9)
+        proxy.admission = AdmissionControl(max_inflight=1)
         bob.on_invite = ring_only
         alice.call("sip:bob@voicehoc.ch")
         advance(sim, 1.0)
@@ -63,7 +63,7 @@ class TestAdmissionControl:
         advance(sim, 2.0)
         assert second.state is CallState.FAILED
         assert second.failure_status == 503
-        assert second.retry_after == 9
+        assert second.retry_after == AdmissionControl.RETRY_AFTER == 5
         assert proxy.rejected_overload == 1
         assert p.stats.count("sip.admission_rejected") == 1
         # Rejections themselves must not inflate the pressure gauge.

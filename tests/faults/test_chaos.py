@@ -1,25 +1,26 @@
-"""Acceptance tests for the chaos harness (ISSUE 4 acceptance criteria).
+"""Acceptance tests for the chaos harness, artifact R1.
 
 A seeded chain scenario takes a mid-call relay crash plus an abrupt
-gateway failure; the call workload must re-establish, and a same-seed
-rerun must reproduce the identical fault schedule and applied-event log.
+gateway failure; the call workload must re-establish, and a rerun must
+reproduce the identical fault schedule and applied-event log.
 (Full byte-identical *trace* reruns are a fresh-process contract — the
-``chaos_run`` gate in ``tests/netsim/test_golden.py`` checks that, like
+``R1`` gate in ``tests/netsim/test_golden.py`` checks that, like
 ``tests/trace/test_determinism.py`` does for plain tracing.)
 """
+
+import dataclasses
 
 import pytest
 
 from repro.faults import GilbertElliottChannel, FaultPlan, analyze_recovery
-from repro.errors import ConfigError
-from repro.faults.__main__ import main
-from repro.faults.harness import build_chaos_scenario, default_chaos_plan, run_chaos
+from repro.faults.harness import HOPS, RELAY, run_chaos
 from repro.scenarios import ManetConfig, ManetScenario
+from repro.trace.events import TraceEvent
 
 
 @pytest.fixture(scope="module")
 def chaos_result():
-    return run_chaos(hops=4, routing="aodv", seed=7)
+    return run_chaos()
 
 
 class TestRecovery:
@@ -46,16 +47,26 @@ class TestRecovery:
 
 class TestDeterminism:
     def test_same_seed_same_schedule_and_applied_log(self, chaos_result):
-        rerun = run_chaos(hops=4, routing="aodv", seed=7)
+        rerun = run_chaos()
         assert rerun.plan.describe() == chaos_result.plan.describe()
         assert rerun.scenario.faults.applied == chaos_result.scenario.faults.applied
 
-    def test_schedule_is_tracing_independent(self):
-        untraced = run_chaos(hops=4, routing="aodv", seed=7, tracing=False)
-        traced_plan = default_chaos_plan(5, t0=3.0)
-        assert untraced.plan.describe() == traced_plan.describe()
-        assert untraced.scenario.trace is None
-        assert untraced.recovered
+    def test_schedule_is_tracing_independent(self, chaos_result):
+        # The chaos run always traces; its scenario untraced fires the same
+        # faults at the same times and still recovers.
+        traced = chaos_result.scenario
+        untraced = ManetScenario(dataclasses.replace(traced.config, tracing=False))
+        untraced.start()
+        for index, user in ((0, "alice"), (HOPS, "bob"), (RELAY, "carol")):
+            untraced.add_phone(index, user)
+        untraced.converge()
+        untraced.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=15.0)
+        second = untraced.call_and_wait("alice", "sip:bob@voicehoc.ch", duration=5.0)
+        untraced.sim.run(traced.sim.now)
+        untraced.stop()
+        assert untraced.trace is None
+        assert untraced.faults.applied == traced.faults.applied
+        assert second.established
 
 
 class TestScenarioIntegration:
@@ -87,18 +98,41 @@ class TestScenarioIntegration:
         assert report.calls_established >= 2
 
 
-class TestShortChains:
-    """Below four hops the crashed relay is the primary gateway or a phone's node."""
+def event(t, kind, node, **detail):
+    return TraceEvent(t=t, seq=0, kind=kind, node=node, detail=detail)
 
-    @pytest.mark.parametrize("hops", [0, 3])
-    def test_builder_rejects_short_chain(self, hops):
-        with pytest.raises(ConfigError):
-            build_chaos_scenario(hops=hops)
 
-    @pytest.mark.parametrize("command", ["plan", "run"])
-    @pytest.mark.parametrize("hops", ["0", "3"])
-    def test_cli_rejects_short_chain(self, command, hops, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "--hops", hops])
-        assert excinfo.value.code == 2
-        assert "needs at least 4 hops" in capsys.readouterr().err
+class TestFailoverAttribution:
+    """Only clients whose tunnel to the downed gateway drops after the fault fail over."""
+
+    GATEWAY = "192.168.0.4"
+
+    def test_client_orphaned_before_the_fault_is_not_a_failover(self):
+        # The relay loses its tunnel to its own crash, the gateway dies 3 s
+        # later, and the relay reconnects only after its restart.
+        events = [
+            event(8.0, "fault.node_crash", "192.168.0.3"),
+            event(8.0, "tunnel.disconnected", "192.168.0.3", gateway=self.GATEWAY),
+            event(11.0, "fault.gateway_down", self.GATEWAY),
+            event(33.0, "fault.node_restart", "192.168.0.3"),
+            event(33.5, "tunnel.connected", "192.168.0.3", gateway="192.168.0.5"),
+            event(47.9, "tunnel.disconnected", "192.168.0.2", gateway=self.GATEWAY),
+            event(58.7, "tunnel.connected", "192.168.0.2", gateway="192.168.0.5"),
+        ]
+        report = analyze_recovery(events)
+        assert report.gateway_failover_latency == {"192.168.0.2": pytest.approx(47.7)}
+
+    def test_client_of_another_gateway_is_not_a_failover(self):
+        events = [
+            event(11.0, "fault.gateway_down", self.GATEWAY),
+            event(20.0, "tunnel.disconnected", "192.168.0.1", gateway="192.168.0.5"),
+            event(21.0, "tunnel.connected", "192.168.0.1", gateway="192.168.0.5"),
+        ]
+        assert analyze_recovery(events).gateway_failover_latency == {}
+
+    def test_chaos_run_counts_only_the_orphaned_clients(self, chaos_result):
+        # Node 2's relay (192.168.0.3) lost its tunnel to its own crash at 8 s.
+        assert sorted(chaos_result.report.gateway_failover_latency) == [
+            "192.168.0.1",
+            "192.168.0.2",
+        ]

@@ -55,7 +55,7 @@ class TestAdmissionUnderLoad:
         record3 = alice.history[-1]
         advance(scenario, 2.0)
         assert record3.failure_status == 503
-        assert record3.retry_after == AdmissionControl.retry_after == 5
+        assert record3.retry_after == AdmissionControl.RETRY_AFTER == 5
         assert not record3.established
         assert scenario.stats.count("sip.admission_rejected") >= 1
 

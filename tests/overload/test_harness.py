@@ -1,23 +1,23 @@
-"""Unit tests for the offered-load soak harness (repro.overload)."""
+"""Unit tests for the offered-load soak harness, artifact O1 (repro.experiments.overload)."""
 
 import math
 
 import pytest
 
-from repro.overload.__main__ import build_parser, main
-from repro.overload.harness import (
+from repro.experiments.__main__ import main
+from repro.experiments.artifacts import check_sweep
+from repro.experiments.overload import (
     ADMISSION_MAX_INFLIGHT,
     MODE_CONTROLLED,
     MODE_UNCONTROLLED,
     SETUP_SLA,
     TX_QUEUE_CAPACITY,
     LoadPoint,
-    OverloadConfig,
     SweepReport,
     build_overload_scenario,
     run_load_point,
-    smoke_config,
 )
+from repro.sip.proxy import AdmissionControl
 
 
 def point(load, mode, ok, attempted=20, **overrides):
@@ -40,7 +40,7 @@ def point(load, mode, ok, attempted=20, **overrides):
 
 
 def report_with(*points):
-    report = SweepReport(config=OverloadConfig(loads=(0.5, 1.0, 2.0, 4.0)))
+    report = SweepReport(window=16.5)
     report.points.extend(points)
     return report
 
@@ -126,20 +126,20 @@ class TestSweepReport:
 
 class TestScenarioWiring:
     def test_controlled_arms_admission_everywhere(self):
-        scenario = build_overload_scenario(smoke_config(), controlled=True)
+        scenario = build_overload_scenario(controlled=True)
         try:
             for stack in scenario.stacks:
                 admission = stack.proxy.core.admission
                 assert admission is not None
                 assert admission.max_inflight == ADMISSION_MAX_INFLIGHT
-                assert admission.retry_after == 5
+                assert admission.RETRY_AFTER == AdmissionControl.RETRY_AFTER == 5
                 assert stack.node.tx_queue is not None
                 assert stack.node.tx_queue.capacity == TX_QUEUE_CAPACITY
         finally:
             scenario.stop()
 
     def test_uncontrolled_keeps_queues_but_no_admission(self):
-        scenario = build_overload_scenario(smoke_config(), controlled=False)
+        scenario = build_overload_scenario(controlled=False)
         try:
             for stack in scenario.stacks:
                 assert stack.proxy.core.admission is None
@@ -150,8 +150,7 @@ class TestScenarioWiring:
 
 class TestRunLoadPoint:
     def test_light_load_all_ok(self):
-        cfg = OverloadConfig(loads=(0.5,), window=4.5, grace=10.0)
-        result = run_load_point(cfg, 0.5, controlled=True)
+        result = run_load_point(0.5, controlled=True, window=4.5, grace=10.0)
         assert result.mode == MODE_CONTROLLED
         assert result.attempted == 2  # round(0.5 * 4.5)
         assert result.ok == result.established == result.attempted
@@ -160,25 +159,48 @@ class TestRunLoadPoint:
         assert result.mos_mean >= 3.6
 
 
-class TestCli:
-    def test_parser_accepts_sweep_options(self):
-        args = build_parser().parse_args(
-            ["sweep", "--seed", "3", "--routing", "olsr", "--loads", "1", "2"]
-        )
-        assert (args.seed, args.routing, args.loads) == (3, "olsr", [1.0, 2.0])
+def shedding_report(rate_at_double):
+    """A sweep whose top load sheds with 503s and beats the collapsed uncontrolled run."""
+    attempted = 20
+    ok = round(rate_at_double * attempted)
+    return report_with(
+        point(1.0, MODE_UNCONTROLLED, ok=20),
+        point(1.0, MODE_CONTROLLED, ok=20),
+        point(2.0, MODE_UNCONTROLLED, ok=0, queue_drops=900),
+        point(
+            2.0,
+            MODE_CONTROLLED,
+            ok=ok,
+            rejected_503=attempted - ok,
+            admission_rejected=attempted - ok,
+            failed_other=0,
+        ),
+    )
 
-    @pytest.mark.parametrize("load", ["0", "-1"])
-    def test_sweep_rejects_non_positive_load(self, load, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--loads", "1", load])
-        assert excinfo.value.code == 2
-        assert "offered load must be a positive rate" in capsys.readouterr().err
+
+class TestCheck:
+    def test_graceful_sweep_passes(self):
+        assert check_sweep(shedding_report(0.55)) == []
+
+    def test_collapse_at_twice_the_knee_fails(self):
+        # This was the exit status of the retired sweep CLI.
+        assert check_sweep(shedding_report(0.45)) == [
+            "the controlled rate at 2.00 cps does not hold half the knee rate"
+        ]
+
+
+class TestCli:
+    def test_o1_runs_and_passes_its_check(self, capsys):
+        assert main(["O1"]) == 0
+        out = capsys.readouterr().out
+        assert "offered-load soak" in out and "-> graceful" in out
+        assert "FAIL" not in out
 
     @pytest.mark.parametrize("interval", ["0", "-0.5", "inf", "nan"])
     def test_sweep_rejects_bad_metrics_interval(self, interval, tmp_path, capsys):
         out = tmp_path / "out.jsonl"
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--metrics", str(out), "--metrics-interval", interval])
+            main(["O1", "--metrics", str(out), "--metrics-interval", interval])
         assert excinfo.value.code == 2
         assert "metrics interval must be a positive, finite" in capsys.readouterr().err
         assert not out.exists()

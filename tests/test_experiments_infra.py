@@ -7,7 +7,7 @@ import pytest
 
 from repro.experiments import Table
 from repro.experiments.__main__ import main
-from repro.experiments.artifacts import ARTIFACTS
+from repro.experiments.artifacts import ARTIFACTS, check_media
 
 
 class TestTable:
@@ -69,6 +69,14 @@ class TestCli:
         assert "F3: call flow steps (aodv" in out and "F3: call flow steps (olsr" in out
         assert "[F3_aodv:" in out and "FAIL" not in out
 
+    def test_r1_prints_the_recovery_report_not_the_trace(self, capsys):
+        assert main(["R1"]) == 0
+        out = capsys.readouterr().out
+        assert "fault plan:" in out and "gateway failover latency" in out
+        assert "post-fault call re-established: yes" in out
+        assert "FAIL" not in out
+        assert '"kind":"packet.' not in out and len(out) < 5_000
+
     def test_failed_check_is_printed_and_exits_1(self, capsys, monkeypatch):
         failing = dataclasses.replace(ARTIFACTS["T1"], check=lambda table: ["no provider"])
         monkeypatch.setitem(ARTIFACTS, "T1", failing)
@@ -93,3 +101,30 @@ class TestCli:
                 for kwargs in tables.values():
                     for name in kwargs:
                         assert name in parameters, f"{key}: bad kwarg {name}"
+
+
+class TestMediaCheck:
+    """M1's check is the contrast: only adaptive playout with RED 2 satisfies."""
+
+    def table(self, baseline_mos, recovered_mos):
+        columns = ["codec", "policy", "red", "fade_pct", "mos", "m2e_ms", "eff_loss_pct", "recovered"]
+        table = Table(title="M1", columns=columns)
+        table.add_row("PCMU", "fixed", 0, 4.0, baseline_mos, 82.3, 25.9, 0)
+        table.add_row("PCMU", "adaptive", 2, 4.0, recovered_mos, 169.6, 3.8, 37)
+        return table
+
+    def test_contrast_passes(self):
+        assert check_media(self.table(2.58, 4.01)) == []
+
+    def test_adaptive_red_below_satisfied_fails(self):
+        assert check_media(self.table(2.58, 3.5)) == [
+            "adaptive/RED 2 at 4.0 % fade did not recover: MOS 3.5"
+        ]
+
+    def test_satisfied_baseline_fails(self):
+        assert check_media(self.table(3.7, 4.01)) == [
+            "fixed/no-RED at 4.0 % fade is satisfied: MOS 3.7"
+        ]
+
+    def test_unestablished_call_fails(self):
+        assert len(check_media(self.table(float("nan"), float("nan")))) == 2
