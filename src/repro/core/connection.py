@@ -5,10 +5,19 @@ appears, opens a layer-2 tunnel to it. Monitors lease renewals and tears the
 tunnel down (then resumes polling) if the gateway stops answering — e.g.
 after the gateway node leaves the MANET. Components interested in
 connectivity (the SIPHoc proxy's WAN leg) subscribe to the callbacks.
+
+Where the routing plugin floods every advert to every node (OLSR), a
+network lookup that finds nothing backs off like a failed connect, while
+every poll still reads the local cache, which the flood fills. A lookup
+sent before the node's messages flood past its 1-hop neighbours
+(``FLOOD_SETTLE_TIME`` after start) reaches too few nodes to count as a
+miss. Under AODV each poll's lookup goes out: its RREQ also carries the
+node's queued adverts.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import TYPE_CHECKING, Callable
 
@@ -73,6 +82,13 @@ class ConnectionProvider:
         self._failed: dict[str, float] = {}
         self._consecutive_failures = 0
         self._retry_at = 0.0
+        # Network lookups that found nothing in a row, and when the next may
+        # go out. Misses count only where adverts flood to every node's
+        # cache, and only for lookups sent from ``_counts_misses_from`` on.
+        self._lookup_misses = 0
+        self._lookup_at = 0.0
+        self._lookup_sent_at = 0.0
+        self._counts_misses_from = math.inf
         self._backoff_rng = node_backoff_rng(node)
         self.on_connected: ConnectivityCallback | None = None
         self.on_disconnected: Callable[[], None] | None = None
@@ -87,6 +103,9 @@ class ConnectionProvider:
 
     def start(self) -> "ConnectionProvider":
         if self._poll_task is None:
+            settle = self.manet_slp.handler.FLOOD_SETTLE_TIME
+            if settle is not None:
+                self._counts_misses_from = self.sim.now + settle
             self._poll_task = self.sim.schedule_periodic(
                 self.POLL_INTERVAL, self._poll, jitter=0.2, initial_delay=0.5
             )
@@ -124,12 +143,24 @@ class ConnectionProvider:
             return  # we *are* the Internet attachment; no tunnel needed
         if self.sim.now < self._retry_at:
             return  # backing off after consecutive connect failures
+        if self.sim.now < self._lookup_at and not self.manet_slp.lookup_cached(
+            SERVICE_GATEWAY
+        ):
+            return  # backing off after empty lookups; the cache read sends nothing
+        self._lookup_sent_at = self.sim.now
         self.manet_slp.find_services(SERVICE_GATEWAY, callback=self._on_gateways)
 
     def _on_gateways(self, entries: list[ServiceEntry]) -> None:
         if self._poll_task is None:
             return  # stopped (or crashed) since the lookup was launched
-        if self._connecting or self.connected or not entries:
+        if not entries:
+            if self._lookup_sent_at >= self._counts_misses_from:
+                self._lookup_misses += 1
+                self._lookup_at = self._backoff_until(self._lookup_misses)
+            return
+        self._lookup_misses = 0
+        self._lookup_at = 0.0
+        if self._connecting or self.connected:
             return
         self._prune_failed()
         # Prefer gateways that haven't recently failed on us; if every
@@ -181,13 +212,13 @@ class ConnectionProvider:
             self._failed[gateway_ip] = self.sim.now + self.GATEWAY_COOLDOWN
             self.node.stats.increment("connection.gateway_failures")
         self._consecutive_failures += 1
-        backoff = backoff_with_jitter(
-            self.POLL_INTERVAL,
-            self._consecutive_failures,
-            self.MAX_BACKOFF,
-            self._backoff_rng,
+        self._retry_at = self._backoff_until(self._consecutive_failures)
+
+    def _backoff_until(self, failures: int) -> float:
+        """When the jittered backoff after ``failures`` in a row ends."""
+        return self.sim.now + backoff_with_jitter(
+            self.POLL_INTERVAL, failures, self.MAX_BACKOFF, self._backoff_rng
         )
-        self._retry_at = self.sim.now + backoff
 
     def _on_tunnel_down(self) -> None:
         # Fires both from our own _teardown (self.tunnel already None) and

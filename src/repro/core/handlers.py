@@ -82,6 +82,10 @@ class RoutingHandler(abc.ABC):
     """Common plugin machinery: the pending-advert queue and SLP dispatch."""
 
     protocol_name = "generic"
+    #: Where the plugin floods every advert and lookup to every node, how
+    #: long after a node starts its messages first reach past its 1-hop
+    #: neighbours; ``None`` where it does not flood them (AODV).
+    FLOOD_SETTLE_TIME: float | None = None
     #: How long a plugin remembers an SLP message it has handled: one default
     #: advert refresh interval. A refresh re-announces a service under a new
     #: XID and replaces its queued advert, so the redundant sends of one
@@ -298,6 +302,10 @@ class OlsrHandler(RoutingHandler):
     """SLP piggybacking over OLSR's MPR flooding (message type 130)."""
 
     protocol_name = "olsr"
+    #: A neighbour forwards a node's messages once it has heard the node's
+    #: HELLO naming it an MPR, which needs the node's symmetric links and
+    #: 2-hop set first: within three HELLO intervals of the node starting.
+    FLOOD_SETTLE_TIME = Olsr.NEIGHB_HOLD_TIME
 
     def __init__(self, routing: Olsr) -> None:
         super().__init__(routing.node)

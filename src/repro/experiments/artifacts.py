@@ -55,7 +55,8 @@ MOS_SATISFIED = 3.6
 DEFAULTS: Mapping[str, Mapping[str, Any]] = {"": {}}
 
 
-def _whole(result: Any) -> Any:
+def pin_whole(result: Any) -> Any:
+    """The whole table: its digest is the sha256 of its text."""
     return result
 
 
@@ -74,7 +75,7 @@ class Artifact:
     full: Mapping[str, Mapping[str, Any]] | None = None
     #: What of a table the golden digest pins (the digest is the sha256 of
     #: its ``str``); ``None`` for an artifact that is no gate.
-    pin: Callable[[Any], Any] | None = _whole
+    pin: Callable[[Any], Any] | None = pin_whole
 
 
 def table_runs(key: str, full: bool = False) -> dict[str, Callable[[], Any]]:

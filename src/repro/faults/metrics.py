@@ -5,7 +5,11 @@ correlated with the recovery signals that follow them) plus the call
 records of the scenario's phones:
 
 * **re-registration latency** — ``fault.node_restart`` on a node to the
-  next ``sip.register`` accepted on that node.
+  first ``slp.entry_learned`` on another node for a URL the restarted node
+  advertised (``slp.advertise``) since: the moment the rest of the MANET
+  can reach its phones again. (The phone's own REGISTER goes to its
+  co-located proxy at the restart instant, so it would read 0 whatever
+  the network does.)
 * **gateway failover time** — ``fault.gateway_down`` to the next
   ``tunnel.connected`` on each client node whose tunnel to the downed
   gateway drops after the fault (the full detect → re-discover →
@@ -73,12 +77,20 @@ def analyze_recovery(events: list[TraceEvent], call_records=()) -> RecoveryRepor
     report.faults_injected = len(fault_times)
     first_fault = min(fault_times) if fault_times else None
 
-    # Re-registration latency: restart marker -> next accepted REGISTER there.
+    # Re-registration latency: restart marker -> another node first learns a
+    # URL the restarted node advertised since.
     for index, event in enumerate(events):
         if event.kind != "fault.node_restart":
             continue
+        advertised: set[object] = set()
         for later in events[index + 1 :]:
-            if later.kind == "sip.register" and later.node == event.node:
+            if later.kind == "slp.advertise" and later.node == event.node:
+                advertised.add(later.detail.get("url"))
+            elif (
+                later.kind == "slp.entry_learned"
+                and later.node != event.node
+                and later.detail.get("url") in advertised
+            ):
                 report.reregistration_latency.setdefault(
                     event.node, later.t - event.t
                 )

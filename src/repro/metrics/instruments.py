@@ -12,12 +12,6 @@ functions (never lambdas or bound closures stored on the scenario): the
 callbacks survive :meth:`ManetScenario.restart_node` because they iterate
 ``scenario.stacks`` / ``scenario.phones`` at call time instead of
 capturing the component objects that a restart replaces.
-
-Stats-mirror gauges read :class:`repro.netsim.stats.Stats` with plain
-``dict.get`` — never ``stats.counters[name]`` or ``Stats.count()``, which
-would *insert* the key into the defaultdict and change ``summary()``
-output: the exact observer effect the no-observer-effect gate in
-``tools/check.sh`` exists to catch.
 """
 
 from __future__ import annotations
@@ -184,8 +178,7 @@ def _sim_processed(scenario: "ManetScenario") -> int:
 
 
 def _stats_counter(scenario: "ManetScenario", name: str) -> int:
-    # dict.get, NOT Stats.count(): the defaultdict must not grow a key.
-    return scenario.stats.counters.get(name, 0)
+    return scenario.stats.count(name)
 
 
 def _depth_sampler(scenario: "ManetScenario", registry: MetricsRegistry, t: float) -> None:

@@ -128,25 +128,26 @@ class Stats:
         port_class.add(size)
         total.add(size)
 
+    # Readers use ``.get``: indexing a defaultdict would insert a zero entry
+    # for a name never written, and that entry would show in to_dict().
     def traffic_bytes(self, traffic_class: str) -> int:
-        return self.traffic[traffic_class].bytes
+        counter = self.traffic.get(traffic_class)
+        return counter.bytes if counter is not None else 0
 
     def traffic_packets(self, traffic_class: str) -> int:
-        return self.traffic[traffic_class].packets
+        counter = self.traffic.get(traffic_class)
+        return counter.packets if counter is not None else 0
 
     # -- counters ----------------------------------------------------------
     def increment(self, name: str, amount: int = 1) -> None:
         self.counters[name] += amount
 
     def count(self, name: str) -> int:
-        return self.counters[name]
+        return self.counters.get(name, 0)
 
     # -- samples -----------------------------------------------------------
     def sample(self, name: str, value: float) -> None:
         self.samples[name].add(value)
-
-    def series(self, name: str) -> SampleSeries:
-        return self.samples[name]
 
     #: Version of the :meth:`to_dict` serialization schema. Bump on any
     #: incompatible shape change so archived exports stay interpretable.

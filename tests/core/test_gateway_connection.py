@@ -20,11 +20,11 @@ from repro.netsim import (
     manet_ip,
     place_chain,
 )
-from repro.routing import Aodv
+from repro.routing import Aodv, Olsr
 from repro.slp.service import SERVICE_GATEWAY
 
 
-def build(n=3, seed=41, gateway_index=None):
+def build(n=3, seed=41, gateway_index=None, routing=Aodv):
     sim = Simulator(seed=seed)
     stats = Stats()
     medium = WirelessMedium(sim, stats=stats, tx_range=150.0)
@@ -33,7 +33,7 @@ def build(n=3, seed=41, gateway_index=None):
     for index in range(n):
         node = Node(sim, index, manet_ip(index), stats=stats)
         node.join_medium(medium)
-        daemon = Aodv(node)
+        daemon = routing(node)
         daemon.start()
         slps.append(ManetSlp(node, make_handler(daemon)).start())
         nodes.append(node)
@@ -211,3 +211,58 @@ class TestConnectionProvider:
         sim.run(20.0)
         assert provider.connected
         assert provider.tunnel.gateway_ip == nodes[1].ip
+
+
+class TestGatewayLookupRule:
+    """Under OLSR every advert floods to every node's cache, so a network
+    lookup that finds nothing backs off while each poll still reads the
+    cache; a lookup sent before the node's own messages flood past its
+    neighbours is no miss. Under AODV each poll's lookup RREQ also carries
+    the node's queued adverts, so every poll still looks up."""
+
+    @pytest.mark.parametrize("seed", [41, 7, 3])
+    def test_olsr_empty_lookups_back_off(self, seed):
+        sim, stats, cloud, nodes, slps, _ = build(seed=seed, routing=Olsr)
+        ConnectionProvider(nodes[0], slps[0]).start()
+        sim.run(60.0)
+        # One lookup per poll would be 12-13; the backoff doubles from
+        # POLL_INTERVAL after each miss.
+        assert stats.count("manetslp.queries_sent") <= 5
+
+    @pytest.mark.parametrize("seed", [41, 7, 3])
+    def test_olsr_gateway_present_from_start_is_attached_promptly(self, seed):
+        # The gateway's startup adverts reach only its neighbour, so node 0,
+        # two hops away, finds it by a network lookup: one sent before the
+        # MPRs settle finds nothing, and must not hold the next one back.
+        # Attached at 4.8-5.8 s; counting that first miss took 9.9-10.6 s.
+        sim, stats, cloud, nodes, slps, _ = build(
+            seed=seed, gateway_index=2, routing=Olsr
+        )
+        provider = ConnectionProvider(nodes[0], slps[0]).start()
+        connected = []
+        provider.on_connected = lambda tunnel_ip: connected.append(sim.now)
+        sim.run(30.0)
+        assert connected and connected[0] <= 7.0
+
+    @pytest.mark.parametrize("seed", [41, 7, 3])
+    def test_olsr_gateway_advert_is_attached_during_backoff(self, seed):
+        # The next poll's cache read attaches it: 1.4-4.0 s after the start.
+        # A lookup every poll, one of which may be in flight when the advert
+        # lands, took 0.2-1.6 s; a backoff that skipped the cache read, 13-20 s.
+        sim, stats, cloud, nodes, slps, _ = build(seed=seed, routing=Olsr)
+        provider = ConnectionProvider(nodes[0], slps[0]).start()
+        connected = []
+        provider.on_connected = lambda tunnel_ip: connected.append(sim.now)
+        sim.run(40.0)
+        assert not provider.connected
+        cloud.attach(nodes[2])
+        GatewayProvider(nodes[2], cloud, slps[2]).start()
+        sim.run(60.0)
+        assert provider.connected
+        assert connected[0] - 40.0 <= 7.0
+
+    def test_aodv_looks_up_every_poll(self):
+        sim, stats, cloud, nodes, slps, _ = build()
+        ConnectionProvider(nodes[0], slps[0]).start()
+        sim.run(60.0)
+        assert stats.count("manetslp.queries_sent") == 12

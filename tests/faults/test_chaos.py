@@ -39,7 +39,11 @@ class TestRecovery:
         assert all(latency > 0 for latency in report.gateway_failover_latency.values())
 
     def test_relay_reregisters_after_restart(self, chaos_result):
-        assert chaos_result.report.reregistration_latency
+        # The relay restarts and re-advertises carol's contact at 33.0 s;
+        # its neighbour 192.168.0.2 learns it at 33.501 s.
+        assert chaos_result.report.reregistration_latency == {
+            "192.168.0.3": pytest.approx(0.50, abs=0.005)
+        }
 
     def test_route_rediscovery_recorded(self, chaos_result):
         assert chaos_result.report.route_rediscovery_latency
@@ -136,3 +140,32 @@ class TestFailoverAttribution:
             "192.168.0.1",
             "192.168.0.2",
         ]
+
+
+class TestReregistrationLatency:
+    """Re-registration ends when another node learns a URL the restarted node re-advertised."""
+
+    RELAY = "192.168.0.3"
+    CONTACT = "service:siphoc-sip://192.168.0.3:5060"
+    OTHER = "service:siphoc-sip://192.168.0.5:5060"
+
+    def test_ignores_the_local_register_and_unrelated_learnings(self):
+        events = [
+            event(7.0, "slp.advertise", self.RELAY, url=self.CONTACT),
+            event(33.0, "fault.node_restart", self.RELAY),
+            event(33.0, "sip.register", self.RELAY, aor="sip:carol@voicehoc.ch"),
+            event(33.2, "slp.entry_learned", self.RELAY, url=self.OTHER),
+            event(33.3, "slp.entry_learned", "192.168.0.2", url=self.CONTACT),
+            event(33.4, "slp.advertise", self.RELAY, url=self.CONTACT),
+            event(33.5, "slp.entry_learned", self.RELAY, url=self.CONTACT),
+            event(33.9, "slp.entry_learned", "192.168.0.4", url=self.CONTACT),
+        ]
+        report = analyze_recovery(events)
+        assert report.reregistration_latency == {self.RELAY: pytest.approx(0.9)}
+
+    def test_no_learning_means_no_latency(self):
+        events = [
+            event(33.0, "fault.node_restart", self.RELAY),
+            event(33.0, "slp.advertise", self.RELAY, url=self.CONTACT),
+        ]
+        assert analyze_recovery(events).reregistration_latency == {}

@@ -217,3 +217,11 @@ class TestStatsSerialization:
     def test_round_trip_of_empty_stats(self):
         restored = Stats.from_dict(Stats().to_dict())
         assert restored.summary() == Stats().summary()
+
+    def test_reading_an_unwritten_name_adds_nothing(self):
+        stats = self._populated()
+        before = stats.to_dict()
+        assert stats.count("never") == 0
+        assert stats.traffic_bytes("never") == 0
+        assert stats.traffic_packets("never") == 0
+        assert stats.to_dict() == before
