@@ -76,12 +76,6 @@ def test_sip_header_cache_hit_throughput(benchmark):
     assert benchmark(lambda: message.top_via) is expected
 
 
-def test_sip_serialize_throughput(benchmark):
-    message = parse_message(INVITE_WIRE)
-    wire = benchmark(message.serialize)
-    assert wire.startswith(b"INVITE")
-
-
 _RREQ_WIRE = encode_aodv(Rreq(rreq_id=1, dest_ip="192.168.0.9", dest_seq=1,
                               orig_ip="192.168.0.1", orig_seq=2))
 _SRVREG = SrvReg(xid=1, entry=UrlEntry(
@@ -728,7 +722,7 @@ def test_captured_sip_parse_throughput(benchmark, message):
 
 @pytest.mark.parametrize("message", ["invite", "ok"])
 def test_captured_sip_serialize_throughput(benchmark, message):
-    """The first serialize of a freshly parsed message (no wire-form memo hit)."""
+    """The first serialize of a freshly parsed message."""
     wire = _CAPTURED[message]
 
     def fresh():

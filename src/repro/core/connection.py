@@ -326,11 +326,6 @@ class HandoverPolicy:
         self._abandoned: set[str] = set()
         self._last_neighbor_at = self.sim.now
         self._rng = node_backoff_rng(node, salt=5)
-        self.attempted = 0
-        self.succeeded = 0
-        self.abandoned = 0
-        #: Seconds from trigger to confirmed re-INVITE, per success.
-        self.latencies: list[float] = []
         #: Seconds of inbound-media gap spanning each survived outage.
         self.media_gaps: list[float] = []
 
@@ -423,7 +418,6 @@ class HandoverPolicy:
             if wired is not None and wired.up
             else "break-before-make"
         )
-        self.attempted += 1
         self.node.stats.increment("handover.attempted")
         self._emit("handover.trigger", call_id=call.call_id, cause=cause, mode=mode)
         session = phone.media_session(call.call_id)
@@ -504,8 +498,6 @@ class HandoverPolicy:
         now = self.sim.now
         latency = now - attempt.started_at
         attempt.completed_at = now
-        self.succeeded += 1
-        self.latencies.append(latency)
         self.node.stats.increment("handover.succeeded")
         self._migrated.add(attempt.call.call_id)
         self._active.pop(attempt.call.call_id, None)
@@ -549,7 +541,6 @@ class HandoverPolicy:
         self.sim.schedule(self.PROBE_INTERVAL, self._watch_media, attempt)
 
     def _abandon(self, attempt: _HandoverAttempt, cause: str) -> None:
-        self.abandoned += 1
         self.node.stats.increment("handover.abandoned")
         self._abandoned.add(attempt.call.call_id)
         self._active.pop(attempt.call.call_id, None)

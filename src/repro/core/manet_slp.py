@@ -67,6 +67,19 @@ class ManetSlp:
         self._refresh_task = None
         handler.attach(self)
 
+    def resume_xids(self, previous: "ManetSlp") -> None:
+        """Number queries and adverts on from ``previous``, the engine this
+        one replaces when its node reboots.
+
+        Every node holds the bytes of an SLP message it handled for
+        ``RoutingHandler.MESSAGE_HOLD_TIME``. Counting from XID 1 again,
+        a rebooted agent would resend a query or advert byte for byte and
+        every node would drop it as a copy; a real agent starts from a
+        random XID for the same reason.
+        """
+        self._xid = previous._xid
+        self.handler._xid = previous.handler._xid
+
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "ManetSlp":
         if self._refresh_task is None and self.config.refresh_interval > 0:

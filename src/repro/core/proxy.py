@@ -104,11 +104,6 @@ class SiphocProxy:
         """Highest :attr:`inflight_forwards` ever observed."""
         return self.core.inflight_peak
 
-    @property
-    def rejected_overload(self) -> int:
-        """Requests shed by admission control with a 503."""
-        return self.core.rejected_overload
-
     def configure_account(self, account: SipAccount) -> None:
         """Make provider-specific settings (e.g. the mandated outbound proxy
         of the polyphone case) known to the proxy — the paper's future-work

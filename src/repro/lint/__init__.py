@@ -3,8 +3,8 @@
 The reproduction's headline property — bit-identical seeded runs of the
 SIPHoc call flow — rests on conventions that ordinary tests cannot see:
 all time must come from :attr:`Simulator.now`, all randomness from
-:attr:`Simulator.rng`, every cache-backed object must be mutated through
-its versioned API, and nothing order-sensitive may iterate a bare ``set``.
+:attr:`Simulator.rng`, a node moves only through its epoch-notifying
+``position`` setter, and nothing order-sensitive may iterate a bare ``set``.
 This package machine-checks those conventions with a stdlib-only AST
 analyzer, the way sanitizers and race detectors guard a systems codebase.
 
@@ -22,8 +22,6 @@ DET001    wall-clock reads (``time.time``/``monotonic``/``perf_counter``,
 DET002    module-level ``random.*`` calls / un-seeded ``random.Random()``
 DET003    iteration over bare ``set``/``frozenset`` in ``netsim/``, ``core/``,
           ``routing/`` (set order feeds event scheduling)
-CACHE001  external mutation of cache-versioned private attributes of
-          ``Headers``/``SipMessage``/``Packet``
 CACHE002  writes to ``Node._position`` that bypass the epoch-notifying setter
 SIM001    ``==``/``!=`` on simulation-time expressions (float clock values)
 FAULT001  wall-clock or ``random.*`` (even seeded) under ``faults/``

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-#: Matches ``# lint: disable`` / ``# lint: disable=DET001,CACHE001``.
+#: Matches ``# lint: disable`` / ``# lint: disable=DET001,CACHE002``.
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable(?:\s*=\s*(?P<ids>[A-Za-z0-9_,\s]+))?")
 
 #: Sentinel stored in the suppression table meaning "every rule".

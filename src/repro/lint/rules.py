@@ -1,8 +1,8 @@
-"""The project rule set: DET001–DET003, CACHE001–CACHE002, SIM001, FAULT001,
-OBS001 and OVR001.
+"""The project rule set: DET001–DET003, CACHE002, SIM001, FAULT001, OBS001
+and OVR001.
 
-Every rule guards an invariant the simulator's determinism or PR 1's
-caching layer depends on, and reads one module at a time; DESIGN.md §5c
+Every rule guards an invariant the simulator's determinism or one of its
+caches depends on, and reads one module at a time; DESIGN.md §5c
 documents the rationale for each.
 """
 
@@ -403,94 +403,12 @@ class SetIterationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# CACHE001 — external mutation of cache-versioned private state
+# CACHE002 — position writes that bypass the epoch-notifying setter
 # ---------------------------------------------------------------------------
-
-#: Private attribute -> classes allowed to touch it (via self/cls).
-_VERSIONED_PRIVATE_ATTRS: dict[str, tuple[str, ...]] = {
-    "_items": ("Headers",),
-    "_version": ("Headers",),
-    "_wire": ("SipMessage", "SipRequest", "SipResponse"),
-    "_wire_key": ("SipMessage", "SipRequest", "SipResponse"),
-}
-
-#: Method names that mutate a list/dict in place (``x._items.append(...)``).
-_MUTATING_METHODS = frozenset(
-    {"append", "insert", "extend", "remove", "pop", "clear", "sort", "reverse", "update"}
-)
 
 
 def _is_self_or_cls(node: ast.expr) -> bool:
     return isinstance(node, ast.Name) and node.id in {"self", "cls"}
-
-
-class _CacheStateVisitor(RuleVisitor):
-    def _flag_target(self, stmt: ast.AST, target: ast.expr) -> None:
-        while isinstance(target, ast.Subscript):
-            target = target.value
-        if not isinstance(target, ast.Attribute):
-            return
-        owners = _VERSIONED_PRIVATE_ATTRS.get(target.attr)
-        if owners is None or _is_self_or_cls(target.value):
-            return
-        self.report(
-            stmt,
-            f"external write to {owners[0]}.{target.attr}: mutate through the "
-            "public API so the serialize-cache version counter stays coherent",
-        )
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._flag_target(node, target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._flag_target(node, node.target)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        self._flag_target(node, node.target)
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            self._flag_target(node, target)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _MUTATING_METHODS
-            and isinstance(func.value, ast.Attribute)
-            and func.value.attr in _VERSIONED_PRIVATE_ATTRS
-            and not _is_self_or_cls(func.value.value)
-        ):
-            owners = _VERSIONED_PRIVATE_ATTRS[func.value.attr]
-            self.report(
-                node,
-                f"in-place mutation of {owners[0]}.{func.value.attr}."
-                f"{func.attr}(): bypasses the version counter; use the "
-                "public mutation API",
-            )
-        self.generic_visit(node)
-
-
-class CacheStateRule(Rule):
-    id = "CACHE001"
-    title = "no external mutation of versioned private cache state"
-    rationale = (
-        "SipMessage.serialize() memoizes on Headers.version; a write to "
-        "_items/_version/_wire from outside the owning class can serve "
-        "stale bytes (wrong sizes on the air interface) without any test "
-        "noticing."
-    )
-    visitor_class = _CacheStateVisitor
-
-
-# ---------------------------------------------------------------------------
-# CACHE002 — position writes that bypass the epoch-notifying setter
-# ---------------------------------------------------------------------------
 
 
 class _PositionWriteVisitor(RuleVisitor):
@@ -681,7 +599,6 @@ ALL_RULES: tuple[Rule, ...] = (
     ScopedBanRule(SCOPED_BANS["DET001"]),
     GlobalRandomRule(),
     SetIterationRule(),
-    CacheStateRule(),
     PositionWriteRule(),
     TimeEqualityRule(),
     ScopedBanRule(SCOPED_BANS["FAULT001"]),

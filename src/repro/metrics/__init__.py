@@ -1,13 +1,14 @@
-"""Sim-time metrics: instrument registry, deterministic scraper, profiler.
+"""Sim-time metrics: a gauge table, deterministic scraper, profiler.
 
 Public surface:
 
-* :class:`MetricsRegistry`, :class:`Counter`, :class:`Gauge`,
-  :class:`Histogram` — the instruments (:mod:`repro.metrics.registry`);
+* :data:`~repro.metrics.instruments.GAUGES` and
+  :func:`scenario_reader` — the gauge table and histograms read from a
+  :class:`~repro.scenarios.ManetScenario`, bound to it;
 * :class:`MetricsScraper`, :func:`load_jsonl` and the process-wide
   default toggle (:mod:`repro.metrics.scraper`);
-* :func:`install_scenario_instruments` — the standard gauge set over a
-  :class:`~repro.scenarios.ManetScenario`;
+* :class:`Histogram` and :func:`render_prometheus`
+  (:mod:`repro.metrics.registry`);
 * :class:`~repro.metrics.profiler.KernelProfiler` — opt-in wall-time
   attribution (imported from its module directly; it is the one part of
   this package allowed to touch the host clock);
@@ -17,13 +18,7 @@ Public surface:
 Design and the determinism contract: DESIGN.md §5i.
 """
 
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    render_prometheus,
-)
+from repro.metrics.registry import Histogram, render_prometheus
 from repro.metrics.scraper import (
     SCHEMA,
     MetricsScraper,
@@ -38,14 +33,11 @@ from repro.metrics.scraper import (
     register,
     registered,
 )
-from repro.metrics.instruments import install_scenario_instruments
+from repro.metrics.instruments import scenario_reader
 
 __all__ = [
     "SCHEMA",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "MetricsScraper",
     "MetricsSection",
     "Snapshot",
@@ -53,10 +45,10 @@ __all__ = [
     "disable_default",
     "enable_default",
     "export_registered",
-    "install_scenario_instruments",
     "interval_arg",
     "load_jsonl",
     "register",
     "registered",
     "render_prometheus",
+    "scenario_reader",
 ]

@@ -1,25 +1,27 @@
-"""Standard instrument set for a :class:`~repro.scenarios.ManetScenario`.
+"""The gauge table a metrics-on :class:`~repro.scenarios.ManetScenario` scrapes.
 
-``install_scenario_instruments(scenario)`` registers the gauges the paper's
-dynamics questions need — queue depths climbing toward the overload knee,
-SLP cache churn, route-table growth, lease occupancy — plus per-scrape
-depth histograms. Every callback is a read-only view over live scenario
-state: aggregation happens at scrape time, so between scrapes the
-instruments cost nothing and the simulation cannot tell they exist.
+``GAUGES`` lists each gauge's name and reader — the dynamics the paper's
+questions need: queue depths climbing toward the overload knee, SLP
+cache churn, route-table growth, lease occupancy — and ``HISTOGRAMS``
+the two per-scrape population histograms with their bucket bounds.
+:func:`scenario_reader` binds the table to one scenario; the scraper
+calls the result once per scrape. Every reader only *reads* live
+scenario state, so between scrapes the table costs nothing and the
+simulation cannot tell it exists. A counter the run already keeps in
+``Stats`` is mirrored by name (:func:`_stat`), never counted twice.
 
-Gauge callbacks are ``functools.partial`` bindings of module-level
-functions (never lambdas or bound closures stored on the scenario): the
-callbacks survive :meth:`ManetScenario.restart_node` because they iterate
-``scenario.stacks`` / ``scenario.phones`` at call time instead of
-capturing the component objects that a restart replaces.
+Readers are module-level functions of the scenario, and they iterate
+``scenario.nodes`` / ``scenario.stacks`` / ``scenario.phones`` at call
+time instead of capturing the component objects, so they survive
+:meth:`ManetScenario.restart_node`, which replaces those objects.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.metrics.registry import DEPTH_BUCKETS, MetricsRegistry
+from repro.metrics.registry import DEPTH_BUCKETS, Histogram
+from repro.metrics.scraper import Reader, Reading
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scenarios import ManetScenario
@@ -27,33 +29,48 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Bucket bounds for route-table sizes (they grow past queue depths).
 ROUTE_BUCKETS = (0.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
+#: A gauge reader: one number from the scenario's live state.
+GaugeReader = Callable[["ManetScenario"], float]
 
-# -- aggregation helpers (module-level, so each gauge is a plain partial) ----
+
+# -- populations (each feeds a histogram and its sum / max gauges) ----------
+
+def _txqueue_depths(scenario: "ManetScenario") -> list[int]:
+    return [node.tx_queue.depth for node in scenario.nodes if node.tx_queue is not None]
+
+
+def _route_counts(scenario: "ManetScenario") -> list[int]:
+    return [stack.routing.route_count for stack in scenario.stacks]
+
+
+def _slp_cache_sizes(scenario: "ManetScenario") -> list[int]:
+    return [stack.manet_slp.cache_size for stack in scenario.stacks]
+
+
+# -- gauge readers ------------------------------------------------------------
+
+def _stat(counter: str) -> GaugeReader:
+    """A gauge that mirrors the ``Stats`` counter ``counter``."""
+
+    def read(scenario: "ManetScenario") -> int:
+        return scenario.stats.count(counter)
+
+    return read
+
 
 def _txqueue_depth_sum(scenario: "ManetScenario") -> int:
-    return sum(
-        node.tx_queue.depth for node in scenario.nodes if node.tx_queue is not None
-    )
+    return sum(_txqueue_depths(scenario))
 
 
 def _txqueue_depth_max(scenario: "ManetScenario") -> int:
-    depths = [
-        node.tx_queue.depth for node in scenario.nodes if node.tx_queue is not None
-    ]
-    return max(depths) if depths else 0
+    return max(_txqueue_depths(scenario), default=0)
 
 
 def _txqueue_peak_depth(scenario: "ManetScenario") -> int:
     peaks = [
         node.tx_queue.peak_depth for node in scenario.nodes if node.tx_queue is not None
     ]
-    return max(peaks) if peaks else 0
-
-
-def _txqueue_dropped(scenario: "ManetScenario") -> int:
-    return sum(
-        node.tx_queue.dropped for node in scenario.nodes if node.tx_queue is not None
-    )
+    return max(peaks, default=0)
 
 
 def _sip_inflight_sum(scenario: "ManetScenario") -> int:
@@ -61,12 +78,7 @@ def _sip_inflight_sum(scenario: "ManetScenario") -> int:
 
 
 def _sip_inflight_peak(scenario: "ManetScenario") -> int:
-    peaks = [stack.proxy.inflight_peak for stack in scenario.stacks]
-    return max(peaks) if peaks else 0
-
-
-def _sip_rejected(scenario: "ManetScenario") -> int:
-    return sum(stack.proxy.rejected_overload for stack in scenario.stacks)
+    return max((stack.proxy.inflight_peak for stack in scenario.stacks), default=0)
 
 
 def _gateway_leases(scenario: "ManetScenario") -> int:
@@ -79,12 +91,11 @@ def _gateway_leases(scenario: "ManetScenario") -> int:
 
 
 def _slp_cache_sum(scenario: "ManetScenario") -> int:
-    return sum(stack.manet_slp.cache_size for stack in scenario.stacks)
+    return sum(_slp_cache_sizes(scenario))
 
 
 def _slp_cache_max(scenario: "ManetScenario") -> int:
-    sizes = [stack.manet_slp.cache_size for stack in scenario.stacks]
-    return max(sizes) if sizes else 0
+    return max(_slp_cache_sizes(scenario), default=0)
 
 
 def _slp_local_sum(scenario: "ManetScenario") -> int:
@@ -92,12 +103,11 @@ def _slp_local_sum(scenario: "ManetScenario") -> int:
 
 
 def _routes_sum(scenario: "ManetScenario") -> int:
-    return sum(stack.routing.route_count for stack in scenario.stacks)
+    return sum(_route_counts(scenario))
 
 
 def _routes_max(scenario: "ManetScenario") -> int:
-    counts = [stack.routing.route_count for stack in scenario.stacks]
-    return max(counts) if counts else 0
+    return max(_route_counts(scenario), default=0)
 
 
 def _aodv_pending(scenario: "ManetScenario") -> int:
@@ -114,7 +124,7 @@ def _olsr_topology(scenario: "ManetScenario") -> int:
         for stack in scenario.stacks
         if hasattr(stack.routing, "topology_size")
     ]
-    return max(sizes) if sizes else 0
+    return max(sizes, default=0)
 
 
 def _rtp_sessions(scenario: "ManetScenario") -> int:
@@ -177,96 +187,66 @@ def _sim_processed(scenario: "ManetScenario") -> int:
     return scenario.sim.events_processed
 
 
-def _stats_counter(scenario: "ManetScenario", name: str) -> int:
-    return scenario.stats.count(name)
+#: Every scenario's gauges by name, in export order, with their readers.
+GAUGES: tuple[tuple[str, GaugeReader], ...] = (
+    ("gateway.leases.active", _gateway_leases),
+    ("handover.abandoned", _stat("handover.abandoned")),
+    ("handover.active", _handover_active),
+    ("handover.attempted", _stat("handover.attempted")),
+    ("handover.media_gap.max", _handover_media_gap_max),  # seconds
+    ("handover.succeeded", _stat("handover.succeeded")),
+    ("ip.no_route", _stat("ip.no_route")),
+    ("routing.routes.max", _routes_max),
+    ("routing.routes.sum", _routes_sum),
+    ("rtp.jitter.backlog.max", _rtp_backlog_max),  # frames awaiting playout
+    ("rtp.jitter.backlog.sum", _rtp_backlog_sum),
+    ("rtp.playout_delay.max", _rtp_playout_delay_max),  # seconds
+    ("rtp.recovered", _stat("rtp.recovered")),  # rebuilt from RFC 2198 redundancy
+    ("rtp.sessions", _rtp_sessions),
+    ("sim.events_processed", _sim_processed),
+    ("sim.pending_events", _sim_pending),
+    ("sip.admission.inflight", _sip_inflight_sum),  # forwards awaiting a final response
+    ("sip.admission.inflight.peak", _sip_inflight_peak),
+    ("sip.admission.rejected", _stat("sip.admission_rejected")),  # 503 sheds
+    ("slp.cache.size.max", _slp_cache_max),  # remote entries, not local services
+    ("slp.cache.size.sum", _slp_cache_sum),
+    ("slp.local.services", _slp_local_sum),
+    ("txqueue.depth.max", _txqueue_depth_max),
+    ("txqueue.depth.peak", _txqueue_peak_depth),  # high-watermark since the start
+    ("txqueue.depth.sum", _txqueue_depth_sum),
+    ("txqueue.dropped", _stat("txqueue.drops")),
+)
+
+#: The one routing-specific gauge of an AODV scenario and of an OLSR one.
+AODV_GAUGE = ("routing.aodv.pending", _aodv_pending)  # discoveries in flight
+OLSR_GAUGE = ("routing.olsr.topology", _olsr_topology)  # largest TC origin set
+
+#: Per-scrape population histograms: name, bucket bounds and population.
+HISTOGRAMS = (
+    ("txqueue.depth.dist", DEPTH_BUCKETS, _txqueue_depths),
+    ("routing.routes.dist", ROUTE_BUCKETS, _route_counts),
+)
 
 
-def _depth_sampler(scenario: "ManetScenario", registry: MetricsRegistry, t: float) -> None:
-    """Per-scrape population histograms: TX-queue depths and route counts."""
-    depth_hist = registry.histogram("txqueue.depth.dist", bounds=DEPTH_BUCKETS)
-    for node in scenario.nodes:
-        if node.tx_queue is not None:
-            depth_hist.observe(node.tx_queue.depth)
-    route_hist = registry.histogram("routing.routes.dist", bounds=ROUTE_BUCKETS)
-    for stack in scenario.stacks:
-        route_hist.observe(stack.routing.route_count)
+def scenario_reader(scenario: "ManetScenario") -> Reader:
+    """The scrape reader of ``scenario``: the gauge table bound to it.
 
-
-def install_scenario_instruments(
-    scenario: "ManetScenario", registry: MetricsRegistry | None = None
-) -> MetricsRegistry:
-    """Register the standard gauge/histogram set over a built scenario.
-
-    Uses the scraper's registry when one is attached (the common path);
-    passing ``registry`` explicitly supports standalone collection.
+    The reader owns the histograms' running totals: each call observes
+    every population once, then reads every gauge and histogram.
     """
-    if registry is None:
-        scraper = scenario.sim.metrics
-        registry = scraper.registry if scraper is not None else MetricsRegistry()
-    gauge = registry.gauge
-    gauge("txqueue.depth.sum", fn=partial(_txqueue_depth_sum, scenario),
-          help="Frames waiting across all TX queues")
-    gauge("txqueue.depth.max", fn=partial(_txqueue_depth_max, scenario),
-          help="Deepest single TX queue right now")
-    gauge("txqueue.depth.peak", fn=partial(_txqueue_peak_depth, scenario),
-          help="High-watermark: deepest any TX queue has ever been")
-    gauge("txqueue.dropped", fn=partial(_txqueue_dropped, scenario),
-          help="Frames shed by TX queue policies so far")
-    gauge("sip.admission.inflight", fn=partial(_sip_inflight_sum, scenario),
-          help="Dialog-initiating forwards awaiting a final response")
-    gauge("sip.admission.inflight.peak", fn=partial(_sip_inflight_peak, scenario),
-          help="Highest single-proxy inflight ever observed")
-    gauge("sip.admission.rejected", fn=partial(_sip_rejected, scenario),
-          help="Requests shed with 503 by admission control so far")
-    gauge("gateway.leases.active", fn=partial(_gateway_leases, scenario),
-          help="Active tunnel leases across all gateways")
-    gauge("slp.cache.size.sum", fn=partial(_slp_cache_sum, scenario),
-          help="Remote SLP entries cached across all nodes")
-    gauge("slp.cache.size.max", fn=partial(_slp_cache_max, scenario),
-          help="Largest single-node SLP cache")
-    gauge("slp.local.services", fn=partial(_slp_local_sum, scenario),
-          help="Locally registered SLP services across all nodes")
-    gauge("routing.routes.sum", fn=partial(_routes_sum, scenario),
-          help="Route-table entries across all nodes")
-    gauge("routing.routes.max", fn=partial(_routes_max, scenario),
-          help="Largest single route table")
-    if scenario.config.routing == "aodv":
-        gauge("routing.aodv.pending", fn=partial(_aodv_pending, scenario),
-              help="AODV route discoveries in flight")
-    else:
-        gauge("routing.olsr.topology", fn=partial(_olsr_topology, scenario),
-              help="Largest OLSR topology set (TC origins known)")
-    gauge("rtp.sessions", fn=partial(_rtp_sessions, scenario),
-          help="Open RTP sessions across all phones")
-    gauge("rtp.jitter.backlog.sum", fn=partial(_rtp_backlog_sum, scenario),
-          help="Frames buffered awaiting playout, all jitter buffers")
-    gauge("rtp.jitter.backlog.max", fn=partial(_rtp_backlog_max, scenario),
-          help="Deepest single jitter buffer")
-    gauge("rtp.playout_delay.max", fn=partial(_rtp_playout_delay_max, scenario),
-          help="Largest playout delay any live jitter buffer targets (s)")
-    gauge("rtp.recovered", fn=partial(_stats_counter, scenario, "rtp.recovered"),
-          help="Frames rebuilt from RFC 2198 redundancy (Stats mirror)")
-    gauge("handover.active", fn=partial(_handover_active, scenario),
-          help="Mid-call migrations currently in progress")
-    gauge("handover.media_gap.max", fn=partial(_handover_media_gap_max, scenario),
-          help="Longest measured media gap across completed handovers (s)")
-    gauge("handover.attempted", fn=partial(_stats_counter, scenario, "handover.attempted"),
-          help="Handover attempts started (Stats mirror)")
-    gauge("handover.succeeded", fn=partial(_stats_counter, scenario, "handover.succeeded"),
-          help="Handovers that re-anchored the session (Stats mirror)")
-    gauge("handover.abandoned", fn=partial(_stats_counter, scenario, "handover.abandoned"),
-          help="Handovers abandoned at the give-up deadline (Stats mirror)")
-    gauge("sim.pending_events", fn=partial(_sim_pending, scenario),
-          help="Live scheduled events in the kernel")
-    gauge("sim.events_processed", fn=partial(_sim_processed, scenario),
-          help="Events fired since the start of the run")
-    gauge("ip.no_route", fn=partial(_stats_counter, scenario, "ip.no_route"),
-          help="Packets dropped for lack of a route (Stats mirror)")
-    gauge("sip.invites", fn=partial(_stats_counter, scenario, "sip.invites"),
-          help="INVITE requests seen (Stats mirror)")
-    registry.histogram("txqueue.depth.dist", bounds=DEPTH_BUCKETS,
-                       help="Per-scrape distribution of TX-queue depths")
-    registry.histogram("routing.routes.dist", bounds=ROUTE_BUCKETS,
-                       help="Per-scrape distribution of route-table sizes")
-    registry.add_sampler(partial(_depth_sampler, scenario, registry))
-    return registry
+    routing_gauge = AODV_GAUGE if scenario.config.routing == "aodv" else OLSR_GAUGE
+    gauges = GAUGES + (routing_gauge,)
+    histograms = [
+        (Histogram(name, bounds), population) for name, bounds, population in HISTOGRAMS
+    ]
+
+    def read() -> Reading:
+        for histogram, population in histograms:
+            for value in population(scenario):
+                histogram.observe(value)
+        return (
+            {name: reader(scenario) for name, reader in gauges},
+            {histogram.name: histogram.read() for histogram, _ in histograms},
+        )
+
+    return read

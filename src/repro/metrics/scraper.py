@@ -1,25 +1,25 @@
 """Deterministic sim-time scraper and the JSONL time-series codec.
 
-The scraper snapshots a :class:`~repro.metrics.registry.MetricsRegistry`
-every ``interval`` simulation seconds **without scheduling any events**.
-Instead, :meth:`repro.netsim.simulator.Simulator.run` chops each clock
-advance at scrape boundaries and calls :meth:`MetricsScraper.scrape`
-between chunks. Because the chunks pop exactly the same ``(time, seq)``
-sequence as one uncut advance, the event schedule — and therefore every
+The scraper calls one reader every ``interval`` simulation seconds
+**without scheduling any events**. Instead,
+:meth:`repro.netsim.simulator.Simulator.run` chops each clock advance at
+scrape boundaries and calls :meth:`MetricsScraper.scrape` between
+chunks. Because the chunks pop exactly the same ``(time, seq)`` sequence
+as one uncut advance, the event schedule — and therefore every
 byte-identity gate — is unchanged whether metrics are on or off. That is
 the whole determinism contract:
 
 * no scrape events in the queue (schedule identical with metrics off),
 * scrape times are ``tick * interval`` with an integer tick counter
   (no float accumulation drift),
-* samplers and gauge callbacks only *read* simulation state,
+* the reader only *reads* simulation state,
 * exports are canonical JSON (sorted keys, fixed separators) so two
   same-seed runs produce byte-identical JSONL files.
 
 Module-level ``enable_default()`` / ``register()`` / ``export_registered()``
 mirror :mod:`repro.trace.collector`: harness flags like ``--metrics`` turn
 on a process-wide default so every scenario built afterwards scrapes
-itself without plumbing a registry through each call site.
+itself without plumbing a scraper through each call site.
 """
 
 from __future__ import annotations
@@ -29,20 +29,25 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import MetricsError
-from repro.metrics.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.simulator import Simulator
 
 SCHEMA = "repro.metrics/v1"
 
+#: What one scrape reads: its gauges and its histograms, each by name.
+Reading = tuple[dict[str, Any], dict[str, Any]]
+#: Called once per scrape (:func:`repro.metrics.instruments.scenario_reader`
+#: binds one to a scenario); it must only read simulation state.
+Reader = Callable[[], Reading]
+
 
 @dataclass
 class Snapshot:
-    """One scrape: simulation time plus the registry's collected sections."""
+    """One scrape: simulation time plus what the reader read."""
 
     t: float
     counters: dict[str, Any] = field(default_factory=dict)
@@ -59,25 +64,16 @@ class Snapshot:
 
 
 class MetricsScraper:
-    """Snapshots a registry at fixed sim-time intervals during kernel runs."""
+    """Calls a reader at fixed sim-time intervals during kernel runs."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        interval: float = 1.0,
-        label: str = "",
-    ) -> None:
+    def __init__(self, read: Reader, interval: float = 1.0, label: str = "") -> None:
         if interval <= 0 or math.isnan(interval) or math.isinf(interval):
             raise MetricsError(f"scrape interval must be positive and finite, got {interval}")
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.read = read
         self.interval = float(interval)
         self.label = label
-        self.enabled = True
         self.snapshots: list[Snapshot] = []
         self._tick = 0  # next scrape fires at (_tick + 1) * interval
-        self._scrapes = self.registry.counter(
-            "metrics.scrapes", help="Number of scrapes taken so far"
-        )
 
     @property
     def next_due(self) -> float:
@@ -97,13 +93,12 @@ class MetricsScraper:
     def scrape(self, t: float) -> Snapshot:
         """Collect one snapshot at sim time ``t`` (a tick boundary)."""
         self._tick += 1
-        self._scrapes.inc()
-        sections = self.registry.collect(t)
+        gauges, histograms = self.read()
         snap = Snapshot(
             t=t,
-            counters=sections["counters"],
-            gauges=sections["gauges"],
-            histograms=sections["histograms"],
+            counters={"metrics.scrapes": len(self.snapshots) + 1},
+            gauges=gauges,
+            histograms=histograms,
         )
         self.snapshots.append(snap)
         return snap
@@ -222,6 +217,7 @@ def enable_default(interval: float = 1.0) -> None:
     if not (interval > 0 and math.isfinite(interval)):
         raise MetricsError(f"scrape interval must be positive and finite, got {interval}")
     _default_interval = float(interval)
+    _registered.clear()
 
 
 def interval_arg(text: str) -> float:
@@ -245,8 +241,9 @@ def default_interval() -> float | None:
 
 
 def register(scraper: MetricsScraper) -> None:
-    """Track a scraper for a later :func:`export_registered` call."""
-    _registered.append(scraper)
+    """Track a scraper for :func:`export_registered` (default mode only)."""
+    if _default_interval is not None:
+        _registered.append(scraper)
 
 
 def registered() -> list[MetricsScraper]:

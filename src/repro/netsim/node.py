@@ -139,8 +139,6 @@ class InterfaceTxQueue:
         self._frames: deque = deque()  # lint: disable=OVR001
         self._busy = False
         self._above_watermark = False
-        self.enqueued = 0
-        self.dropped = 0
         self.transmitted = 0
         self.peak_depth = 0
 
@@ -177,7 +175,6 @@ class InterfaceTxQueue:
     # -- internals ----------------------------------------------------------
     def _enqueue(self, next_hop_ip: str | None, packet: Packet, on_link_failure) -> None:
         self._frames.append((next_hop_ip, packet, on_link_failure))
-        self.enqueued += 1
         self.node.stats.increment("txqueue.enqueued")
         depth = len(self._frames)
         if depth > self.peak_depth:
@@ -195,7 +192,6 @@ class InterfaceTxQueue:
                 )
 
     def _shed(self, packet: Packet) -> None:
-        self.dropped += 1
         self.node.stats.increment("txqueue.drops")
         tracer = self.sim.tracer
         if tracer is not None:

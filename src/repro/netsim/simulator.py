@@ -311,7 +311,7 @@ class Simulator:
                 f"cannot run until {until:.6f}, clock is already at {self.now:.6f}"
             )
         scraper = self.metrics
-        if scraper is not None and scraper.enabled:
+        if scraper is not None:
             due = scraper.next_due
             while due <= until:
                 self._fire_until(due)

@@ -110,11 +110,6 @@ class Olsr(RoutingProtocol):
         """Known TC-advertised origins (metrics gauge)."""
         return len(self._topology)
 
-    @property
-    def mpr_count(self) -> int:
-        """Current multipoint-relay selection size (metrics gauge)."""
-        return len(self._mpr_set)
-
     # -- lifecycle ------------------------------------------------------------
     def _on_start(self) -> None:
         self._hello_task = self.sim.schedule_periodic(

@@ -153,17 +153,7 @@ class ManetScenario:
             for index in base.multihomed:
                 if self.nodes[index].wired_ip is None:
                     self.cloud.attach(self.nodes[index])
-        self.stacks: list[SiphocStack] = [
-            SiphocStack(
-                node,
-                routing=self._make_routing(node),
-                cloud=self.cloud,
-                config=base.siphoc,
-                run_connection_provider=base.connection_provider,
-                gateway_role=self._gateway_role(node),
-            )
-            for node in self.nodes
-        ]
+        self.stacks: list[SiphocStack] = [self._build_stack(node) for node in self.nodes]
         self.mobility: RandomWaypointMobility | None = None
         if base.mobility:
             self.mobility = RandomWaypointMobility(
@@ -183,8 +173,9 @@ class ManetScenario:
         default_interval = metrics_scraper.default_interval()
         if base.metrics or default_interval is not None:
             interval = base.metrics_interval if base.metrics else default_interval
-            self.metrics = metrics_scraper.MetricsScraper(interval=interval).attach(self.sim)
-            metrics_instruments.install_scenario_instruments(self)
+            self.metrics = metrics_scraper.MetricsScraper(
+                metrics_instruments.scenario_reader(self), interval=interval
+            ).attach(self.sim)
             metrics_scraper.register(self.metrics)
         self.phones: dict[str, SoftPhone] = {}
         self._phone_specs: list[dict] = []
@@ -193,6 +184,17 @@ class ManetScenario:
         if base.faults is not None:
             self.faults = FaultInjector(self, base.faults)
         self._started = False
+
+    def _build_stack(self, node: Node) -> SiphocStack:
+        """One node's SIPHoc stack, as built at construction and on restart."""
+        return SiphocStack(
+            node,
+            routing=self._make_routing(node),
+            cloud=self.cloud,
+            config=self.config.siphoc,
+            run_connection_provider=self.config.connection_provider,
+            gateway_role=self._gateway_role(node),
+        )
 
     def _gateway_role(self, node: Node) -> bool | None:
         """Gateway-role argument for one stack.
@@ -284,13 +286,8 @@ class ManetScenario:
             # Node.crash() wiped the default routes; the wired uplink the
             # cloud attached at build time has to be reinstalled.
             node.set_default_route("wired", self.cloud.send, priority=0)
-        stack = SiphocStack(
-            node,
-            routing=self._make_routing(node),
-            cloud=self.cloud,
-            config=self.config.siphoc,
-            gateway_role=self._gateway_role(node),
-        )
+        stack = self._build_stack(node)
+        stack.manet_slp.resume_xids(old.manet_slp)
         self.stacks[index] = stack
         if self._started:
             stack.start()

@@ -86,14 +86,10 @@ def canonical_header_name(name: str) -> str:
 
 
 class Headers:
-    """An ordered, case-insensitive multimap of SIP header fields.
-
-    ``version`` increments on every mutation; :meth:`SipMessage.serialize`
-    uses it to memoize the wire form between mutations.
-    """
+    """An ordered, case-insensitive multimap of SIP header fields."""
 
     def __init__(self, items: Iterable[tuple[str, str]] = ()) -> None:
-        self._adopt([(canonical_header_name(name), value.strip()) for name, value in items])
+        self._items = [(canonical_header_name(name), value.strip()) for name, value in items]
 
     @classmethod
     def from_fields(cls, fields: list[tuple[str, str]]) -> "Headers":
@@ -104,26 +100,15 @@ class Headers:
         pairs are immutable and may be shared with other messages.
         """
         headers = cls.__new__(cls)
-        headers._adopt(fields)
+        headers._items = fields
         return headers
-
-    def _adopt(self, fields: list[tuple[str, str]]) -> None:
-        self._items = fields
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Mutation counter (serialization-cache invalidation key)."""
-        return self._version
 
     def add(self, name: str, value: str) -> None:
         self._items.append((canonical_header_name(name), value.strip()))
-        self._version += 1
 
     def insert_first(self, name: str, value: str) -> None:
         """Insert a header before existing fields of the same name (Via push)."""
         canonical = canonical_header_name(name)
-        self._version += 1
         for index, (existing, _) in enumerate(self._items):
             if existing == canonical:
                 self._items.insert(index, (canonical, value.strip()))
@@ -148,7 +133,6 @@ class Headers:
         """
         canonical = canonical_header_name(name)
         items = self._items
-        self._version += 1
         for index, (existing, _) in enumerate(items):
             if existing == canonical:
                 items[index] = (canonical, value.strip())
@@ -161,37 +145,12 @@ class Headers:
     def remove(self, name: str) -> None:
         canonical = canonical_header_name(name)
         self._items = [(n, v) for n, v in self._items if n != canonical]
-        self._version += 1
-
-    def extend_last(self, name: str, continuation: str) -> None:
-        """Append folded-continuation text to the last field named ``name``.
-
-        Supports obsolete RFC 3261 header line folding during parsing.
-        Raises :class:`KeyError` if no field of that name exists.
-        """
-        canonical = canonical_header_name(name)
-        for index in range(len(self._items) - 1, -1, -1):
-            existing, value = self._items[index]
-            if existing == canonical:
-                self._items[index] = (canonical, f"{value} {continuation.strip()}")
-                self._version += 1
-                return
-        raise KeyError(name)
-
-    def bump_version(self) -> None:
-        """Invalidate serialization caches keyed on :attr:`version`.
-
-        Escape hatch for callers that changed header-derived state in a way
-        the mutator methods cannot see; prefer the mutators themselves.
-        """
-        self._version += 1
 
     def remove_first(self, name: str) -> str | None:
         canonical = canonical_header_name(name)
         for index, (existing, value) in enumerate(self._items):
             if existing == canonical:
                 del self._items[index]
-                self._version += 1
                 return value
         return None
 
@@ -310,8 +269,6 @@ class SipMessage:
     def __init__(self, headers: Headers | None = None, body: bytes = b"") -> None:
         self.headers = headers if headers is not None else Headers()
         self.body = body
-        self._wire: bytes | None = None
-        self._wire_key: tuple[int, str, bytes] | None = None
 
     # -- typed header accessors -------------------------------------------------
     @property
@@ -419,26 +376,12 @@ class SipMessage:
         raise NotImplementedError
 
     def serialize(self) -> bytes:
-        """Wire form of the message.
-
-        Memoized: re-serializing an unmodified message (transaction-layer
-        retransmissions, per-hop transport sends) returns the cached bytes.
-        Any header mutation (tracked by :attr:`Headers.version`), body
-        swap, or start-line change invalidates the cache.
-        """
-        start_line = self._start_line()
-        key = (self.headers.version, start_line, self.body)
-        if self._wire is not None and key == self._wire_key:
-            return self._wire
+        """Wire form of the message, with ``Content-Length`` set from the body."""
         self.headers.set("Content-Length", str(len(self.body)))
-        lines = [start_line]
+        lines = [self._start_line()]
         lines.extend(f"{name}: {value}" for name, value in self.headers.items())
         head = CRLF.join(lines) + CRLF + CRLF
-        self._wire = head.encode("utf-8") + self.body
-        # Record the post-Content-Length headers version so the next
-        # unmutated serialize() hits the cache.
-        self._wire_key = (self.headers.version, start_line, self.body)
-        return self._wire
+        return head.encode("utf-8") + self.body
 
     def __bytes__(self) -> bytes:
         return self.serialize()

@@ -186,7 +186,6 @@ class ProxyCore:
         self.inflight_forwards = 0
         #: Highest inflight_forwards ever observed (metrics gauge).
         self.inflight_peak = 0
-        self.rejected_overload = 0
 
     # -- compatibility accessors for the single-leg common case ------------------
     @property
@@ -307,7 +306,6 @@ class ProxyCore:
                 cause = "queue_depth"
         if cause is None:
             return False
-        self.rejected_overload += 1
         self.node.stats.increment("sip.admission_rejected")
         tracer = self.sim.tracer
         if tracer is not None:

@@ -128,12 +128,11 @@ class TestCrashDuringHandover:
         scenario.sim.run(60.0)
         policy = scenario.stacks[0].handover
         assert policy is not None
-        assert policy.attempted >= 1
-        assert policy.succeeded == 0
-        assert policy.abandoned == 1
         assert policy.active_attempts == 0
-        stats = scenario.stats.counters
-        assert stats.get("handover.abandoned", 0) == 1
+        stats = scenario.stats
+        assert stats.count("handover.attempted") >= 1
+        assert stats.count("handover.succeeded") == 0
+        assert stats.count("handover.abandoned") == 1
         abandoned = scenario.trace.select(kind="handover.abandoned")
         assert abandoned and abandoned[0].detail["cause"] == "deadline"
         # Multiple attempts were made inside the give-up budget.
@@ -158,16 +157,13 @@ class TestPartitionDuringHandover:
         scenario = build_handover_scenario(plan, multihomed=(0,))
         alice, call = establish_call(scenario)
         scenario.sim.run(70.0)
-        policy = scenario.stacks[0].handover
-        assert policy is not None
-        assert policy.attempted >= 1
-        assert policy.succeeded == 0
-        assert policy.abandoned == 1
+        assert scenario.stacks[0].handover is not None
+        assert scenario.stats.count("handover.succeeded") == 0
         alice_ip = scenario.nodes[0].ip
         triggers = scenario.trace.select(kind="handover.trigger", node=alice_ip)
         assert triggers[0].detail["cause"] in ("neighbor_loss", "rtp_silence")
         abandoned = scenario.trace.select(kind="handover.abandoned", node=alice_ip)
-        assert abandoned and abandoned[0].detail["cause"] == "deadline"
+        assert len(abandoned) == 1 and abandoned[0].detail["cause"] == "deadline"
         # Bob's side (no wired uplink at all) abandons immediately too —
         # with its own distinct cause — instead of wedging.
         bob_abandoned = scenario.trace.select(

@@ -33,7 +33,7 @@ class TestSuppressionFolding:
         sup = Suppressions(source)
         for rule_id in ("DET001", "DET002"):
             assert sup.is_suppressed(2, rule_id)
-        assert not sup.is_suppressed(2, "CACHE001")
+        assert not sup.is_suppressed(2, "CACHE002")
 
     def test_continuation_suppression_end_to_end(self):
         from repro.lint import analyze_source

@@ -28,8 +28,6 @@ EXPECTED = {
     "netsim/det003_bad.py": ["DET003"] * 4,
     "netsim/det003_ok.py": [],
     "det003_unscoped.py": [],
-    "cache001_bad.py": ["CACHE001"] * 4,
-    "cache001_ok.py": [],
     "cache002_bad.py": ["CACHE002"],
     "cache002_ok.py": [],
     "sim001_bad.py": ["SIM001"] * 3,

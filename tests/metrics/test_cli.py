@@ -14,6 +14,7 @@ from repro.metrics.render import (
     sparkline,
     summarize_sections,
 )
+from repro.metrics.registry import Histogram
 from repro.metrics.scraper import MetricsScraper, load_jsonl
 
 
@@ -41,14 +42,16 @@ class TestSparkline:
 
 
 def make_export(label="unit"):
-    scraper = MetricsScraper(interval=1.0, label=label)
-    gauge = scraper.registry.gauge("queue.depth")
-    counter = scraper.registry.counter("calls")
-    hist = scraper.registry.histogram("dist", bounds=(1.0, 2.0))
-    for tick, depth in enumerate((1.0, 4.0, 2.0), start=1):
-        gauge.set(depth)
-        counter.inc()
+    depths = iter((1.0, 4.0, 2.0))
+    hist = Histogram("dist", bounds=(1.0, 2.0))
+
+    def read():
+        depth = next(depths)
         hist.observe(depth)
+        return {"queue.depth": depth}, {"dist": hist.read()}
+
+    scraper = MetricsScraper(read, interval=1.0, label=label)
+    for tick in (1, 2, 3):
         scraper.scrape(float(tick))
     return scraper
 
@@ -61,7 +64,7 @@ class TestSeriesExtraction:
             (2.0, 4.0),
             (3.0, 2.0),
         ]
-        assert [v for _, v in series_for(snapshots, "calls")] == [1.0, 2.0, 3.0]
+        assert [v for _, v in series_for(snapshots, "metrics.scrapes")] == [1.0, 2.0, 3.0]
         # histograms yield their running observation count
         assert [v for _, v in series_for(snapshots, "dist")] == [1.0, 2.0, 3.0]
         assert series_for(snapshots, "missing") == []
@@ -69,7 +72,6 @@ class TestSeriesExtraction:
     def test_metric_names_union_sorted(self):
         snapshots = make_export().snapshots
         assert metric_names(snapshots) == [
-            "calls",
             "dist",
             "metrics.scrapes",
             "queue.depth",
@@ -88,15 +90,11 @@ class TestRenderers:
         sections = load_jsonl(io.StringIO(make_export().export_text()))
         text = render_dash(sections, names=["queue.depth"])
         assert "queue.depth" in text
-        assert "calls" not in text
+        assert "metrics.scrapes" not in text
         assert "[1..4]" in text
 
     def test_summarize_ranks_gauges_by_max(self):
-        scraper = MetricsScraper(interval=1.0)
-        low = scraper.registry.gauge("low")
-        high = scraper.registry.gauge("high")
-        low.set(1.0)
-        high.set(9.0)
+        scraper = MetricsScraper(lambda: ({"low": 1.0, "high": 9.0}, {}), interval=1.0)
         scraper.scrape(1.0)
         summary = summarize_sections([s for s in load_jsonl(
             io.StringIO(scraper.export_text())
@@ -122,7 +120,7 @@ class TestCli:
         assert main(["dash", export_path, "--metric", "queue.depth"]) == 0
         out = capsys.readouterr().out
         assert "queue.depth" in out
-        assert "calls" not in out
+        assert "metrics.scrapes" not in out
 
     def test_prom_command(self, export_path, capsys):
         assert main(["prom", export_path]) == 0

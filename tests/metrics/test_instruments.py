@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import SiphocConfig
 from repro.metrics import scraper as scraper_mod
 from repro.scenarios import ManetConfig, ManetScenario
 
@@ -46,11 +47,12 @@ class TestInstallation:
         scenario.stop()
 
     def test_standard_gauges_registered(self, scenario):
-        registry = scenario.metrics.registry
+        gauges, histograms = scenario.metrics.read()
         for name in EXPECTED_GAUGES:
-            assert name in registry, name
-        assert "txqueue.depth.dist" in registry
-        assert "routing.routes.dist" in registry
+            assert name in gauges, name
+        assert "routing.aodv.pending" in gauges
+        assert "routing.olsr.topology" not in gauges
+        assert sorted(histograms) == ["routing.routes.dist", "txqueue.depth.dist"]
 
     def test_enable_default_attaches_without_config_flag(self):
         scraper_mod.disable_default()
@@ -97,8 +99,37 @@ class TestReadings:
         assert depth_dist["count"] == len(scenario.metrics.snapshots) * 3
 
     def test_collect_does_not_insert_stats_keys(self, scenario):
-        # Stats-mirror gauges must use dict.get: reading a counter that was
-        # never incremented must not materialize it in the defaultdict.
+        # Stats-mirror gauges read through Stats.count: reading a counter
+        # that was never incremented must not materialize it.
         before = scenario.stats.summary()
-        scenario.metrics.registry.collect(t=0.0)
+        scenario.metrics.read()
         assert scenario.stats.summary() == before
+
+    def test_shed_gauges_read_stats_under_a_call_burst(self):
+        # One-frame TX queues and a one-call admission limit: a burst of
+        # overlapping calls over the 2-hop chain both drops frames and
+        # sheds INVITEs with 503, and each gauge shows the Stats count.
+        scenario = ManetScenario(
+            ManetConfig(
+                n_nodes=3, seed=7, metrics=True, metrics_interval=0.5,
+                tx_queue_capacity=1,
+                siphoc=SiphocConfig(
+                    admission_max_inflight=1, admission_queue_watermark=0.75
+                ),
+            )
+        )
+        scenario.start()
+        scenario.add_phone(0, "caller")
+        scenario.add_phone(2, "callee")
+        scenario.converge()
+        caller = scenario.phones["caller"]
+        for k in range(6):
+            scenario.sim.schedule(k * 0.5, caller.place_call, "sip:callee@voicehoc.ch", 4.0)
+        scenario.sim.run(scenario.sim.now + 8.0)
+        scenario.stop()
+        last = scenario.metrics.snapshots[-1].gauges
+        drops = scenario.stats.count("txqueue.drops")
+        rejected = scenario.stats.count("sip.admission_rejected")
+        assert drops > 0 and rejected > 0
+        assert last["txqueue.dropped"] == drops
+        assert last["sip.admission.rejected"] == rejected

@@ -1,57 +1,27 @@
-"""Unit tests for the instrument registry and Prometheus renderer."""
+"""Unit tests for the histogram, the gauge table and the Prometheus renderer."""
 
 import pytest
 
 from repro.errors import MetricsError
+from repro.metrics.instruments import AODV_GAUGE, GAUGES, HISTOGRAMS, OLSR_GAUGE
 from repro.metrics.registry import (
     DEPTH_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
     prometheus_name,
     render_prometheus,
 )
-
-
-class TestCounter:
-    def test_starts_at_zero_and_accumulates(self):
-        counter = Counter("calls.placed")
-        assert counter.read() == 0
-        counter.inc()
-        counter.inc(4)
-        assert counter.read() == 5
-
-    def test_rejects_decrease(self):
-        counter = Counter("calls.placed")
-        with pytest.raises(MetricsError, match="cannot decrease"):
-            counter.inc(-1)
-
-    def test_rejects_invalid_name(self):
-        with pytest.raises(MetricsError, match="invalid metric name"):
-            Counter("calls placed")
-        with pytest.raises(MetricsError, match="invalid metric name"):
-            Counter("9calls")
+from repro.metrics.scraper import MetricsScraper
+from repro.scenarios import ManetConfig, ManetScenario
 
 
 class TestGauge:
-    def test_imperative_set(self):
-        gauge = Gauge("queue.depth")
-        assert gauge.read() == 0.0
-        gauge.set(7.0)
-        assert gauge.read() == 7.0
-
     def test_callback_driven(self):
-        state = {"depth": 3}
-        gauge = Gauge("queue.depth", fn=lambda: state["depth"])
-        assert gauge.read() == 3
-        state["depth"] = 9
-        assert gauge.read() == 9
-
-    def test_set_on_callback_gauge_raises(self):
-        gauge = Gauge("queue.depth", fn=lambda: 1.0)
-        with pytest.raises(MetricsError, match="callback-driven"):
-            gauge.set(2.0)
+        # A gauge reads live state each time it is read: nothing is copied.
+        scenario = ManetScenario(ManetConfig(n_nodes=2, seed=1))
+        read = dict(GAUGES)["ip.no_route"]
+        assert read(scenario) == 0
+        scenario.stats.increment("ip.no_route", 3)
+        assert read(scenario) == 3
 
 
 class TestHistogram:
@@ -86,59 +56,23 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        first = registry.counter("x")
-        second = registry.counter("x")
-        assert first is second
-        assert len(registry) == 1
-
-    def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(MetricsError, match="already registered as counter"):
-            registry.gauge("x")
+    """The fixed instrument table, and the snapshot one scrape builds."""
 
     def test_instruments_sorted_by_name(self):
-        registry = MetricsRegistry()
-        registry.counter("zeta")
-        registry.gauge("alpha")
-        registry.histogram("mid")
-        assert [i.name for i in registry.instruments()] == ["alpha", "mid", "zeta"]
-
-    def test_contains_and_get(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g")
-        assert "g" in registry
-        assert "missing" not in registry
-        assert registry.get("g") is gauge
-        assert registry.get("missing") is None
+        names = [name for name, _ in GAUGES]
+        assert names == sorted(names)
+        every = names + [AODV_GAUGE[0], OLSR_GAUGE[0]] + [name for name, *_ in HISTOGRAMS]
+        assert len(set(every)) == len(every), "a name is listed twice"
 
     def test_collect_sections_sorted(self):
-        registry = MetricsRegistry()
-        registry.counter("b.count").inc(2)
-        registry.counter("a.count").inc(1)
-        registry.gauge("g").set(5.0)
-        registry.histogram("h", bounds=(1.0,)).observe(0.5)
-        sections = registry.collect(t=1.0)
-        assert list(sections["counters"]) == ["a.count", "b.count"]
-        assert sections["counters"]["b.count"] == 2
-        assert sections["gauges"] == {"g": 5.0}
+        hist = Histogram("h", bounds=(1.0,))
+        hist.observe(0.5)
+        scraper = MetricsScraper(lambda: ({"b.count": 2, "a.count": 1}, {"h": hist.read()}))
+        sections = scraper.scrape(1.0).to_dict()
+        assert list(sections["gauges"]) == ["a.count", "b.count"]
+        assert sections["gauges"]["b.count"] == 2
+        assert sections["counters"] == {"metrics.scrapes": 1}
         assert sections["histograms"]["h"]["count"] == 1
-
-    def test_samplers_run_before_values_are_read(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("sampled")
-        seen = []
-
-        def sampler(t):
-            seen.append(t)
-            gauge.set(42.0)
-
-        registry.add_sampler(sampler)
-        sections = registry.collect(t=2.5)
-        assert seen == [2.5]
-        assert sections["gauges"]["sampled"] == 42.0
 
 
 class TestPrometheus:
@@ -147,14 +81,14 @@ class TestPrometheus:
         assert prometheus_name("plain", prefix="") == "plain"
 
     def test_render_counter_gauge_histogram(self):
-        registry = MetricsRegistry()
-        registry.counter("c", help="a counter").inc(3)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h", bounds=(1.0, 2.0)).observe(1.5)
-        text = render_prometheus(registry.collect(0.0), registry=registry)
-        assert "# HELP repro_c a counter" in text
+        hist = Histogram("h", bounds=(1.0, 2.0))
+        hist.observe(1.5)
+        sections = {"counters": {"c": 3}, "gauges": {"g": 1.5}, "histograms": {"h": hist.read()}}
+        text = render_prometheus(sections)
+        assert "# HELP" not in text
         assert "# TYPE repro_c counter" in text
         assert "repro_c 3" in text
+        assert "# TYPE repro_g gauge" in text
         assert "repro_g 1.5" in text
         assert 'repro_h_bucket{le="1.0"} 0' in text
         assert 'repro_h_bucket{le="2.0"} 1' in text

@@ -99,6 +99,8 @@ class TestAodvRestart:
         assert first.established_at is not None
         scenario.sim.run(26.5)
         assert scenario.nodes[3].up
+        # The restarted stack is built as the first was: no Connection Provider.
+        assert scenario.stacks[3].connection is None
         second = scenario.call_and_wait("user3", "sip:user0@voicehoc.ch", duration=2.0)
         assert second.failure_status is None
         assert second.established_at is not None

@@ -344,19 +344,16 @@ class TestParsing:
 
 
 class TestSerializeCache:
-    def test_unmodified_message_serializes_once(self):
-        message = parse_message(INVITE_WIRE)
-        wire = message.serialize()
-        assert message.serialize() is wire  # memoized, not rebuilt
+    """Every serialize shows the message as it is now."""
 
     def test_header_mutation_invalidates(self):
         message = parse_message(INVITE_WIRE)
         first = message.serialize()
         message.headers.set("Max-Forwards", "69")
         second = message.serialize()
-        assert second is not first
+        assert b"Max-Forwards: 70" in first
         assert b"Max-Forwards: 69" in second
-        assert message.serialize() is second
+        assert message.serialize() == second
 
     def test_via_push_and_pop_invalidate(self):
         message = parse_message(INVITE_WIRE)
@@ -366,28 +363,6 @@ class TestSerializeCache:
         assert wire.index(b"192.168.0.9") < wire.index(b"192.168.0.1")
         message.headers.remove_first("Via")
         assert b"192.168.0.9" not in message.serialize()
-
-    def test_extend_last_invalidates(self):
-        message = parse_message(INVITE_WIRE)
-        first = message.serialize()
-        version_before = message.headers.version
-        message.headers.extend_last("Contact", ";expires=60")
-        assert message.headers.version > version_before
-        second = message.serialize()
-        assert second is not first
-        assert b"Contact: <sip:alice@192.168.0.1:5070> ;expires=60" in second
-        assert message.serialize() is second
-
-    def test_extend_last_unknown_header_raises(self):
-        message = parse_message(INVITE_WIRE)
-        with pytest.raises(KeyError):
-            message.headers.extend_last("Subject", "nope")
-
-    def test_bump_version_invalidates(self):
-        message = parse_message(INVITE_WIRE)
-        first = message.serialize()
-        message.headers.bump_version()
-        assert message.serialize() is not first
 
     def test_body_change_updates_content_length(self):
         request = SipRequest("OPTIONS", "sip:h")
@@ -405,17 +380,9 @@ class TestSerializeCache:
         response = SipResponse(200)
         response.headers.add("Via", "SIP/2.0/UDP h;branch=z9hG4bK-1")
         wire = response.serialize()
-        assert response.serialize() is wire
+        assert response.serialize() == wire
         parsed = parse_message(wire)
         assert parsed.status == 200
-
-    def test_headers_version_counts_mutations(self):
-        headers = Headers()
-        v0 = headers.version
-        headers.add("Via", "a")
-        headers.set("Via", "b")
-        headers.remove("Via")
-        assert headers.version == v0 + 3
 
     @pytest.mark.parametrize(
         "bad",
