@@ -16,15 +16,12 @@ from typing import Callable
 
 from repro.core.config import SipAccount
 from repro.netsim.node import Node
-from repro.errors import CodecError
 from repro.rtp.codecs import (
     AUXILIARY_PAYLOAD_TYPES,
-    COMFORT_NOISE_PAYLOAD_TYPE,
     Codec,
     G711,
     H263,
     RED_PAYLOAD_TYPE,
-    TELEPHONE_EVENT_PAYLOAD_TYPE,
     codec_for_payload_type,
 )
 from repro.rtp.jitter import JitterPolicy
@@ -134,8 +131,6 @@ class SoftPhone:
         playout_delay: float = 0.06,
         jitter_policy: JitterPolicy | None = None,
         redundancy: int = 0,
-        vad: bool = False,
-        dtmf: bool = False,
         video: bool = False,
     ) -> None:
         # Fail at construction, not mid-call inside the event loop.
@@ -147,13 +142,11 @@ class SoftPhone:
         self.answer_mode = answer_mode
         self.media = media
         self.playout_delay = playout_delay
-        #: Media-plane knobs (§5j): playout policy, RFC 2198 depth, silence
-        #: suppression, DTMF capability. Redundancy is used on a call only
-        #: when both ends negotiated the red payload type in SDP.
+        #: Media-plane knobs (§5j): playout policy and RFC 2198 depth.
+        #: Redundancy is used on a call only when both ends negotiated the
+        #: red payload type in SDP.
         self.jitter_policy = jitter_policy
         self.redundancy = redundancy
-        self.vad = vad
-        self.dtmf = dtmf
         self.video = video
         self._video_sessions: dict[str, RtpSession] = {}
         if account.uses_local_proxy:
@@ -410,14 +403,7 @@ class SoftPhone:
     # -- media ------------------------------------------------------------------------------
     def _extension_payloads(self) -> list[int]:
         """Auxiliary payload types this phone advertises in SDP (§5j)."""
-        extra = []
-        if self.redundancy > 0:
-            extra.append(RED_PAYLOAD_TYPE)
-        if self.vad:
-            extra.append(COMFORT_NOISE_PAYLOAD_TYPE)
-        if self.dtmf:
-            extra.append(TELEPHONE_EVENT_PAYLOAD_TYPE)
-        return extra
+        return [RED_PAYLOAD_TYPE] if self.redundancy > 0 else []
 
     def _start_media(self, call: Call, record: CallRecord) -> None:
         if not self.media or call.local_sdp is None:
@@ -448,19 +434,11 @@ class SoftPhone:
             playout_delay=self.playout_delay,
             jitter_policy=self.jitter_policy,
             redundancy=self.redundancy if red_negotiated else 0,
-            vad=self.vad,
         )
         session.start_sending()
         self._media_sessions[call.call_id] = session
         call.on_media = self._on_media_update
         self._start_video(call)
-
-    def send_dtmf(self, call: Call, digits: str, duration: float = 0.08) -> None:
-        """Send DTMF ``digits`` on an established call's media stream."""
-        session = self._media_sessions.get(call.call_id)
-        if session is None:
-            raise CodecError("call has no active media session for DTMF")
-        session.send_dtmf(digits, duration)
 
     def _start_video(self, call: Call) -> None:
         if not self.video or call.local_sdp is None or call.remote_sdp is None:
@@ -526,12 +504,7 @@ class SoftPhone:
         session.stop_sending()
         talk_time = record.talk_time
         expected = None
-        # With silence suppression the sender legitimately skips frames, so
-        # the talk-time estimate would miscount silence as loss; the
-        # sequence-number range (the session's own estimate) stays correct
-        # because comfort-noise and event frames consume sequence numbers.
-        # session.vad covers our sender; received CN frames reveal the peer's.
-        if talk_time is not None and talk_time > 0 and not session.vad and session.cn_received == 0:
+        if talk_time is not None and talk_time > 0:
             expected = max(1, int(talk_time / session.codec.frame_interval) - 1)
         if session.packets_received > 0:
             record.quality = session.quality(expected_override=expected)

@@ -19,14 +19,6 @@ class NetworkError(ReproError):
     """Raised for IP/transport layer failures (no route, port in use...)."""
 
 
-class NoRouteError(NetworkError):
-    """Raised or reported when a packet cannot be routed to its destination."""
-
-    def __init__(self, destination: str, message: str | None = None) -> None:
-        super().__init__(message or f"no route to host {destination}")
-        self.destination = destination
-
-
 class PortInUseError(NetworkError):
     """Raised when binding a UDP port that is already bound on the node."""
 
@@ -57,14 +49,6 @@ class SipDialogError(SipError):
 
 class SlpError(ReproError):
     """Base class for SLP errors."""
-
-
-class ServiceNotFoundError(SlpError):
-    """Raised when a service lookup finds no match before its deadline."""
-
-    def __init__(self, service_type: str, detail: str | None = None) -> None:
-        super().__init__(detail or f"no service of type {service_type!r} found")
-        self.service_type = service_type
 
 
 class GatewayError(ReproError):

@@ -152,8 +152,7 @@ def check_footprint(table: Table) -> list[str]:
 
 
 def pin_footprint(table: Table) -> Table:
-    """F6 without its sizes, which every edit moves, and its peak-memory note,
-    which depends on what ran before it in the interpreter."""
+    """F6 without its sizes and its peak-memory note, which edits move."""
     return Table(
         table.title,
         ["component"],

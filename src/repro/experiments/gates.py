@@ -283,7 +283,7 @@ def _e5_schedule(explicit_off: bool) -> str:
         n_nodes=10, topology="grid", routing="aodv", seed=1, spacing=90.0, tx_range=140.0
     )
     if explicit_off:
-        kwargs.update(media_jitter_policy="fixed", media_redundancy=0, media_vad=False)
+        kwargs.update(media_jitter_policy="fixed", media_redundancy=0)
     scenario = ManetScenario(ManetConfig(**kwargs))
     scenario.start()
     scenario.add_phone(0, "alice")

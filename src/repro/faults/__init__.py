@@ -3,7 +3,8 @@
 Three pieces (see DESIGN.md §5e):
 
 * :mod:`repro.faults.channel` — per-link channel fault models (Gilbert–
-  Elliott bursty loss, asymmetric loss) pluggable into the wireless medium.
+  Elliott bursty loss, per attempt or in sim-seconds) pluggable into the
+  wireless medium.
 * :mod:`repro.faults.plan` — the :class:`FaultPlan` DSL of timed events
   (node crash/restart, link partition/heal, gateway down/up), applied to
   any scenario via ``ManetConfig(faults=plan)``.
@@ -17,12 +18,7 @@ R1 of :data:`repro.experiments.artifacts.ARTIFACTS`:
 report.
 """
 
-from repro.faults.channel import (
-    AsymmetricLossChannel,
-    GilbertElliottChannel,
-    TimedGilbertElliottChannel,
-    UniformLossChannel,
-)
+from repro.faults.channel import GilbertElliottChannel, TimedGilbertElliottChannel
 from repro.faults.injector import FaultInjector
 from repro.faults.metrics import RecoveryReport, analyze_recovery
 from repro.faults.plan import (
@@ -38,7 +34,6 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "AsymmetricLossChannel",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
@@ -51,7 +46,6 @@ __all__ = [
     "NodeRestart",
     "RecoveryReport",
     "TimedGilbertElliottChannel",
-    "UniformLossChannel",
     "analyze_recovery",
     "describe_event",
 ]

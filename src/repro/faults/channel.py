@@ -7,32 +7,17 @@ transmission attempt on a directed link. All randomness must come from the
 ``random`` or a privately seeded generator — so a same-seed rerun replays
 the exact loss sequence. ``repro.lint`` rule FAULT001 enforces this.
 
-The MANET simulation literature is unanimous that uniform i.i.d. loss
-understates what ad hoc VoIP must survive: real 802.11 channels lose
-packets in *bursts* (fading, interference). :class:`GilbertElliottChannel`
-is the standard two-state Markov burst model; :class:`AsymmetricLossChannel`
-captures per-direction link quality differences (different antennas, power,
-noise floors at each end).
+The MANET simulation literature is unanimous that uniform i.i.d. loss (the
+medium's own ``loss_rate``) understates what ad hoc VoIP must survive: real
+802.11 channels lose packets in *bursts* (fading, interference).
+:class:`GilbertElliottChannel` is the standard two-state Markov burst model,
+stepped per transmission attempt; :class:`TimedGilbertElliottChannel` draws
+its good and bad sojourns in sim-seconds.
 """
 
 from __future__ import annotations
 
 import random
-
-
-class UniformLossChannel:
-    """Baseline i.i.d. loss, equivalent to the medium's ``loss_rate`` knob."""
-
-    def __init__(self, loss_rate: float) -> None:
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
-        self.loss_rate = loss_rate
-
-    def should_drop(self, sender_ip: str, receiver_ip: str, rng: random.Random) -> bool:
-        return self.loss_rate > 0 and rng.random() < self.loss_rate
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"UniformLossChannel(loss_rate={self.loss_rate})"
 
 
 class GilbertElliottChannel:
@@ -69,19 +54,6 @@ class GilbertElliottChannel:
     def link_state(self, sender_ip: str, receiver_ip: str) -> str:
         """Current state of a directed link: ``"good"`` or ``"bad"``."""
         return "bad" if self._bad.get((sender_ip, receiver_ip), False) else "good"
-
-    @property
-    def stationary_loss(self) -> float:
-        """Long-run per-attempt loss probability of one link.
-
-        The weighted state loss under the chain's stationary distribution —
-        the number to quote on a sweep axis when comparing against an
-        equivalent uniform channel (burstiness is what differs).
-        """
-        if self.p_gb + self.p_bg == 0:
-            return self.loss_good  # chain never leaves its initial good state
-        bad = self.p_gb / (self.p_gb + self.p_bg)
-        return bad * self.loss_bad + (1.0 - bad) * self.loss_good
 
     def should_drop(self, sender_ip: str, receiver_ip: str, rng: random.Random) -> bool:
         link = (sender_ip, receiver_ip)
@@ -185,36 +157,3 @@ class TimedGilbertElliottChannel:
             f"loss_bad={self.loss_bad})"
         )
 
-
-class AsymmetricLossChannel:
-    """Per-directed-link loss rates; directions of one link may differ.
-
-    ``set_link("10.0.0.1", "10.0.0.2", 0.4)`` makes the 1→2 direction lose
-    40% of attempts while 2→1 keeps the ``default`` rate — the classic
-    asymmetric-link pathology that breaks naive bidirectional-link
-    assumptions in routing protocols.
-    """
-
-    def __init__(
-        self,
-        rates: dict[tuple[str, str], float] | None = None,
-        default: float = 0.0,
-    ) -> None:
-        if not 0.0 <= default <= 1.0:
-            raise ValueError(f"default must be in [0, 1], got {default}")
-        self.default = default
-        self._rates: dict[tuple[str, str], float] = {}
-        for (src, dst), rate in (rates or {}).items():
-            self.set_link(src, dst, rate)
-
-    def set_link(self, sender_ip: str, receiver_ip: str, loss_rate: float) -> None:
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
-        self._rates[(sender_ip, receiver_ip)] = loss_rate
-
-    def should_drop(self, sender_ip: str, receiver_ip: str, rng: random.Random) -> bool:
-        rate = self._rates.get((sender_ip, receiver_ip), self.default)
-        return rate > 0 and rng.random() < rate
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AsymmetricLossChannel({len(self._rates)} links, default={self.default})"

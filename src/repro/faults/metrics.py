@@ -41,10 +41,6 @@ class RecoveryReport:
     calls_completed: int = 0
     calls_failed: int = 0
 
-    @property
-    def calls_survived(self) -> int:
-        return self.calls_completed
-
     def render(self) -> str:
         lines = [f"faults injected: {self.faults_injected}"]
         lines.append(

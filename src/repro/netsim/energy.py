@@ -69,9 +69,6 @@ class EnergyModel:
     def spent_uj(self, node_ip: str) -> float:
         return self._spent_uj[node_ip]
 
-    def spent_joules(self, node_ip: str) -> float:
-        return self._spent_uj[node_ip] / 1e6
-
     def total_joules(self) -> float:
         return sum(self._spent_uj.values()) / 1e6
 

@@ -1,10 +1,9 @@
 """RTP media transport and call quality measurement.
 
 Codec-paced RTP streams over the simulated network, a receiver-side jitter
-buffer with pluggable playout policies, RFC 2198 redundancy, silence
-suppression with comfort noise, RFC 2833 telephone events, and ITU-T G.107
-E-model scoring (R factor / MOS) — the substitute for the paper's live
-audio path on laptops and iPAQ handhelds.
+buffer with pluggable playout policies, RFC 2198 redundancy, and ITU-T
+G.107 E-model scoring (R factor / MOS) — the substitute for the paper's
+live audio path on laptops and iPAQ handhelds.
 """
 
 from repro.rtp.codecs import (
@@ -28,17 +27,13 @@ from repro.rtp.jitter import (
     JitterPolicy,
 )
 from repro.rtp.packet import (
-    DTMF_EVENTS,
     RTP_HEADER_BYTES,
     RedBlock,
     RtpPacket,
-    decode_dtmf_payload,
     decode_red,
     decode_rtp,
     encode_red,
     extract_send_time,
-    make_comfort_noise_payload,
-    make_dtmf_payload,
     make_voice_payload,
 )
 from repro.rtp.quality import (
@@ -58,7 +53,6 @@ __all__ = [
     "COMFORT_NOISE_PAYLOAD_TYPE",
     "CallQuality",
     "Codec",
-    "DTMF_EVENTS",
     "FixedPlayoutPolicy",
     "G711",
     "G711A",
@@ -75,15 +69,12 @@ __all__ = [
     "RtpSession",
     "TELEPHONE_EVENT_PAYLOAD_TYPE",
     "codec_for_payload_type",
-    "decode_dtmf_payload",
     "decode_red",
     "decode_rtp",
     "delay_impairment",
     "encode_red",
     "extract_send_time",
     "loss_impairment",
-    "make_comfort_noise_payload",
-    "make_dtmf_payload",
     "make_voice_payload",
     "mos_from_r",
     "r_factor",

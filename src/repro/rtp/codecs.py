@@ -68,15 +68,16 @@ CODECS_BY_NAME = {codec.name: codec for codec in (G711, G711A, G729, H263)}
 
 # -- non-codec payload types carried in the same RTP streams (§5j) ----------
 
-#: RFC 3389 comfort noise (static payload type 13): one noise-level byte
-#: sent at each talk-spurt end so the far side can fill silence.
+#: RFC 3389 comfort noise (static payload type 13). No phone here sends it;
+#: SDP knows it so a stock softphone's offer of it is declined.
 COMFORT_NOISE_PAYLOAD_TYPE = 13
 
 #: RFC 2198 redundant audio ("red"). Dynamic payload type by the RFC; this
 #: simulation pins it to 96, the first dynamic slot, on both ends.
 RED_PAYLOAD_TYPE = 96
 
-#: RFC 2833/4733 telephone events (DTMF). Pinned to the conventional 101.
+#: RFC 2833/4733 telephone events (DTMF), conventionally 101. Declined in
+#: SDP like comfort noise.
 TELEPHONE_EVENT_PAYLOAD_TYPE = 101
 
 #: Payload types that ride inside a voice stream without being codecs —

@@ -14,12 +14,14 @@ The playout delay itself comes from a pluggable :class:`JitterPolicy`:
 * :class:`AdaptivePlayoutPolicy` — re-targets the delay from the RFC 3550
   interarrival-jitter estimate within ``[min_delay, max_delay]`` bounds.
 
-Every policy re-anchors its playout schedule at talk-spurt starts (RTP
-marker bits) — silence gaps advance wall time without advancing sequence
-numbers, so a spurt must restart the clock or play nothing — but only the
-adaptive policy changes the *delay* at that point; it additionally repairs
-delay spikes after a streak of late arrivals when no markers flow (VAD
-off), and shrinks the delay back toward the target once a spike passes.
+Every policy re-anchors its playout schedule at a received RTP marker bit,
+which a peer with silence suppression sets at each talk-spurt start —
+silence gaps advance wall time without advancing sequence numbers, so a
+spurt must restart the clock or play nothing — but only the adaptive
+policy changes the *delay* at that point. The sessions here mark only
+their first frame, so the adaptive policy also repairs delay spikes after
+a streak of late arrivals, and shrinks the delay back toward the target
+once a spike passes.
 
 The buffer also accepts frames rebuilt from RFC 2198 redundancy via
 :meth:`JitterBuffer.on_recovered` — those count in ``played`` *and* in the

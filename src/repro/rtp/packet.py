@@ -218,46 +218,3 @@ def decode_red(data: bytes) -> list[RedBlock]:
     blocks.append(RedBlock(primary_type, 0, data[primary_at:]))
     return blocks
 
-
-# ---------------------------------------------------------------------------
-# RFC 3389 comfort noise and RFC 2833 telephone events
-# ---------------------------------------------------------------------------
-
-_DTMF = struct.Struct("!BBH")
-
-#: DTMF digit -> RFC 2833 event code.
-DTMF_EVENTS = {
-    **{str(d): d for d in range(10)},
-    "*": 10,
-    "#": 11,
-    "A": 12,
-    "B": 13,
-    "C": 14,
-    "D": 15,
-}
-_DTMF_DIGITS = {code: digit for digit, code in DTMF_EVENTS.items()}
-
-
-def make_comfort_noise_payload(level: int = 70) -> bytes:
-    """RFC 3389 CN payload: one absolute noise-level byte (-dBov)."""
-    return bytes([level & 0x7F])
-
-
-def make_dtmf_payload(digit: str, duration_units: int, end: bool = True, volume: int = 10) -> bytes:
-    """RFC 2833 telephone-event payload for one DTMF digit."""
-    event = DTMF_EVENTS.get(digit)
-    if event is None:
-        raise CodecError(f"not a DTMF digit: {digit!r}")
-    flags = (0x80 if end else 0) | (volume & 0x3F)
-    return _DTMF.pack(event, flags, duration_units & 0xFFFF)
-
-
-def decode_dtmf_payload(data: bytes, offset: int = 0) -> tuple[str, bool, int]:
-    """Decode the telephone-event payload at ``data[offset:]`` -> (digit, end, duration_units)."""
-    if len(data) - offset < _DTMF.size:
-        raise CodecError("telephone-event payload too short")
-    event, flags, duration = _DTMF.unpack_from(data, offset)
-    digit = _DTMF_DIGITS.get(event)
-    if digit is None:
-        raise CodecError(f"unknown telephone event code {event}")
-    return digit, bool(flags & 0x80), duration

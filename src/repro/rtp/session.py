@@ -5,23 +5,18 @@ the negotiated remote endpoint and measures the inbound stream (delay from
 embedded send timestamps, RFC 3550 interarrival jitter, losses, and
 jitter-buffer late drops), producing a :class:`CallQuality` score.
 
-Beyond plain voice the session speaks three media-plane extensions (§5j):
+With ``redundancy=N`` the session speaks RFC 2198 (§5j): every voice
+packet carries the previous N frames as secondary encodings under the
+"red" payload type, and the receiver rebuilds lost primaries from later
+arrivals, counted separately from network receipts. The sender sets the
+RTP marker bit on its first frame only; a marker bit received mid-stream
+(a peer's talk-spurt start) still re-anchors the jitter buffer's playout
+schedule.
 
-* **RFC 2198 redundancy** (``redundancy=N``): every voice packet carries
-  the previous N frames as secondary encodings under the "red" payload
-  type; the receiver rebuilds lost primaries from later arrivals, counted
-  separately from network receipts.
-* **Silence suppression** (``vad=True``): a two-state talk-spurt model
-  driven by a private seeded RNG gates the sender. A spurt end emits one
-  RFC 3389 comfort-noise frame; a spurt start sets the RTP marker bit so
-  the receiver's jitter buffer re-anchors its playout schedule.
-* **RFC 2833 telephone events**: :meth:`RtpSession.send_dtmf` interleaves
-  DTMF digit packets with the voice stream.
-
-All session randomness (initial sequence number, talk-spurt durations)
-comes from private integer-seeded RNGs pinned by (scenario seed, node id,
-port) — never from the shared ``sim.rng`` — so constructing a media
-session does not perturb the global seeded stream.
+The initial sequence number comes from a private integer-seeded RNG
+pinned by (scenario seed, node id, port) — never from the shared
+``sim.rng`` — so constructing a media session does not perturb the global
+seeded stream.
 """
 
 from __future__ import annotations
@@ -31,22 +26,12 @@ from collections import deque
 
 from repro.errors import CodecError, ConfigError
 from repro.netsim.node import Node
-from repro.rtp.codecs import (
-    COMFORT_NOISE_PAYLOAD_TYPE,
-    Codec,
-    G711,
-    RED_PAYLOAD_TYPE,
-    TELEPHONE_EVENT_PAYLOAD_TYPE,
-)
+from repro.rtp.codecs import Codec, G711, RED_PAYLOAD_TYPE
 from repro.rtp.jitter import DUPLICATE, JitterBuffer, JitterPolicy
 from repro.rtp.packet import (
-    DTMF_EVENTS,
     RED_MAX_BLOCK_BYTES,
     RTP_HEADER_BYTES,
-    decode_dtmf_payload,
     extract_send_time,
-    make_comfort_noise_payload,
-    make_dtmf_payload,
     pack_header,
     read_header,
     red_headers,
@@ -75,21 +60,17 @@ def check_redundancy(redundancy: int, codec: Codec) -> None:
         )
 
 
-#: Talk-spurt on/off model: exponential holding times, telephony-ish means.
-_TALK_SPURT_MEAN = 1.0
-_SILENCE_MEAN = 1.5
-
-
-def _session_rng(node: Node, local_port: int, salt: int) -> random.Random:
-    """A private RNG pinned by (scenario seed, node id, port, salt).
+def _initial_sequence(node: Node, local_port: int) -> int:
+    """The first RTP sequence number, from a private RNG pinned by
+    (scenario seed, node id, port).
 
     Same rationale as ``node_backoff_rng``: drawing from the shared
     ``sim.rng`` would make media-session construction order perturb every
     later draw in the scenario. Integer arithmetic only, so the seed is
     stable across interpreter processes.
     """
-    seed = ((node.sim.seed * 1_000_003 + node.node_id) * 131_071 + local_port) * 8_191 + salt
-    return random.Random(seed)
+    seed = ((node.sim.seed * 1_000_003 + node.node_id) * 131_071 + local_port) * 8_191
+    return random.Random(seed).randrange(0, 0x8000)
 
 
 class RtpSession:
@@ -104,7 +85,6 @@ class RtpSession:
         playout_delay: float = 0.06,
         jitter_policy: JitterPolicy | None = None,
         redundancy: int = 0,
-        vad: bool = False,
     ) -> None:
         check_redundancy(redundancy, codec)
         self.node = node
@@ -118,19 +98,14 @@ class RtpSession:
         self.local_port = local_port
         self.remote = remote
         self.redundancy = redundancy
-        self.vad = vad
         self.ssrc = next(node.sim.ssrcs)
         self._socket = node.bind(local_port, self._on_datagram)
         self._send_task = None
-        self._sequence = _session_rng(node, local_port, 0).randrange(0, 0x8000)
+        self._sequence = _initial_sequence(node, local_port)
         self._timestamp = 0
         self.packets_sent = 0
-        # Sender-side talk-spurt / redundancy state.
-        self._spurt_rng = _session_rng(node, local_port, 1)
-        self._talking = True
-        self._phase_until = 0.0
+        # Sender-side state: the first frame carries the marker bit.
         self._marker_pending = True
-        self._cn_due = False
         self._red_history: deque[tuple[int, bytes]] = deque(maxlen=max(1, redundancy))
         # Receiver-side measurement state.
         self.jitter_buffer = JitterBuffer(
@@ -139,8 +114,6 @@ class RtpSession:
             policy=jitter_policy,
         )
         self.delays: list[float] = []
-        self.dtmf_received: list[str] = []
-        self.cn_received = 0
         self._jitter = 0.0
         self._last_transit: float | None = None
         self._first_ext: int | None = None
@@ -159,7 +132,6 @@ class RtpSession:
                 codec=codec.name,
                 policy=self.jitter_buffer.policy.name,  # type: ignore[union-attr]
                 redundancy=redundancy,
-                vad=vad,
             )
 
     # -- sender ----------------------------------------------------------------
@@ -169,10 +141,6 @@ class RtpSession:
         if self.remote is None:
             raise CodecError("RTP session has no remote endpoint to stream to")
         if self._send_task is None:
-            if self.vad:
-                self._phase_until = self.sim.now + self._spurt_rng.expovariate(
-                    1.0 / _TALK_SPURT_MEAN
-                )
             self._send_task = self.sim.schedule_periodic(
                 self.codec.frame_interval, self._send_frame
             )
@@ -200,62 +168,15 @@ class RtpSession:
                     recovered=stats.recovered,
                 )
 
-    def send_dtmf(self, digits: str, duration: float = 0.08) -> None:
-        """Send DTMF ``digits`` as RFC 2833 telephone events, one per ``duration``."""
-        if self.remote is None:
-            raise CodecError("RTP session has no remote endpoint for DTMF")
-        for digit in digits:
-            if digit not in DTMF_EVENTS:
-                raise CodecError(f"not a DTMF digit: {digit!r}")
-        for index, digit in enumerate(digits):
-            self.sim.schedule(index * duration, self._send_dtmf_event, digit, duration)
-
-    def _send_dtmf_event(self, digit: str, duration: float) -> None:
-        if self.closed or self.remote is None:
-            return
-        units = int(duration * self.codec.sample_rate)
-        self._transmit(
-            TELEPHONE_EVENT_PAYLOAD_TYPE, True, make_dtmf_payload(digit, units, end=True)
-        )
-
     def _send_frame(self) -> None:
+        """Send one voice frame, then advance the timestamp one frame."""
         assert self.remote is not None
-        now = self.sim.now
-        if self.vad:
-            self._update_spurt(now)
-        if self._talking:
-            self._send_voice(now)
-        elif self._cn_due:
-            self._cn_due = False
-            self._transmit(COMFORT_NOISE_PAYLOAD_TYPE, False, make_comfort_noise_payload())
-        # The RTP timestamp tracks the sampling clock, so it advances every
-        # frame interval even across suppressed (silent) frames.
-        self._timestamp = (self._timestamp + self._ts_increment) & 0xFFFFFFFF
-
-    def _update_spurt(self, now: float) -> None:
-        while now >= self._phase_until:
-            start = self._phase_until
-            self._talking = not self._talking
-            mean = _TALK_SPURT_MEAN if self._talking else _SILENCE_MEAN
-            self._phase_until = start + self._spurt_rng.expovariate(1.0 / mean)
-            if self._talking:
-                self._marker_pending = True
-                self._red_history.clear()
-            else:
-                self._cn_due = True
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "rtp.spurt", self.node.ip, port=self.local_port, talking=self._talking
-                )
-
-    def _send_voice(self, now: float) -> None:
-        payload = self._pack_voice(now)
+        payload = self._pack_voice(self.sim.now)
         marker = self._marker_pending
         self._marker_pending = False
         payload_type = self._payload_type
+        timestamp = self._timestamp
         if self.redundancy > 0:
-            timestamp = self._timestamp
             blocks = [
                 (payload_type, (timestamp - past_ts) & 0xFFFFFFFF, past_payload)
                 for past_ts, past_payload in self._red_history
@@ -267,6 +188,7 @@ class RtpSession:
             )
         else:
             self._transmit(payload_type, marker, payload)
+        self._timestamp = (timestamp + self._ts_increment) & 0xFFFFFFFF
 
     def _transmit(self, payload_type: int, marker: bool, *parts: bytes) -> None:
         """Send one packet: the RTP header and ``parts``, joined once."""
@@ -278,9 +200,9 @@ class RtpSession:
 
     # -- receiver -----------------------------------------------------------------
     #
-    # A datagram is read in place: the header once, then, by payload type,
-    # the RFC 2198 block headers, the send stamp or the telephone event at
-    # their offsets in ``data``. No payload is copied.
+    # A datagram is read in place: the header once, then the RFC 2198 block
+    # headers (for the red payload type) and the send stamp at their offsets
+    # in ``data``. No payload is copied.
 
     def _on_datagram(self, data: bytes, src_ip: str, sport: int) -> None:
         if self.closed:
@@ -298,10 +220,6 @@ class RtpSession:
         self.last_rx_at = now
         if payload_type == RED_PAYLOAD_TYPE:
             self._receive_red(data, sequence, timestamp, marker, now)
-        elif payload_type == COMFORT_NOISE_PAYLOAD_TYPE:
-            self._receive_cn(sequence, now)
-        elif payload_type == TELEPHONE_EVENT_PAYLOAD_TYPE:
-            self._receive_dtmf(data, sequence, now)
         else:
             self._receive_voice(data, RTP_HEADER_BYTES, sequence, timestamp, marker, now)
 
@@ -366,28 +284,6 @@ class RtpSession:
             self._jitter += (deviation - self._jitter) / 16.0
         self._last_transit = transit
 
-    def _receive_cn(self, sequence: int, now: float) -> None:
-        self._note_sequence(sequence)
-        if self.jitter_buffer.classify(sequence, now, jitter=self._jitter) != DUPLICATE:
-            self.cn_received += 1
-            self.node.stats.increment("rtp.cn_frames")
-
-    def _receive_dtmf(self, data: bytes, sequence: int, now: float) -> None:
-        self._note_sequence(sequence)
-        if self.jitter_buffer.classify(sequence, now, jitter=self._jitter) == DUPLICATE:
-            return
-        try:
-            digit, end, _duration = decode_dtmf_payload(data, RTP_HEADER_BYTES)
-        except CodecError:
-            self.node.stats.increment("rtp.bad_packets")
-            return
-        if end:
-            self.dtmf_received.append(digit)
-            self.node.stats.increment("rtp.dtmf_events")
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit("rtp.dtmf", self.node.ip, port=self.local_port, digit=digit)
-
     def _note_sequence(self, sequence: int) -> None:
         """Track the received sequence range in extended (unwrapped) form."""
         high = self._ext_high
@@ -418,10 +314,6 @@ class RtpSession:
     def packets_recovered(self) -> int:
         """Lost primaries rebuilt from RFC 2198 redundancy."""
         return self.jitter_buffer.stats.recovered
-
-    @property
-    def interarrival_jitter(self) -> float:
-        return self._jitter
 
     def quality(self, expected_override: int | None = None) -> CallQuality:
         """Score the received stream with the E-model."""

@@ -83,7 +83,6 @@ class ManetConfig:
     # -- media plane (§5j; defaults keep phone SDP and schedules bit-identical)
     media_jitter_policy: str = "fixed"  # fixed | adaptive playout-delay policy
     media_redundancy: int = 0  # RFC 2198 depth every phone offers (0 = off)
-    media_vad: bool = False  # silence suppression + comfort-noise frames
     # -- overload control (§5f; defaults keep every path bit-identical) -------
     tx_queue_capacity: int | None = None  # bounded per-node TX queue (None = unbounded)
     siphoc: SiphocConfig | None = None  # shared per-node stack config (admission etc.)
@@ -330,8 +329,6 @@ class ManetScenario:
             kwargs.setdefault("jitter_policy", _media_policy(config.media_jitter_policy))
         if config.media_redundancy:
             kwargs.setdefault("redundancy", config.media_redundancy)
-        if config.media_vad:
-            kwargs.setdefault("vad", config.media_vad)
         phone = self.stacks[node_index].add_phone(
             account=account, username=None if account else username, domain=domain, **kwargs
         )

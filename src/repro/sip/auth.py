@@ -117,9 +117,6 @@ class DigestAuthenticator:
     def add_user(self, username: str, password: str) -> None:
         self._passwords[username.lower()] = password
 
-    def remove_user(self, username: str) -> None:
-        self._passwords.pop(username.lower(), None)
-
     def has_user(self, username: str) -> bool:
         return username.lower() in self._passwords
 

@@ -154,9 +154,6 @@ class ClientTransaction(_Transaction):
             if self.on_timeout is not None:
                 self.on_timeout()
 
-    def cancel_timers(self) -> None:
-        self.terminate()
-
     def receive_response(self, response: SipResponse) -> None:
         if self.state is TxnState.TERMINATED:
             return

@@ -36,9 +36,6 @@ class SipTransport:
         self.address_override = address_override
         self._socket = node.bind(port, self._on_datagram)
         self._receiver: ReceiverFn | None = None
-        self.messages_sent = 0
-        self.messages_received = 0
-        self.parse_errors = 0
 
     @property
     def address(self) -> str:
@@ -70,7 +67,6 @@ class SipTransport:
     # -- sending -----------------------------------------------------------
     def send(self, message: SipMessage, destination: Address) -> None:
         dst_ip, dst_port = destination
-        self.messages_sent += 1
         tracer = self.node.sim.tracer
         if tracer is not None:
             tracer.emit(
@@ -107,10 +103,8 @@ class SipTransport:
             message = parse_message(data)
             message.check_headers()
         except SipParseError:
-            self.parse_errors += 1
             self.node.stats.increment("sip.parse_errors")
             return
-        self.messages_received += 1
         tracer = self.node.sim.tracer
         if tracer is not None:
             tracer.emit(

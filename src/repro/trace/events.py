@@ -84,8 +84,6 @@ EVENT_KINDS: dict[str, str] = {
     "rtp.session_close": "RTP session closed (sent/received/played/recovered)",
     "rtp.retarget": "jitter buffer re-targeted its playout delay",
     "rtp.recovered": "lost primary rebuilt from RFC 2198 redundancy",
-    "rtp.spurt": "sender talk-spurt transition (detail.talking)",
-    "rtp.dtmf": "RFC 2833 telephone event received (detail.digit)",
     # fault — injected failures (repro.faults; node="" = network-wide)
     "fault.node_crash": "injected node crash (stack torn down, host state lost)",
     "fault.node_restart": "injected node restart (stack rebuilt from scratch)",

@@ -7,12 +7,7 @@ import pytest
 from repro.core import SiphocStack
 from repro.errors import ConfigError
 from repro.netsim import Node, Simulator, Stats, WirelessMedium, manet_ip, place_chain
-from repro.rtp import (
-    COMFORT_NOISE_PAYLOAD_TYPE,
-    H263,
-    RED_PAYLOAD_TYPE,
-    TELEPHONE_EVENT_PAYLOAD_TYPE,
-)
+from repro.rtp import H263, RED_PAYLOAD_TYPE
 from repro.scenarios import ManetConfig, ManetScenario
 
 
@@ -90,14 +85,8 @@ class TestMediaConfigValidated:
 class TestExtensionPayloads:
     def test_all_extensions_advertised(self):
         sim, stats, stacks = build(n=1)
-        phone = stacks[0].add_phone(
-            username="alice", redundancy=1, vad=True, dtmf=True
-        )
-        assert phone._extension_payloads() == [
-            RED_PAYLOAD_TYPE,
-            COMFORT_NOISE_PAYLOAD_TYPE,
-            TELEPHONE_EVENT_PAYLOAD_TYPE,
-        ]
+        phone = stacks[0].add_phone(username="alice", redundancy=1)
+        assert phone._extension_payloads() == [RED_PAYLOAD_TYPE]
 
     def test_defaults_advertise_nothing(self):
         sim, stats, stacks = build(n=1)
@@ -115,11 +104,10 @@ class TestScenarioMediaKnobs:
 
     def test_knobs_become_phone_defaults(self):
         scenario = self.make_scenario(
-            media_jitter_policy="adaptive", media_redundancy=2, media_vad=True
+            media_jitter_policy="adaptive", media_redundancy=2
         )
         phone = scenario.add_phone(0, "alice")
         assert phone.redundancy == 2
-        assert phone.vad is True
         assert phone.jitter_policy is not None
         assert phone.jitter_policy.name == "adaptive"
         scenario.stop()
@@ -134,7 +122,6 @@ class TestScenarioMediaKnobs:
         scenario = self.make_scenario()
         phone = scenario.add_phone(0, "alice")
         assert phone.redundancy == 0
-        assert phone.vad is False
         assert phone.jitter_policy is None
         scenario.stop()
 

@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from repro.faults import (
-    AsymmetricLossChannel,
-    GilbertElliottChannel,
-    TimedGilbertElliottChannel,
-    UniformLossChannel,
-)
+from repro.faults import GilbertElliottChannel, TimedGilbertElliottChannel
 
 
 class FakeClock:
@@ -22,23 +17,6 @@ class FakeClock:
 def drop_sequence(channel, n=200, seed=99, link=("a", "b")):
     rng = random.Random(seed)
     return [channel.should_drop(link[0], link[1], rng) for _ in range(n)]
-
-
-class TestUniformLossChannel:
-    def test_rate_zero_never_drops_and_draws_nothing(self):
-        channel = UniformLossChannel(0.0)
-        rng = random.Random(1)
-        state = rng.getstate()
-        assert not any(drop_sequence(channel))
-        assert random.Random(1).getstate() == state  # rate 0 short-circuits
-
-    def test_rate_one_always_drops(self):
-        assert all(drop_sequence(UniformLossChannel(1.0)))
-
-    @pytest.mark.parametrize("rate", [-0.1, 1.5])
-    def test_rejects_out_of_range(self, rate):
-        with pytest.raises(ValueError):
-            UniformLossChannel(rate)
 
 
 class TestGilbertElliott:
@@ -54,7 +32,8 @@ class TestGilbertElliott:
             GilbertElliottChannel(p_gb=0.1, p_bg=0.3), n=2000
         )
         loss_rate = sum(drops) / len(drops)
-        uniform = drop_sequence(UniformLossChannel(loss_rate), n=2000, seed=7)
+        rng = random.Random(7)
+        uniform = [rng.random() < loss_rate for _ in range(2000)]
 
         def mean_run(seq):
             runs, current = [], 0
@@ -89,44 +68,7 @@ class TestGilbertElliott:
             GilbertElliottChannel(loss_bad=-0.5)
 
 
-class TestAsymmetricLossChannel:
-    def test_directions_differ(self):
-        channel = AsymmetricLossChannel(default=0.0)
-        channel.set_link("a", "b", 1.0)
-        rng = random.Random(5)
-        assert channel.should_drop("a", "b", rng)
-        assert not channel.should_drop("b", "a", rng)
-
-    def test_rates_mapping_constructor(self):
-        channel = AsymmetricLossChannel(rates={("a", "b"): 1.0}, default=0.0)
-        rng = random.Random(5)
-        assert channel.should_drop("a", "b", rng)
-        assert not channel.should_drop("c", "d", rng)
-
-    def test_default_applies_to_unknown_links(self):
-        channel = AsymmetricLossChannel(default=1.0)
-        assert all(drop_sequence(channel, link=("x", "y")))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            AsymmetricLossChannel(default=2.0)
-        with pytest.raises(ValueError):
-            AsymmetricLossChannel().set_link("a", "b", -1.0)
-
-
 class TestStationaryLoss:
-    def test_attempt_domain_formula(self):
-        channel = GilbertElliottChannel(p_gb=0.1, p_bg=0.3, loss_bad=1.0, loss_good=0.0)
-        assert channel.stationary_loss == pytest.approx(0.25)
-
-    def test_attempt_domain_good_state_floor(self):
-        channel = GilbertElliottChannel(p_gb=0.1, p_bg=0.3, loss_bad=1.0, loss_good=0.2)
-        assert channel.stationary_loss == pytest.approx(0.25 + 0.75 * 0.2)
-
-    def test_frozen_chain_keeps_good_state_loss(self):
-        channel = GilbertElliottChannel(p_gb=0.0, p_bg=0.0, loss_good=0.05)
-        assert channel.stationary_loss == pytest.approx(0.05)
-
     def test_time_domain_formula(self):
         channel = TimedGilbertElliottChannel(mean_good=3.0, mean_bad=1.0)
         assert channel.stationary_loss == pytest.approx(0.25)

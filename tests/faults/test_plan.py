@@ -9,8 +9,8 @@ from repro.faults import (
     FaultPlan,
     GatewayDown,
     LinkPartition,
+    GilbertElliottChannel,
     NodeCrash,
-    UniformLossChannel,
     describe_event,
 )
 
@@ -46,7 +46,7 @@ class TestBuilder:
         assert isinstance(event, LinkPartition) and event.name
 
     def test_with_channel_rides_along(self):
-        channel = UniformLossChannel(0.1)
+        channel = GilbertElliottChannel(p_gb=0.02, p_bg=0.5)
         plan = FaultPlan().with_channel(channel)
         assert plan.channel is channel
 

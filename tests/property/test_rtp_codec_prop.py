@@ -9,8 +9,8 @@ codec and session paths that built an ``RtpPacket`` per frame and a
   library encodes to the same bytes and decodes back, and every datagram,
   well formed or not, decodes to the same fields or fails the same way;
 - the sessions: a sender and a receiver run a random script (codecs,
-  RED depths 0-4, talk-spurt markers, comfort noise, DTMF, sequence and
-  timestamp wrap, loss, duplicates, reordering and malformed datagrams)
+  RED depths 0-4, mid-stream markers, sequence and timestamp wrap, loss,
+  duplicates, reordering and malformed datagrams)
   next to a reference sender and receiver on a second simulator. Every
   datagram must have the same bytes, and the receivers must end with the
   same recoveries, jitter-buffer state, measurements, counters and trace.
@@ -24,9 +24,7 @@ from repro.errors import CodecError
 from repro.netsim import Node, Simulator, manet_ip
 from repro.rtp import (
     CODECS_BY_NAME,
-    COMFORT_NOISE_PAYLOAD_TYPE,
     RED_PAYLOAD_TYPE,
-    TELEPHONE_EVENT_PAYLOAD_TYPE,
     AdaptivePlayoutPolicy,
     FixedPlayoutPolicy,
     RedBlock,
@@ -37,7 +35,7 @@ from repro.rtp import (
     encode_red,
 )
 from repro.rtp.jitter import DUPLICATE, _seq_delta
-from repro.rtp.packet import decode_dtmf_payload, make_voice_payload
+from repro.rtp.packet import make_voice_payload
 from repro.trace import TraceCollector
 
 # -- the reference: the object codec and the session paths built on it -----------
@@ -128,8 +126,8 @@ def reference_send_time(payload: bytes) -> float:
 class ReferenceSession(RtpSession):
     """An RtpSession whose send and receive paths build packet objects."""
 
-    def _send_voice(self, now):
-        payload = _TS.pack(now) + bytes(self.codec.frame_bytes - _TS.size)
+    def _send_frame(self):
+        payload = _TS.pack(self.sim.now) + bytes(self.codec.frame_bytes - _TS.size)
         marker = self._marker_pending
         self._marker_pending = False
         payload_type = self.codec.payload_type
@@ -144,6 +142,7 @@ class ReferenceSession(RtpSession):
             self._transmit(RED_PAYLOAD_TYPE, marker, reference_encode_red(blocks))
         else:
             self._transmit(payload_type, marker, payload)
+        self._timestamp = (self._timestamp + self.codec.timestamp_increment) & 0xFFFFFFFF
 
     def _transmit(self, payload_type, marker, payload):
         packet = RtpPacket(
@@ -174,13 +173,6 @@ class ReferenceSession(RtpSession):
         self.last_rx_at = now
         if packet.payload_type == RED_PAYLOAD_TYPE:
             self._reference_red(packet, now)
-        elif packet.payload_type == COMFORT_NOISE_PAYLOAD_TYPE:
-            self._note_sequence(packet.sequence)
-            if self.jitter_buffer.classify(packet.sequence, now, jitter=self._jitter) != DUPLICATE:
-                self.cn_received += 1
-                self.node.stats.increment("rtp.cn_frames")
-        elif packet.payload_type == TELEPHONE_EVENT_PAYLOAD_TYPE:
-            self._reference_dtmf(packet, now)
         else:
             self._reference_voice(packet, packet.payload, now)
 
@@ -240,22 +232,6 @@ class ReferenceSession(RtpSession):
             self._ext_high = ext
         if ext < self._first_ext:
             self._first_ext = ext
-
-    def _reference_dtmf(self, packet, now):
-        self._note_sequence(packet.sequence)
-        if self.jitter_buffer.classify(packet.sequence, now, jitter=self._jitter) == DUPLICATE:
-            return
-        try:
-            digit, end, _ = decode_dtmf_payload(packet.payload)
-        except CodecError:
-            self.node.stats.increment("rtp.bad_packets")
-            return
-        if end:
-            self.dtmf_received.append(digit)
-            self.node.stats.increment("rtp.dtmf_events")
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit("rtp.dtmf", self.node.ip, port=self.local_port, digit=digit)
 
 
 # -- the codec ----------------------------------------------------------------------
@@ -340,9 +316,7 @@ SPOILS = (
 )
 
 voice = st.tuples(st.just("voice"), st.sampled_from(FATES))
-silence = st.tuples(st.just("silence"), st.booleans(), st.sampled_from(FATES))
 spurt = st.tuples(st.just("spurt"))
-dtmf = st.tuples(st.just("dtmf"), st.sampled_from("0123456789*#ABCD"), st.sampled_from(FATES))
 pause = st.tuples(st.just("pause"), st.sampled_from((0.005, 0.03, 0.15, 0.4)))
 release = st.tuples(st.just("release"))
 spoil = st.tuples(
@@ -358,7 +332,7 @@ sessions = st.fixed_dictionaries(
         "timestamp": st.integers(min_value=0xFFFFF000, max_value=0xFFFFFFFF)
         | st.integers(0, 0xFFFFFFFF),
         "script": st.lists(
-            st.one_of(voice, voice, voice, silence, spurt, dtmf, pause, release, spoil),
+            st.one_of(voice, voice, voice, spurt, pause, release, spoil),
             min_size=1,
             max_size=50,
         ),
@@ -410,17 +384,10 @@ class _Side:
         before = len(self.socket.sent)
         kind = action[0]
         if kind == "voice":
-            sender._talking = True
             sender._send_frame()
-        elif kind == "silence":
-            sender._talking = False
-            sender._cn_due = action[1]
-            sender._send_frame()
-        elif kind == "spurt":  # what a talk-spurt start does to the sender
+        elif kind == "spurt":  # the next frame carries a marker, as a peer's talk-spurt start
             sender._marker_pending = True
             sender._red_history.clear()
-        elif kind == "dtmf":
-            sender._send_dtmf_event(action[1], 0.08)
         return self.socket.sent[before:]
 
     def deliver(self, data):
@@ -440,15 +407,11 @@ class _Side:
             receiver.delays,
             receiver._jitter,
             receiver._last_transit,
-            receiver.cn_received,
-            receiver.dtmf_received,
             receiver._first_ext,
             receiver._ext_high,
             receiver.last_rx_at,
             receiver.max_rx_gap,
-            [stats.count(name) for name in (
-                "rtp.bad_packets", "rtp.recovered", "rtp.cn_frames", "rtp.dtmf_events",
-            )],
+            [stats.count(name) for name in ("rtp.bad_packets", "rtp.recovered")],
             [(event.t, event.kind, event.node, event.detail) for event in self.trace],
         )
 
@@ -492,7 +455,7 @@ class TestSessions:
             elif kind == "spoil":
                 deliveries = [spoiled(data, *action[1:]) for data in last]
             else:
-                if kind in ("voice", "silence"):
+                if kind == "voice":
                     new.advance(interval)
                     old.advance(interval)
                 sent = new.send(action)

@@ -1,6 +1,5 @@
-"""Tests for the media-plane extensions: RFC 2198 redundancy, silence
-suppression with comfort noise, RFC 2833 telephone events, and the session
-accounting regressions behind them (§5j)."""
+"""Tests for the media-plane extensions: RFC 2198 redundancy and the
+session accounting regressions behind it (§5j)."""
 
 import pytest
 
@@ -12,11 +11,8 @@ from repro.rtp import (
     RedBlock,
     RtpPacket,
     RtpSession,
-    decode_dtmf_payload,
     decode_red,
     encode_red,
-    make_comfort_noise_payload,
-    make_dtmf_payload,
     make_voice_payload,
 )
 from tests.conftest import make_chain
@@ -76,23 +72,6 @@ class TestRedCodec:
             decode_red(bad)
 
 
-class TestAuxPayloadCodecs:
-    def test_comfort_noise_level(self):
-        assert make_comfort_noise_payload(70) == bytes([70])
-
-    def test_dtmf_round_trip(self):
-        payload = make_dtmf_payload("#", 640, end=True)
-        assert decode_dtmf_payload(payload) == ("#", True, 640)
-
-    def test_dtmf_rejects_non_digits(self):
-        with pytest.raises(CodecError):
-            make_dtmf_payload("x", 640)
-
-    def test_dtmf_unknown_event_code_rejected(self):
-        with pytest.raises(CodecError):
-            decode_dtmf_payload(bytes([42, 0x80, 0, 100]))
-
-
 class TestSessionRng:
     def test_construction_leaves_shared_rng_untouched(self, sim, medium):
         """Regression: the initial sequence number used to come from the
@@ -100,7 +79,7 @@ class TestSessionRng:
         later draw in the scenario."""
         nodes = make_chain(sim, medium, 2, static_routes=True)
         state = sim.rng.getstate()
-        RtpSession(nodes[0], 16384, remote=(nodes[1].ip, 16384), redundancy=2, vad=True)
+        RtpSession(nodes[0], 16384, remote=(nodes[1].ip, 16384), redundancy=2)
         assert sim.rng.getstate() == state
 
     def test_initial_sequence_is_deterministic_per_endpoint(self):
@@ -174,53 +153,6 @@ class TestRedRecovery:
         assert len(tx._red_history) <= 2
         # Clean channel: everything arrives as a primary, nothing to rebuild.
         assert rx.packets_recovered == 0
-
-
-class TestSilenceSuppression:
-    def test_vad_suppresses_frames_and_sends_comfort_noise(self, sim, medium):
-        tx, rx = build_pair(sim, medium, vad=True)
-        tx.start_sending()
-        sim.run(30.0)
-        nominal = int(30.0 / tx.codec.frame_interval)
-        assert 0 < tx.packets_sent < nominal * 0.9
-        assert rx.cn_received > 0
-        # Talk-spurt starts carry the marker bit: the buffer re-anchors.
-        assert rx.jitter_buffer.stats.retargets > 0
-        assert rx.jitter_buffer.stats.played > 0
-
-    def test_vad_schedule_is_deterministic(self):
-        def run_once():
-            sim = Simulator(seed=77)
-            medium = WirelessMedium(sim, stats=Stats(), tx_range=150.0)
-            a, b = make_chain(sim, medium, 2, static_routes=True)
-            tx = RtpSession(a, 16384, remote=(b.ip, 16384), vad=True)
-            rx = RtpSession(b, 16384, remote=(a.ip, 16384), vad=True)
-            tx.start_sending()
-            sim.run(20.0)
-            return tx.packets_sent, rx.cn_received, rx.jitter_buffer.stats.played
-
-        assert run_once() == run_once()
-
-
-class TestDtmf:
-    def test_digits_arrive_in_order(self, sim, medium):
-        tx, rx = build_pair(sim, medium)
-        tx.start_sending()
-        tx.send_dtmf("1#A")
-        sim.run(2.0)
-        assert rx.dtmf_received == ["1", "#", "A"]
-        assert rx.node.stats.count("rtp.dtmf_events") == 3
-
-    def test_invalid_digit_rejected(self, sim, medium):
-        tx, _ = build_pair(sim, medium)
-        with pytest.raises(CodecError):
-            tx.send_dtmf("1z")
-
-    def test_dtmf_needs_a_remote(self, sim, medium):
-        nodes = make_chain(sim, medium, 2, static_routes=True)
-        session = RtpSession(nodes[0], 16384)
-        with pytest.raises(CodecError):
-            session.send_dtmf("1")
 
 
 class TestMeasuredQuality:

@@ -1,4 +1,5 @@
-"""Every ``python -m repro...`` command the docs show names something that runs.
+"""Every ``python -m repro...`` command the docs show names something that runs,
+and every ``python`` block of README.md runs.
 
 README.md, DESIGN.md, EXPERIMENTS.md and the verify notes show commands in
 code spans and blocks. Each must name a module that ``python -m`` can run,
@@ -6,6 +7,7 @@ each artifact a ``python -m repro.experiments`` command names must be in
 ``ARTIFACTS``, and each gate a ``python -m repro.experiments.gates``
 command names must be in ``GATES``, so the docs cannot point at a removed
 CLI, artifact or gate. Placeholders (``<ID>``, ``[<name> ...]``) are skipped.
+A README block whose last line is a comment shows what the block prints.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL
 
 #: A command runs to the end of its code span, line or shell comment.
 COMMAND = re.compile(r"python3? -m (repro(?:\.\w+)*)([^`\n#]*)")
+
+#: A fenced ``python`` block, without its fences.
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 
 #: ``python -m repro.experiments`` options that take a value.
 VALUE_OPTIONS = ("--trace", "--metrics", "--metrics-interval")
@@ -80,3 +85,19 @@ def test_doc_commands_run(doc):
     found = commands(doc)
     assert found, f"{doc} shows no python -m repro command"
     assert [failure for command in found for failure in failures(*command)] == []
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a block may write files
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [
+        (text.count("\n", 0, match.start()) + 2, match.group(1))
+        for match in PYTHON_BLOCK.finditer(text)
+    ]
+    assert blocks, "README.md shows no python block"
+    for line, code in blocks:
+        exec(compile(code, f"README.md:{line}", "exec"), {"__name__": "readme"})
+        printed = capsys.readouterr().out.strip()
+        last = code.splitlines()[-1]
+        if last.startswith("#"):
+            assert printed == last.removeprefix("#").strip(), f"README.md block at line {line}"

@@ -4,8 +4,9 @@ Every table a gate pins runs in tier-1 through ``tests/netsim/test_golden.py``
 with its artifact's check (see ``repro.experiments.artifacts``). These
 tests cover what those gates do not: the discovery workload runner and the
 overhead table at a minimal size with the scheme guard, the footprint's
-sizes and the library inventory, which change with every edit, and the
-media and city experiments, which have no gate.
+sizes and peak-memory note, which the F6 gate does not pin, the library
+inventory, which changes with every edit, and the media and city
+experiments, which have no gate.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import pytest
 
 from repro.experiments import (
+    call_flow_table,
     footprint_table,
     media_quality_table,
     module_inventory_table,
@@ -49,6 +51,17 @@ class TestInfrastructureExperiments:
         table = footprint_table()
         assert len(table.rows) == 6
         assert all(row[2] > 0 for row in table.rows)  # loc > 0
+
+    def test_stack_memory_note_ignores_earlier_runs(self):
+        """F6's peak-memory note reads the same after an F3 table as before it."""
+
+        def memory_note():
+            return [note for note in footprint_table().notes if "peak memory" in note]
+
+        before = memory_note()
+        call_flow_table()
+        assert len(before) == 1
+        assert memory_note() == before
 
     def test_module_inventory_nonempty(self):
         table = module_inventory_table()
